@@ -182,7 +182,7 @@ def run_construct(cfg: RunConfig) -> int:
     c = cx.build_construction(cfg.p, cfg.r, cfg.basis)
     print(
         f"q = {c.q} = {cfg.p}^{6 * cfg.r}   |F| = {c.subF.order}   "
-        f"|V| = {len(c.V.elements)}   |E| = {c.size_E}"
+        f"|V| = {len(c.V.indices)}   |E| = {c.size_E}"
     )
     print(f"i = #{c.i.index}   basis = (#{c.V.basis[0].index}, #{c.V.basis[1].index})")
     _emit(cfg, _dump_json(c.to_json()))

@@ -9,11 +9,14 @@ is available through the subspace structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
+from functools import cached_property
+
+import numpy as np
 
 from . import ff
 from .errors import BudgetExceeded, DependentBasis, SizeGuard, WrongSubfieldDegree
-from .setalg import Point
+from .setalg import Point, digits_to_index
 
 # largest point count enumerate_E will materialize by default
 DEFAULT_ENUM_BUDGET = 2**26
@@ -23,69 +26,60 @@ DEFAULT_ENUM_BUDGET = 2**26
 class Subspace:
     """A 2-dimensional subspace of F_q over the subfield, fully enumerated.
 
-    elements holds all |F|^2 members sorted by canonical index.
+    indices holds the canonical indices of all |F|^2 members, sorted and
+    read-only; it is a function of (field, basis), so equality ignores it.
+    elements is the same members as FieldElems, built on first use.
     """
 
     field: ff.ExtField
     subfield: ff.SubfieldHandle
     basis: tuple
-    elements: tuple
+    indices: np.ndarray = dc_field(compare=False)
 
-    def index_list(self) -> list[int]:
-        return [e.index for e in self.elements]
+    @cached_property
+    def elements(self) -> tuple:
+        return tuple(self.field.from_index(i) for i in self.indices.tolist())
 
 
 def _span_indices(subF, e1, e2):
-    """Indices of {a*e1 + b*e2 : a, b in F}, or None on a dependent pair.
+    """Sorted indices of {a*e1 + b*e2 : a, b in F}, or None on a dependent pair.
 
     The pair is F-independent exactly when all |F|^2 combinations are
     distinct, so the enumeration doubles as the independence check.
     """
-    a_parts = [a * e1 for a in subF.elements]
-    b_parts = [b * e2 for b in subF.elements]
-    out = set()
-    for ae in a_parts:
-        for be in b_parts:
-            out.add((ae + be).index)
-    if len(out) < subF.order**2:
+    p = e1.field.p
+    # coefficient planes, shape (n, |F|)
+    a_parts = np.array([(a * e1).coeffs for a in subF.elements], dtype=np.int64).T
+    b_parts = np.array([(b * e2).coeffs for b in subF.elements], dtype=np.int64).T
+    span = np.unique(digits_to_index((a_parts[:, :, None] + b_parts[:, None, :]) % p, p))
+    if len(span) < subF.order**2:
         return None
-    return out
-
-
-def _scan_basis(field, subF):
-    # defensive fallback; the default pair (1, root) is always independent
-    for i1 in range(1, field.q):
-        e1 = field.from_index(i1)
-        for i2 in range(i1 + 1, field.q):
-            e2 = field.from_index(i2)
-            span = _span_indices(subF, e1, e2)
-            if span is not None:
-                return e1, e2, span
-    raise AssertionError("no independent pair exists")
+    span.flags.writeable = False
+    return span
 
 
 def build_subspace(field: ff.ExtField, subF: ff.SubfieldHandle, basis="auto") -> Subspace:
     """Span two F-independent elements of F_q, enumerating all members.
 
-    basis is either "auto" (the pair (1, x) with x the modulus root,
-    falling back to an index-order scan if that pair were ever dependent)
-    or an explicit pair of canonical indices.
+    basis is either "auto" (the pair (1, x) with x the modulus root) or an
+    explicit pair of canonical indices.
     """
     if field.n % 3 != 0 or subF.m != field.n // 3:
         raise WrongSubfieldDegree(subF.m, field.n)
     if basis == "auto":
+        # x has degree n = 3m over Z_p, so it lies outside F and (1, x) is
+        # always F-independent
         e1, e2 = field.one, field.root
         span = _span_indices(subF, e1, e2)
         if span is None:
-            e1, e2, span = _scan_basis(field, subF)
+            raise AssertionError("the pair (1, x) is F-dependent")
     else:
         i1, i2 = basis
         e1, e2 = field.from_index(i1), field.from_index(i2)
         span = _span_indices(subF, e1, e2)
         if span is None:
             raise DependentBasis(i1, i2)
-    elements = tuple(field.from_index(i) for i in sorted(span))
-    return Subspace(field=field, subfield=subF, basis=(e1, e2), elements=elements)
+    return Subspace(field=field, subfield=subF, basis=(e1, e2), indices=span)
 
 
 @dataclass(frozen=True)
@@ -105,7 +99,7 @@ class Construction:
 
     @property
     def size_E(self) -> int:
-        return len(self.V.elements) ** 2
+        return len(self.V.indices) ** 2
 
     def to_json(self) -> dict:
         return {
@@ -147,7 +141,7 @@ def build_construction(p: int, r: int, basis="auto") -> Construction:
     i = ff.sqrt_minus_one(field)
     subF = ff.locate_subfield(field, 2 * r)
     V = build_subspace(field, subF, basis)
-    if len(V.elements) != p ** (4 * r):
+    if len(V.indices) != p ** (4 * r):
         raise AssertionError("|V| != p^(4r)")
     return Construction(p=p, r=r, field=field, subF=subF, i=i, V=V)
 
@@ -158,7 +152,7 @@ def enumerate_E(c: Construction, budget: int = DEFAULT_ENUM_BUDGET) -> list[Poin
     Oversized requests raise; callers should use the structured distance
     path instead of materializing E.
     """
-    m = len(c.V.elements)
+    m = len(c.V.indices)
     if m * m > budget:
         raise BudgetExceeded("E points", m * m, budget)
     iv = [c.i * v for v in c.V.elements]

@@ -194,7 +194,7 @@ class ExtField:
     Immutable after construction; all operations are pure.
     """
 
-    __slots__ = ("p", "n", "q", "modulus", "generator", "key", "_red", "_tables")
+    __slots__ = ("p", "n", "q", "modulus", "key", "_red", "_tables", "_gen_coeffs")
 
     def __init__(self, p: int, n: int = 1, modulus=None, generator_index=None):
         if not is_prime(p):
@@ -219,16 +219,18 @@ class ExtField:
         self.key = (p, n, self.modulus)
         self._red = self._reduction_rows()
         self._tables = None
-        self.generator = None
         if generator_index is None:
-            self.generator = find_generator(self)
+            g = find_generator(self)
         else:
             g = self.from_index(generator_index)
             if not _has_full_order(g):
                 raise ValueError(
                     f"element #{generator_index} does not generate the multiplicative group"
                 )
-            self.generator = g
+        # only the coefficients are kept: an element refers back to its
+        # field, and that cycle would keep the field and its tables alive
+        # until cyclic garbage collection runs
+        self._gen_coeffs = g.coeffs
 
     def _reduction_rows(self):
         # row k holds the coefficients of x^(n+k) mod modulus, k = 0..n-2
@@ -246,6 +248,11 @@ class ExtField:
         return rows
 
     # -- element constructors
+
+    @property
+    def generator(self) -> "FieldElem":
+        """The lowest-index element of full multiplicative order q - 1."""
+        return FieldElem(self, self._gen_coeffs)
 
     @property
     def zero(self) -> "FieldElem":

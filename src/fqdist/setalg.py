@@ -132,6 +132,28 @@ def distance(a: Point, b: Point):
 # vectorized index-space arithmetic
 
 
+def index_to_digits(idx, p: int, n: int, dtype=np.int64) -> np.ndarray:
+    """Base-p digit planes of canonical indices, least significant first.
+
+    The result has shape (n,) + idx.shape; plane k holds coefficient k.
+    """
+    tmp = np.array(idx, dtype=np.int64)
+    out = np.empty((n,) + tmp.shape, dtype=dtype)
+    for k in range(n):
+        out[k] = tmp % p
+        tmp //= p
+    return out
+
+
+def digits_to_index(ds, p: int) -> np.ndarray:
+    """Canonical indices of reduced digit planes; inverse of index_to_digits."""
+    out = ds[-1].astype(np.int64)
+    for d in ds[-2::-1]:
+        out *= p
+        out += d
+    return out
+
+
 class FieldTables:
     """Bulk arithmetic on canonical indices of one field.
 
@@ -140,7 +162,7 @@ class FieldTables:
     arrays of any shape.
     """
 
-    __slots__ = ("q", "p", "n", "exp", "log", "sq", "negt", "_digits", "_pair")
+    __slots__ = ("q", "p", "n", "exp", "log", "sq", "_digits", "_pair")
 
     def __init__(self, field):
         q, p, n = field.q, field.p, field.n
@@ -152,10 +174,7 @@ class FieldTables:
         log[self.exp] = np.arange(q - 1, dtype=np.int64)
         self.log = log
         digit_dtype = np.int16 if p < 2**14 else np.int32
-        idx = np.arange(q, dtype=np.int64)
-        self._digits = np.stack(
-            [((idx // p**k) % p).astype(digit_dtype) for k in range(n)]
-        )
+        self._digits = index_to_digits(np.arange(q), p, n, digit_dtype)
         sq = np.zeros(q, dtype=np.int64)
         if q > 2:
             ks = np.arange(q - 1, dtype=np.int64)
@@ -163,32 +182,22 @@ class FieldTables:
         else:
             sq[self.exp] = self.exp  # GF(2): 1^2 = 1
         self.sq = sq
-        negt = np.zeros(q, dtype=np.int64)
-        for k in range(n):
-            negt += ((p - self._digits[k].astype(np.int64)) % p) * p**k
-        self.negt = negt
         self._pair = None
 
     def add(self, a, b):
         ds = self._digits[:, a] + self._digits[:, b]
         ds[ds >= self.p] -= self.p
-        return self._compose(ds)
+        return digits_to_index(ds, self.p)
 
     def sub(self, a, b):
         ds = self._digits[:, a] - self._digits[:, b]
         ds[ds < 0] += self.p
-        return self._compose(ds)
+        return digits_to_index(ds, self.p)
 
     def mul(self, a, b):
         s = (self.log[a] + self.log[b]) % (self.q - 1)
         out = self.exp[s]
         return np.where((np.asarray(a) == 0) | (np.asarray(b) == 0), 0, out)
-
-    def _compose(self, ds):
-        out = ds[0].astype(np.int64)
-        for k in range(1, self.n):
-            out = out + ds[k].astype(np.int64) * self.p**k
-        return out
 
     def pair_tables(self):
         """Full (q, q) add/sub lookup tables; only built for small q."""
@@ -225,16 +234,7 @@ def _mul_block_by_const(field, idx_block, c):
     m = np.zeros((n, n), dtype=np.int64)
     for j in range(n):
         m[:, j] = (c * field.from_index(p**j)).coeffs
-    digits = np.empty((n, len(idx_block)), dtype=np.int64)
-    tmp = idx_block.astype(np.int64).copy()
-    for k in range(n):
-        digits[k] = tmp % p
-        tmp //= p
-    reduced = (m @ digits) % p
-    out = reduced[0]
-    for k in range(1, n):
-        out = out + reduced[k] * p**k
-    return out
+    return digits_to_index((m @ index_to_digits(idx_block, p, n)) % p, p)
 
 
 def get_tables(field) -> FieldTables:
@@ -245,43 +245,42 @@ def get_tables(field) -> FieldTables:
     return t
 
 
-def _accumulate(q, threads, chunks, fill):
-    """Run fill(chunk, bits) over row chunks, OR-merging private bitsets.
+def _row_chunks(nrows: int, threads: int) -> list:
+    """At most min(threads, nrows) strided row sets, none of them empty.
 
-    The merge is associative, commutative and idempotent, so the result is
-    bit-identical for any worker count, including sequential execution.
+    Striding rather than cutting contiguous spans keeps the triangular
+    product loop, whose rows shrink, balanced across workers.
     """
-    chunks = [c for c in chunks if len(c)]
-    if threads <= 1 or len(chunks) <= 1:
-        bits = np.zeros(q, dtype=bool)
+    k = min(max(threads, 1), nrows)
+    return [np.arange(w, nrows, k) for w in range(k)]
+
+
+def _accumulate(q: int, threads: int, nrows: int, fill) -> ElemSet:
+    """Run fill(rows, bits) once per row chunk, OR-merging the bitsets.
+
+    fill walks its chunk in blocks itself, so the large block temporaries
+    stay alive from one block to the next and their memory is reused
+    instead of being returned and faulted in again.  Each worker owns one
+    chunk and a private bitset.  The merge is
+    associative, commutative and idempotent, so the result is bit-identical
+    for any worker count, including sequential execution.
+    """
+    out = ElemSet(q)
+    chunks = _row_chunks(nrows, threads)
+    if len(chunks) <= 1:
         for ch in chunks:
-            fill(ch, bits)
-        return bits
+            fill(ch, out.bits)
+        return out
 
     def run(ch):
-        b = np.zeros(q, dtype=bool)
-        fill(ch, b)
-        return b
+        bits = np.zeros(q, dtype=bool)
+        fill(ch, bits)
+        return bits
 
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        parts = list(ex.map(run, chunks))
-    bits = parts[0]
-    for b in parts[1:]:
-        bits |= b
-    return bits
-
-
-def _stride_chunks(nrows, threads):
-    if threads <= 1:
-        return [range(nrows)]
-    return [range(w, nrows, threads) for w in range(threads)]
-
-
-def _span_chunks(nrows, threads):
-    if threads <= 1:
-        return [(0, nrows)]
-    cuts = [nrows * w // threads for w in range(threads + 1)]
-    return [(cuts[w], cuts[w + 1]) for w in range(threads)]
+    with ThreadPoolExecutor(max_workers=len(chunks)) as ex:
+        for bits in ex.map(run, chunks):
+            out.bits |= bits
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -300,36 +299,23 @@ def distance_set_bruteforce(points, budget: int = DEFAULT_PAIR_BUDGET, threads: 
         raise BudgetExceeded("ordered distance pairs", npts * npts, budget)
     fld = points[0].x.field
     tabs = get_tables(fld)
-    q = fld.q
     xs = np.fromiter((pt.x.index for pt in points), dtype=np.int64, count=npts)
     ys = np.fromiter((pt.y.index for pt in points), dtype=np.int64, count=npts)
     sq = tabs.sq
-
-    if q <= _PAIR_TABLE_MAX_Q:
+    if fld.q <= _PAIR_TABLE_MAX_Q:
         addt, subt = tabs.pair_tables()
-
-        def fill(span, bits):
-            lo, hi = span
-            for i0 in range(lo, hi, _ROW_BLOCK):
-                i1 = min(i0 + _ROW_BLOCK, hi)
-                dx2 = sq[subt[xs[i0:i1, None], xs[None, :]]]
-                dy2 = sq[subt[ys[i0:i1, None], ys[None, :]]]
-                bits[addt[dx2, dy2].ravel()] = True
-
+        add, sub = (lambda a, b: addt[a, b]), (lambda a, b: subt[a, b])
     else:
+        add, sub = tabs.add, tabs.sub
 
-        def fill(span, bits):
-            lo, hi = span
-            for i0 in range(lo, hi, _ROW_BLOCK):
-                i1 = min(i0 + _ROW_BLOCK, hi)
-                dx2 = sq[tabs.sub(xs[i0:i1, None], xs[None, :])]
-                dy2 = sq[tabs.sub(ys[i0:i1, None], ys[None, :])]
-                bits[tabs.add(dx2, dy2).ravel()] = True
+    def fill(rows, bits):
+        for j0 in range(0, len(rows), _ROW_BLOCK):
+            blk = rows[j0 : j0 + _ROW_BLOCK]
+            dx2 = sq[sub(xs[blk][:, None], xs[None, :])]
+            dy2 = sq[sub(ys[blk][:, None], ys[None, :])]
+            bits[add(dx2, dy2).ravel()] = True
 
-    bits = _accumulate(q, threads, _span_chunks(npts, threads), fill)
-    out = ElemSet(q)
-    out.bits = bits
-    return out
+    return _accumulate(fld.q, threads, npts, fill)
 
 
 def product_set(V, budget: int = DEFAULT_PAIR_BUDGET, threads: int = 1) -> ElemSet:
@@ -337,15 +323,13 @@ def product_set(V, budget: int = DEFAULT_PAIR_BUDGET, threads: int = 1) -> ElemS
 
     Iterates unordered pairs only; u*v = v*u makes that lossless.
     """
-    idx = np.fromiter((e.index for e in V.elements), dtype=np.int64, count=len(V.elements))
+    idx = V.indices
     m = len(idx)
     if m * m > budget:
         raise BudgetExceeded("ordered product pairs", m * m, budget)
-    fld = V.field
-    tabs = get_tables(fld)
-    q = fld.q
+    tabs = get_tables(V.field)
     logs = tabs.log[idx[idx != 0]]
-    qm1 = q - 1
+    qm1 = tabs.q - 1
     expt = tabs.exp
 
     def fill(rows, bits):
@@ -354,11 +338,9 @@ def product_set(V, budget: int = DEFAULT_PAIR_BUDGET, threads: int = 1) -> ElemS
             s[s >= qm1] -= qm1
             bits[expt[s]] = True
 
-    bits = _accumulate(q, threads, _stride_chunks(len(logs), threads), fill)
+    out = _accumulate(tabs.q, threads, len(logs), fill)
     if len(logs) < m:  # 0 in V, hence 0 in VV
-        bits[0] = True
-    out = ElemSet(q)
-    out.bits = bits
+        out.add(0)
     return out
 
 
@@ -368,22 +350,12 @@ def distance_set_structured(c, threads: int = 1) -> ElemSet:
     Never materializes the point set; cost is one pass over the distinct
     squares of V (at most |V|^2 index operations).
     """
-    fld = c.field
-    tabs = get_tables(fld)
-    q = fld.q
-    vidx = np.fromiter((e.index for e in c.V.elements), dtype=np.int64, count=len(c.V.elements))
-    squares = np.unique(tabs.sq[vidx])
-    ns = len(squares)
+    tabs = get_tables(c.field)
+    squares = np.unique(tabs.sq[c.V.indices])
 
     def fill(rows, bits):
-        rows = np.asarray(rows, dtype=np.int64)
-        mine = squares[rows]
-        for j0 in range(0, len(mine), _ROW_BLOCK):
-            blk = mine[j0 : j0 + _ROW_BLOCK]
-            d = tabs.sub(blk[:, None], squares[None, :])
-            bits[d.ravel()] = True
+        for j0 in range(0, len(rows), _ROW_BLOCK):
+            blk = squares[rows[j0 : j0 + _ROW_BLOCK]]
+            bits[tabs.sub(blk[:, None], squares[None, :]).ravel()] = True
 
-    bits = _accumulate(q, threads, _stride_chunks(ns, threads), fill)
-    out = ElemSet(q)
-    out.bits = bits
-    return out
+    return _accumulate(tabs.q, threads, len(squares), fill)

@@ -120,7 +120,7 @@ def verify_counterexample(
     if size_e != p ** (8 * r):
         raise ClaimViolation(f"|E| = {size_e} differs from p^(8r)")
 
-    nv = len(c.V.elements)
+    nv = len(c.V.indices)
     if nv * nv > pair_budget:
         raise BudgetExceeded("subspace pairs", nv * nv, pair_budget)
     delta = setalg.distance_set_structured(c, threads=threads)

@@ -1,5 +1,7 @@
 """Subspace and construction assembly."""
 
+import gc
+
 import pytest
 
 import fqdist
@@ -18,6 +20,13 @@ def test_subspace_sizes(c31):
     assert c31.subF.order == 9
     assert len(c31.V.elements) == 81
     assert len({e.index for e in c31.V.elements}) == 81
+    idx = c31.V.indices
+    assert idx.tolist() == [e.index for e in c31.V.elements]
+    assert idx.tolist() == sorted(idx.tolist())
+    assert not idx.flags.writeable
+    e1, e2 = c31.V.basis
+    F = c31.subF.elements
+    assert set(idx.tolist()) == {(a * e1 + b * e2).index for a in F for b in F}
 
 
 def test_subspace_closed_under_add_and_neg(c31):
@@ -156,3 +165,24 @@ def test_explicit_basis_round_trip(c31):
     v2 = fqdist.build_subspace(c31.field, c31.subF, (5, 11))
     assert len(v2.elements) == 81
     assert v2.basis[0].index == 5 and v2.basis[1].index == 11
+
+
+def test_dropped_construction_is_freed_by_refcount():
+    was_enabled, old_debug = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    try:
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.garbage.clear()
+        c = fqdist.build_construction(3, 1)
+        fqdist.distance_set_structured(c)
+        fqdist.product_set(c.V)
+        del c
+        gc.collect()
+        leaked = [o for o in gc.garbage if isinstance(o, fqdist.ExtField)]
+        assert leaked == []
+    finally:
+        gc.set_debug(old_debug)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
