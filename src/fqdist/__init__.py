@@ -20,6 +20,7 @@ from .errors import (
     DependentBasis,
     FieldMismatch,
     FqdistError,
+    InvalidInput,
     NoSqrtMinusOne,
     NotADivisor,
     NotPrime,

@@ -7,6 +7,7 @@ implementation alarm), 2 bad invocation or configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import random
@@ -171,11 +172,24 @@ def _dump_json(obj) -> str:
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    """Write text to --out, or stdout; a failed write leaves --out as it was."""
+    if not cfg.out:
         sys.stdout.write(text)
+        return
+    # a regular file is written beside the target and renamed over it; a
+    # device or pipe such as /dev/stdout has nothing to replace
+    in_place = os.path.exists(cfg.out) and not os.path.isfile(cfg.out)
+    path = cfg.out if in_place else f"{cfg.out}.{os.getpid()}.tmp"
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        if not in_place:
+            os.replace(path, cfg.out)
+    except OSError as e:
+        if not in_place:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+        raise FqdistError(f"cannot write {cfg.out}: {e.strerror or e}") from None
 
 
 def run_construct(cfg: RunConfig) -> int:
@@ -363,9 +377,6 @@ def main(argv=None) -> int:
         print(f"CLAIM VIOLATED: {e}", file=sys.stderr)
         return 1
     except FqdistError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -5,6 +5,10 @@ class FqdistError(Exception):
     """Base class for all package errors."""
 
 
+class InvalidInput(FqdistError, ValueError):
+    """An argument outside its documented range; a usage error, not a fault."""
+
+
 class NotPrime(FqdistError):
     def __init__(self, p):
         super().__init__(f"{p} is not prime")

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .errors import (
     FieldMismatch,
+    InvalidInput,
     NoSqrtMinusOne,
     NotADivisor,
     NotPrime,
@@ -281,7 +282,7 @@ class ExtField:
 
     def from_index(self, index: int) -> "FieldElem":
         if not 0 <= index < self.q:
-            raise ValueError(f"index {index} out of range [0, {self.q})")
+            raise InvalidInput(f"index {index} out of range [0, {self.q})")
         return FieldElem(self, tuple(_digits(index, self.p, self.n)))
 
     def elements(self):

@@ -2,20 +2,22 @@
 
 Sets of field elements are bitsets addressed by canonical element index.
 The heavy pair loops (tens of millions of pairs) run over precomputed
-index-space tables -- discrete exp/log for multiplication and base-p digit
-planes for addition -- so everything stays inside vectorized numpy code.
+index-space tables -- base-p digit planes for addition, a squares table,
+discrete exp/log for coset names -- so everything stays inside vectorized
+numpy code.
 Budgets are hard limits: an oversized request raises instead of sampling.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, FieldMismatch
+from .errors import BudgetExceeded, ClaimViolation, FieldMismatch
 
 DEFAULT_PAIR_BUDGET = 10**9
 
@@ -194,11 +196,6 @@ class FieldTables:
         ds[ds < 0] += self.p
         return digits_to_index(ds, self.p)
 
-    def mul(self, a, b):
-        s = (self.log[a] + self.log[b]) % (self.q - 1)
-        out = self.exp[s]
-        return np.where((np.asarray(a) == 0) | (np.asarray(b) == 0), 0, out)
-
     def pair_tables(self):
         """Full (q, q) add/sub lookup tables; only built for small q."""
         if self._pair is None:
@@ -245,13 +242,19 @@ def get_tables(field) -> FieldTables:
     return t
 
 
-def _row_chunks(nrows: int, threads: int) -> list:
-    """At most min(threads, nrows) strided row sets, none of them empty.
+def _available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    Striding rather than cutting contiguous spans keeps the triangular
-    product loop, whose rows shrink, balanced across workers.
+
+def _row_chunks(nrows: int, threads: int) -> list:
+    """At most min(threads, CPUs available, nrows) strided row sets, none empty.
+
+    Each chunk gets its own OS thread and q-byte bitset, so chunks beyond
+    the CPUs this process may run on would only cost memory.
     """
-    k = min(max(threads, 1), nrows)
+    k = min(max(threads, 1), _available_cpus(), nrows)
     return [np.arange(w, nrows, k) for w in range(k)]
 
 
@@ -319,28 +322,32 @@ def distance_set_bruteforce(points, budget: int = DEFAULT_PAIR_BUDGET, threads: 
 
 
 def product_set(V, budget: int = DEFAULT_PAIR_BUDGET, threads: int = 1) -> ElemSet:
-    """Exact VV = {u*v : u, v in V} for a subspace V.
+    """Exact VV = {u*v : u, v in V} for a subspace V over the subfield F.
 
-    Iterates unordered pairs only; u*v = v*u makes that lossless.
+    F*.V = V, so V minus 0 is a union of |F|+1 cosets of F* = <g^step>; the
+    coset of g^k is named by k mod step, and coset products add names.
+    Raises ClaimViolation if V is not F*-closed, BudgetExceeded if |V|^2
+    exceeds the budget.  threads has no effect; callers may still pass it.
     """
     idx = V.indices
     m = len(idx)
     if m * m > budget:
         raise BudgetExceeded("ordered product pairs", m * m, budget)
     tabs = get_tables(V.field)
-    logs = tabs.log[idx[idx != 0]]
-    qm1 = tabs.q - 1
-    expt = tabs.exp
-
-    def fill(rows, bits):
-        for i in rows:
-            s = logs[i] + logs[i:]
-            s[s >= qm1] -= qm1
-            bits[expt[s]] = True
-
-    out = _accumulate(tabs.q, threads, len(logs), fill)
-    if len(logs) < m:  # 0 in V, hence 0 in VV
-        out.add(0)
+    step = V.subfield.step
+    coset_size = V.subfield.order - 1
+    nonzero = idx[idx != 0]
+    names = np.unique(tabs.log[nonzero] % step)
+    # a coset has |F|-1 members, so V is a union of whole cosets exactly
+    # when it holds len(names) * (|F|-1) distinct nonzero members
+    if len(names) * coset_size != len(nonzero):
+        raise ClaimViolation("V is not a union of F*-cosets")
+    products = np.zeros(step, dtype=bool)
+    products[(names[:, None] + names[None, :]) % step] = True
+    out = ElemSet(tabs.q)
+    # exp[j] = g^j lies in coset j mod step, and step divides q - 1
+    out.bits[tabs.exp] = np.tile(products, coset_size)
+    out.bits[0] = len(nonzero) < m  # 0 in V, hence 0 in VV
     return out
 
 

@@ -124,7 +124,7 @@ def verify_counterexample(
     if nv * nv > pair_budget:
         raise BudgetExceeded("subspace pairs", nv * nv, pair_budget)
     delta = setalg.distance_set_structured(c, threads=threads)
-    vv = setalg.product_set(c.V, budget=pair_budget, threads=threads)
+    vv = setalg.product_set(c.V, budget=pair_budget)
     if not delta.issubset(vv):
         raise ClaimViolation("structured distance set is not contained in VV")
     delta_equals_vv = delta == vv

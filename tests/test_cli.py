@@ -1,6 +1,7 @@
 """CLI contracts: exit codes, machine reports, determinism, env overrides."""
 
 import json
+import os
 
 import pytest
 
@@ -102,6 +103,38 @@ def test_scan_row_failure_exit_code(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["rows"][0]["size_delta"] == 61201
     assert "error" in doc["rows"][1]
+
+
+def test_scan_isolates_an_invalid_r(capsys):
+    assert run(["scan", "--p", "3", "--r", "0,1"]) == 2
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert rows[0] == {"r": 0, "error": "r must be at least 1", "error_kind": "config"}
+    assert rows[1]["size_delta"] == 441 and rows[1]["delta_ne_Fq"] is True
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    assert run(["verify", "--p", "3", "--r", "1", "--oracle", "structured",
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+
+def test_failed_write_keeps_existing_out(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "cons.json"
+    out.write_text("earlier report\n")
+
+    def fail(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.os, "replace", fail)
+    assert run(["construct", "--p", "3", "--r", "1", "--out", str(out)]) == 2
+    assert out.read_text() == "earlier report\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["cons.json"]
+    monkeypatch.undo()
+    # a device is written in place, never replaced
+    assert run(["construct", "--p", "3", "--r", "1", "--out", os.devnull]) == 0
+    assert not os.path.isfile(os.devnull)
 
 
 def test_construct_record(tmp_path, capsys):
