@@ -45,7 +45,6 @@ from .ff import (
 from .setalg import (
     ElemSet,
     Point,
-    complement_witness,
     distance,
     distance_set_bruteforce,
     distance_set_structured,

@@ -12,36 +12,12 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 
 from . import construction as cx
 from . import ff, setalg, verify
 from .errors import ClaimViolation, FqdistError
 
 ENV_PAIR_BUDGET = "FALCONER_PAIR_BUDGET"
-
-
-@dataclass
-class RunConfig:
-    """Validated invocation parameters; nothing runs until this exists."""
-
-    command: str
-    p: int | None = None
-    r: int | None = None
-    r_list: tuple = ()
-    q: int | None = None
-    basis: object = "auto"
-    oracle: str = "auto"
-    pair_budget: int = setalg.DEFAULT_PAIR_BUDGET
-    enum_budget: int = cx.DEFAULT_ENUM_BUDGET
-    threads: int = 1
-    out: str | None = None
-    format: str = "json"
-    seed: int = 0
-    triples: int = 10000
-    pruning: bool = True
-    dump_bits: bool = False
-    verbose: bool = False
 
 
 def _parse_basis(text: str):
@@ -133,86 +109,66 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _to_config(args) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    cfg.pair_budget = (
-        args.pair_budget if args.pair_budget is not None else _default_pair_budget()
-    )
-    if cfg.pair_budget < 1:
+def _validate(args) -> None:
+    """Check the parsed flags before anything runs; resolve the pair budget."""
+    if args.pair_budget is None:
+        args.pair_budget = _default_pair_budget()
+    if args.pair_budget < 1:
         raise FqdistError("pair budget must be positive")
-    cfg.threads = args.threads
-    if cfg.threads < 1:
+    if args.threads < 1:
         raise FqdistError("threads must be at least 1")
-    cfg.out = args.out
-    cfg.format = args.format
-    cfg.verbose = args.verbose
-    if args.command != "scan" and cfg.format == "csv":
+    if args.command != "scan" and args.format == "csv":
         raise FqdistError("--format csv is only available for scan")
-    if args.command in ("construct", "verify"):
-        cfg.p, cfg.r, cfg.basis = args.p, args.r, args.basis
-    if args.command == "verify":
-        cfg.oracle = args.oracle
-        cfg.enum_budget = args.enum_budget
-        cfg.dump_bits = args.dump_bits
-    if args.command == "scan":
-        cfg.p, cfg.r_list, cfg.basis = args.p, args.r, args.basis
-    if args.command == "census":
-        cfg.q = args.q
-        cfg.pruning = args.pruning == "on"
-    if args.command == "selftest":
-        cfg.seed = args.seed
-        cfg.triples = args.triples
-        if cfg.triples < 1:
-            raise FqdistError("triples must be positive")
-    return cfg
+    if args.command == "selftest" and args.triples < 1:
+        raise FqdistError("triples must be positive")
 
 
 def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
+def _emit(args, text: str) -> None:
     """Write text to --out, or stdout; a failed write leaves --out as it was."""
-    if not cfg.out:
+    if not args.out:
         sys.stdout.write(text)
         return
     # a regular file is written beside the target and renamed over it; a
     # device or pipe such as /dev/stdout has nothing to replace
-    in_place = os.path.exists(cfg.out) and not os.path.isfile(cfg.out)
-    path = cfg.out if in_place else f"{cfg.out}.{os.getpid()}.tmp"
+    in_place = os.path.exists(args.out) and not os.path.isfile(args.out)
+    path = args.out if in_place else f"{args.out}.{os.getpid()}.tmp"
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         if not in_place:
-            os.replace(path, cfg.out)
+            os.replace(path, args.out)
     except OSError as e:
         if not in_place:
             with contextlib.suppress(OSError):
                 os.unlink(path)
-        raise FqdistError(f"cannot write {cfg.out}: {e.strerror or e}") from None
+        raise FqdistError(f"cannot write {args.out}: {e.strerror or e}") from None
 
 
-def run_construct(cfg: RunConfig) -> int:
-    c = cx.build_construction(cfg.p, cfg.r, cfg.basis)
+def run_construct(args) -> int:
+    c = cx.build_construction(args.p, args.r, args.basis)
     print(
-        f"q = {c.q} = {cfg.p}^{6 * cfg.r}   |F| = {c.subF.order}   "
+        f"q = {c.q} = {args.p}^{6 * args.r}   |F| = {c.subF.order}   "
         f"|V| = {len(c.V.indices)}   |E| = {c.size_E}"
     )
     print(f"i = #{c.i.index}   basis = (#{c.V.basis[0].index}, #{c.V.basis[1].index})")
-    _emit(cfg, _dump_json(c.to_json()))
+    _emit(args, _dump_json(c.to_json()))
     return 0
 
 
-def run_verify(cfg: RunConfig) -> int:
+def run_verify(args) -> int:
     rep = verify.verify_counterexample(
-        cfg.p,
-        cfg.r,
-        basis=cfg.basis,
-        oracle=cfg.oracle,
-        pair_budget=cfg.pair_budget,
-        enum_budget=cfg.enum_budget,
-        threads=cfg.threads,
-        dump_bits=cfg.dump_bits,
+        args.p,
+        args.r,
+        basis=args.basis,
+        oracle=args.oracle,
+        pair_budget=args.pair_budget,
+        enum_budget=args.enum_budget,
+        threads=args.threads,
+        dump_bits=args.dump_bits,
     )
     print(f"q = {rep.q} (p={rep.p}, r={rep.r})   |E| = {rep.size_E} = q^(4/3)")
     print(
@@ -229,31 +185,31 @@ def run_verify(cfg: RunConfig) -> int:
         f"oracles: {rep.oracle_mode}   above completeness threshold: "
         f"{str(rep.ir_applicable).lower()}"
     )
-    if cfg.verbose:
+    if args.verbose:
         print(f"delta bitset sha256 = {rep.delta_set['sha256_of_bitset']}")
         print(f"VV bitset sha256    = {rep.vv_set['sha256_of_bitset']}")
     print(f"all claims verified in {rep.elapsed_seconds:.2f}s")
-    if cfg.out:
-        _emit(cfg, _dump_json(rep.to_json_dict()))
+    if args.out:
+        _emit(args, _dump_json(rep.to_json_dict()))
     return 0
 
 
-def run_scan(cfg: RunConfig) -> int:
+def run_scan(args) -> int:
     rows = verify.ratio_scan(
-        cfg.p, cfg.r_list, basis=cfg.basis,
-        pair_budget=cfg.pair_budget, threads=cfg.threads,
+        args.p, args.r, basis=args.basis,
+        pair_budget=args.pair_budget, threads=args.threads,
     )
-    if cfg.format == "csv":
+    if args.format == "csv":
         text = verify.scan_to_csv(rows)
     else:
-        text = _dump_json(verify.scan_to_json_dict(cfg.p, rows))
-    if cfg.out:
+        text = _dump_json(verify.scan_to_json_dict(args.p, rows))
+    if args.out:
         for row in rows:
             tail = f"error: {row.error}" if row.error else (
                 f"|Δ| = {row.size_delta}  ratio ≈ {verify._ratio_decimal(row.ratio)}"
             )
             print(f"r = {row.r}  q = {row.q if row.q else '?'}  {tail}")
-    _emit(cfg, text)
+    _emit(args, text)
     if any(row.error_kind == "claim" for row in rows):
         return 1
     if any(row.error for row in rows):
@@ -261,16 +217,16 @@ def run_scan(cfg: RunConfig) -> int:
     return 0
 
 
-def run_census(cfg: RunConfig) -> int:
-    res = verify.census(cfg.q, pruning=cfg.pruning)
+def run_census(args) -> int:
+    res = verify.census(args.q, pruning=args.pruning == "on")
     print(
         f"q = {res.q}: max |E| with an incomplete distance set = "
         f"{res.max_incomplete_size} ({res.subsets_visited} subsets visited, "
         f"pruning {'on' if res.pruning else 'off'})"
     )
     print(f"witness: {res.witness_set}")
-    if cfg.out:
-        _emit(cfg, _dump_json(res.to_json_dict()))
+    if args.out:
+        _emit(args, _dump_json(res.to_json_dict()))
     return 0
 
 
@@ -303,14 +259,14 @@ def _axiom_failures(field, rng, triples) -> int:
     return bad
 
 
-def run_selftest(cfg: RunConfig) -> int:
-    rng = random.Random(cfg.seed)
+def run_selftest(args) -> int:
+    rng = random.Random(args.seed)
     checks = []
 
     fields = [ff.make_prime_field(7), ff.ExtField(3, 2), ff.ExtField(3, 6)]
     for fld in fields:
-        bad = _axiom_failures(fld, rng, cfg.triples)
-        checks.append((f"field axioms GF({fld.q}) x{cfg.triples}", bad == 0))
+        bad = _axiom_failures(fld, rng, args.triples)
+        checks.append((f"field axioms GF({fld.q}) x{args.triples}", bad == 0))
 
     gf729 = fields[2]
     round_trip = all(gf729.from_index(i).index == i for i in range(gf729.q))
@@ -327,7 +283,7 @@ def run_selftest(cfg: RunConfig) -> int:
     checks.append(("i^2 = -1 in GF(729)", i729 * i729 == -gf729.one))
 
     rep = verify.verify_counterexample(3, 1, oracle="structured",
-                                       pair_budget=cfg.pair_budget, threads=cfg.threads)
+                                       pair_budget=args.pair_budget, threads=args.threads)
     checks.append(("structured oracle = VV at (p=3, r=1)", rep.delta_equals_VV))
     checks.append(("missing distance exists at (p=3, r=1)", rep.delta_ne_Fq))
 
@@ -371,8 +327,8 @@ def main(argv=None) -> int:
         code = e.code
         return int(code) if code else 0
     try:
-        cfg = _to_config(args)
-        return _COMMANDS[cfg.command](cfg)
+        _validate(args)
+        return _COMMANDS[args.command](args)
     except ClaimViolation as e:
         print(f"CLAIM VIOLATED: {e}", file=sys.stderr)
         return 1

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from . import ff
-from .errors import BudgetExceeded, DependentBasis, InvalidInput, SizeGuard, WrongSubfieldDegree
+from .errors import BudgetExceeded, DependentBasis, InvalidInput, WrongSubfieldDegree
 from .setalg import Point, digits_to_index
 
 # largest point count enumerate_E will materialize by default
@@ -135,9 +135,7 @@ def build_construction(p: int, r: int, basis="auto") -> Construction:
     """
     if r < 1:
         raise InvalidInput("r must be at least 1")
-    if ff.is_prime(p) and p ** (6 * r) > ff.MAX_FIELD_ORDER:
-        raise SizeGuard(p ** (6 * r), ff.MAX_FIELD_ORDER)
-    field = ff.ExtField(p, 6 * r)
+    field = ff.ExtField(p, 6 * r)  # checks p and q before any search
     i = ff.sqrt_minus_one(field)
     subF = ff.locate_subfield(field, 2 * r)
     V = build_subspace(field, subF, basis)

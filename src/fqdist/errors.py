@@ -16,11 +16,12 @@ class NotPrime(FqdistError):
 
 
 class SizeGuard(FqdistError):
-    """Field order beyond the bitset / trial-division comfort zone."""
+    """Field order p^n beyond the bitset / trial-division comfort zone."""
 
-    def __init__(self, q, limit):
-        super().__init__(f"field order {q} exceeds the size guard {limit}")
-        self.q = q
+    def __init__(self, p, n, limit):
+        super().__init__(f"field order {p}^{n} exceeds the size guard {limit}")
+        self.p = p
+        self.n = n
         self.limit = limit
 
 

@@ -198,13 +198,17 @@ class ExtField:
     __slots__ = ("p", "n", "q", "modulus", "key", "_red", "_tables", "_gen_coeffs")
 
     def __init__(self, p: int, n: int = 1, modulus=None, generator_index=None):
+        # p >= 2 gives p^n >= 2^n, so this refuses a huge p or n before
+        # trial division or a big power is computed
+        if p >= 2 and (p > MAX_FIELD_ORDER or n >= MAX_FIELD_ORDER.bit_length()):
+            raise SizeGuard(p, n, MAX_FIELD_ORDER)
         if not is_prime(p):
             raise NotPrime(p)
         if n < 1:
             raise ValueError("extension degree must be positive")
         q = p**n
         if q > MAX_FIELD_ORDER:
-            raise SizeGuard(q, MAX_FIELD_ORDER)
+            raise SizeGuard(p, n, MAX_FIELD_ORDER)
         self.p = p
         self.n = n
         self.q = q

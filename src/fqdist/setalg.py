@@ -1,10 +1,10 @@
 """Bulk set algebra over F_q: membership bitsets, distance sets, product sets.
 
 Sets of field elements are bitsets addressed by canonical element index.
-The heavy pair loops (tens of millions of pairs) run over precomputed
-index-space tables -- base-p digit planes for addition, a squares table,
-discrete exp/log for coset names -- so everything stays inside vectorized
-numpy code.
+Bulk work runs over precomputed index-space tables -- base-p digit planes
+for addition, a squares table, discrete exp/log for coset names -- so
+everything stays inside vectorized numpy code.  The structured sets are
+unions of cosets of subgroups <g^k>; only brute force loops over all pairs.
 Budgets are hard limits: an oversized request raises instead of sampling.
 """
 
@@ -21,8 +21,10 @@ from .errors import BudgetExceeded, ClaimViolation, FieldMismatch
 
 DEFAULT_PAIR_BUDGET = 10**9
 
-# rows per block in the pair loops; keeps temporaries in cache-friendly sizes
-_ROW_BLOCK = 256
+# elements per block temporary in the pair loop (2 MB as int64).  The
+# allocator keeps freed blocks in each worker thread's arena, so peak RSS
+# grows with the block size, in steps that depend on thread timing.
+_BLOCK_ELEMS = 2**18
 
 # below this order it is cheaper to precompute full q x q add/sub tables
 _PAIR_TABLE_MAX_Q = 2048
@@ -48,10 +50,6 @@ class ElemSet:
         s = cls(q)
         s.bits[:] = True
         return s
-
-    def add(self, index: int) -> None:
-        # idempotent by construction
-        self.bits[index] = True
 
     def add_array(self, indices) -> None:
         if len(indices):
@@ -85,11 +83,6 @@ class ElemSet:
             return None
         return int(np.argmin(self.bits))
 
-    def copy(self) -> "ElemSet":
-        s = ElemSet(self.q)
-        s.bits[:] = self.bits
-        return s
-
     def sha256(self) -> str:
         """Hash of the bitset packed little-endian, for cross-run comparison."""
         packed = np.packbits(self.bits, bitorder="little")
@@ -106,11 +99,6 @@ class ElemSet:
 
     def __repr__(self):
         return f"ElemSet(q={self.q}, count={self.count})"
-
-
-def complement_witness(s: ElemSet):
-    """Smallest-index element of F_q missing from s, or None if s = F_q."""
-    return s.complement_witness()
 
 
 @dataclass(frozen=True, slots=True)
@@ -311,9 +299,11 @@ def distance_set_bruteforce(points, budget: int = DEFAULT_PAIR_BUDGET, threads: 
     else:
         add, sub = tabs.add, tabs.sub
 
+    block = max(1, _BLOCK_ELEMS // npts)
+
     def fill(rows, bits):
-        for j0 in range(0, len(rows), _ROW_BLOCK):
-            blk = rows[j0 : j0 + _ROW_BLOCK]
+        for j0 in range(0, len(rows), block):
+            blk = rows[j0 : j0 + block]
             dx2 = sq[sub(xs[blk][:, None], xs[None, :])]
             dy2 = sq[sub(ys[blk][:, None], ys[None, :])]
             bits[add(dx2, dy2).ravel()] = True
@@ -321,13 +311,39 @@ def distance_set_bruteforce(points, budget: int = DEFAULT_PAIR_BUDGET, threads: 
     return _accumulate(fld.q, threads, npts, fill)
 
 
+def _coset_names(tabs, k: int, members, what: str):
+    """Names log mod k of the cosets of <g^k> met by distinct members.
+
+    Returns the sorted names and one nonzero member of each.  A coset has
+    (q-1)/k members, so the members are a union of whole cosets (0 aside)
+    exactly when len(names) * (q-1)/k of them are nonzero; any other count
+    raises ClaimViolation.
+    """
+    nonzero = members[members != 0]
+    names, first = np.unique(tabs.log[nonzero] % k, return_index=True)
+    if len(names) * ((tabs.q - 1) // k) != len(nonzero):
+        raise ClaimViolation(f"{what} is not a union of cosets of <g^{k}>")
+    return names, nonzero[first]
+
+
+def _coset_union(tabs, k: int, names, zero: bool) -> ElemSet:
+    """The union of the cosets of <g^k> with the given names, plus 0 if zero."""
+    mask = np.zeros(k, dtype=bool)
+    mask[names] = True
+    out = ElemSet(tabs.q)
+    # exp[j] = g^j lies in coset j mod k, and k divides q - 1
+    out.bits[tabs.exp] = np.tile(mask, (tabs.q - 1) // k)
+    out.bits[0] = zero
+    return out
+
+
 def product_set(V, budget: int = DEFAULT_PAIR_BUDGET, threads: int = 1) -> ElemSet:
     """Exact VV = {u*v : u, v in V} for a subspace V over the subfield F.
 
-    F*.V = V, so V minus 0 is a union of |F|+1 cosets of F* = <g^step>; the
-    coset of g^k is named by k mod step, and coset products add names.
-    Raises ClaimViolation if V is not F*-closed, BudgetExceeded if |V|^2
-    exceeds the budget.  threads has no effect; callers may still pass it.
+    F*.V = V, so V minus 0 is a union of |F|+1 cosets of F* = <g^step>, and
+    coset products add names.  Raises ClaimViolation if V is not F*-closed,
+    BudgetExceeded if |V|^2 exceeds the budget.  threads has no effect;
+    callers may still pass it.
     """
     idx = V.indices
     m = len(idx)
@@ -335,34 +351,26 @@ def product_set(V, budget: int = DEFAULT_PAIR_BUDGET, threads: int = 1) -> ElemS
         raise BudgetExceeded("ordered product pairs", m * m, budget)
     tabs = get_tables(V.field)
     step = V.subfield.step
-    coset_size = V.subfield.order - 1
-    nonzero = idx[idx != 0]
-    names = np.unique(tabs.log[nonzero] % step)
-    # a coset has |F|-1 members, so V is a union of whole cosets exactly
-    # when it holds len(names) * (|F|-1) distinct nonzero members
-    if len(names) * coset_size != len(nonzero):
-        raise ClaimViolation("V is not a union of F*-cosets")
-    products = np.zeros(step, dtype=bool)
-    products[(names[:, None] + names[None, :]) % step] = True
-    out = ElemSet(tabs.q)
-    # exp[j] = g^j lies in coset j mod step, and step divides q - 1
-    out.bits[tabs.exp] = np.tile(products, coset_size)
-    out.bits[0] = len(nonzero) < m  # 0 in V, hence 0 in VV
-    return out
+    names, _ = _coset_names(tabs, step, idx, "V")
+    products = (names[:, None] + names[None, :]) % step
+    return _coset_union(tabs, step, products, zero=0 in idx)
 
 
 def distance_set_structured(c, threads: int = 1) -> ElemSet:
-    """Distance set of the constructed point set via {u^2 - v^2 : u, v in V}.
+    """Distance set of the constructed point set, S - S for S = {v^2 : v in V}.
 
-    Never materializes the point set; cost is one pass over the distinct
-    squares of V (at most |V|^2 index operations).
+    F*.V = V gives H.S = S for H = (F*)^2 = <g^(2 step)>, so S minus 0 is a
+    union of H-cosets.  With one member r per coset, plus 0 if 0 is in S,
+    S - S = H.({r} - S): s = h*r gives s - t = h*(r - t/h) with t/h in S,
+    and h*(r - t) = h*r - h*t.  That is (|F|+2)*|S| differences instead
+    of |S|^2.  Raises ClaimViolation if S is not H-closed.  threads has no
+    effect; callers may still pass it.
     """
     tabs = get_tables(c.field)
+    k = 2 * c.subF.step
     squares = np.unique(tabs.sq[c.V.indices])
-
-    def fill(rows, bits):
-        for j0 in range(0, len(rows), _ROW_BLOCK):
-            blk = squares[rows[j0 : j0 + _ROW_BLOCK]]
-            bits[tabs.sub(blk[:, None], squares[None, :]).ravel()] = True
-
-    return _accumulate(tabs.q, threads, len(squares), fill)
+    _, rows = _coset_names(tabs, k, squares, "the squares of V")
+    if squares[0] == 0:
+        rows = np.append(rows, 0)
+    diffs = tabs.sub(rows[:, None], squares[None, :])
+    return _coset_union(tabs, k, tabs.log[diffs[diffs != 0]] % k, zero=True)

@@ -123,7 +123,7 @@ def verify_counterexample(
     nv = len(c.V.indices)
     if nv * nv > pair_budget:
         raise BudgetExceeded("subspace pairs", nv * nv, pair_budget)
-    delta = setalg.distance_set_structured(c, threads=threads)
+    delta = setalg.distance_set_structured(c)
     vv = setalg.product_set(c.V, budget=pair_budget)
     if not delta.issubset(vv):
         raise ClaimViolation("structured distance set is not contained in VV")

@@ -112,6 +112,19 @@ def test_scan_isolates_an_invalid_r(capsys):
     assert rows[1]["size_delta"] == 441 and rows[1]["delta_ne_Fq"] is True
 
 
+def test_oversized_field_exits_2_with_one_line(capsys):
+    assert run(["verify", "--p", "3", "--r", "2000"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: field order 3^12000 exceeds the size guard 2147483648\n"
+
+
+def test_scan_isolates_an_oversized_r(capsys):
+    assert run(["scan", "--p", "3", "--r", "1,2000"]) == 2
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert rows[0]["size_delta"] == 441 and rows[0]["delta_ne_Fq"] is True
+    assert rows[1]["error_kind"] == "config" and "3^12000" in rows[1]["error"]
+
+
 def test_unwritable_out_exits_2(tmp_path, capsys):
     out = tmp_path / "missing" / "r.json"
     assert run(["verify", "--p", "3", "--r", "1", "--oracle", "structured",

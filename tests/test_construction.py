@@ -85,11 +85,18 @@ def test_build_construction_rejects_char2():
 def test_build_construction_rejects_composite():
     with pytest.raises(NotPrime):
         fqdist.build_construction(9, 1)
+    with pytest.raises(NotPrime):
+        fqdist.build_construction(100, 1)  # 100^6 > 2^31, but p is checked first
 
 
 def test_build_construction_size_guard():
     with pytest.raises(SizeGuard):
         fqdist.build_construction(7, 2)  # 7^12 > 2^31
+    # refused before trial division of p or computing the power
+    with pytest.raises(SizeGuard, match=r"^field order 2305843009213693951\^6 exceeds"):
+        fqdist.build_construction(2**61 - 1, 1)
+    with pytest.raises(SizeGuard, match=r"^field order 3\^60000000 exceeds"):
+        fqdist.build_construction(3, 10**7)
     with pytest.raises(ValueError):
         fqdist.build_construction(3, 0)
 

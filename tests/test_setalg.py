@@ -21,8 +21,7 @@ import oracles
 def test_elemset_insert_idempotent_and_count():
     s = ElemSet(10)
     assert s.count == 0
-    s.add(3)
-    s.add(3)
+    s.add_array(np.array([3, 3]))
     assert s.count == 1
     s.add_array(np.array([3, 7, 7, 9]))
     assert s.count == 3
@@ -55,9 +54,9 @@ def test_elemset_json_and_hash():
     assert "bits_hex" in s.to_json(include_bits=True)
     full = ElemSet.full_set(6)
     assert "missing_witness" not in full.to_json()
-    s2 = s.copy()
+    s2 = ElemSet.from_indices(6, [0, 4])
     assert s2.sha256() == s.sha256()
-    s2.add(1)
+    s2.add_array(np.array([1]))
     assert s2.sha256() != s.sha256()
 
 
@@ -237,6 +236,22 @@ def test_structured_matches_naive_square_differences(c31):
     delta = fqdist.distance_set_structured(c31)
     want = oracles.scalar_square_difference_set(c31.V.elements)
     assert {i for i in range(c31.q) if delta.has(i)} == want
+    for basis in ((2, 10), (28, 500), (364, 7)):
+        c = dataclasses.replace(c31, V=fqdist.build_subspace(c31.field, c31.subF, basis))
+        delta = fqdist.distance_set_structured(c)
+        want = oracles.scalar_square_difference_set(c.V.elements)
+        assert {i for i in range(c31.q) if delta.has(i)} == want
+
+
+def test_structured_rejects_squares_that_are_not_coset_closed(c31):
+    # dropping v and -v removes the square v^2 but leaves the rest of its
+    # (F*)^2-coset, so S is no longer a union of whole cosets
+    idx = c31.V.indices
+    v = c31.V.elements[5]
+    kept = idx[(idx != v.index) & (idx != (-v).index)]
+    broken = dataclasses.replace(c31, V=dataclasses.replace(c31.V, indices=kept))
+    with pytest.raises(ClaimViolation):
+        fqdist.distance_set_structured(broken)
 
 
 def test_structured_subset_of_products(c31):
@@ -281,10 +296,3 @@ def test_row_chunks_bounded_by_rows():
         raise AssertionError("fill called without rows")
 
     assert setalg._accumulate(7, 4, 0, fill) == ElemSet(7)
-
-
-def test_complement_witness_function():
-    s = ElemSet.from_indices(4, [0, 1, 2, 3])
-    assert fqdist.complement_witness(s) is None
-    s = ElemSet(4)
-    assert fqdist.complement_witness(s) == 0
