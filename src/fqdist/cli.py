@@ -66,7 +66,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--pair-budget", type=int, default=None,
                         help=f"max ordered pairs per exact set computation "
                              f"(default {setalg.DEFAULT_PAIR_BUDGET}, or ${ENV_PAIR_BUDGET})")
-        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument("--threads", type=int, default=1,
+                        help="worker threads for the brute-force pass of verify "
+                             "(run by --oracle both, or auto when it fits); other "
+                             "subcommands and computations use one (default 1)")
         sp.add_argument("--out", default=None, help="write the machine report here")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("-v", "--verbose", action="store_true")

@@ -3,7 +3,10 @@
 Sets of field elements are bitsets addressed by canonical element index.
 Bulk work runs over precomputed index-space tables -- base-p digit planes
 for addition, a squares table, discrete exp/log for coset names -- so
-everything stays inside vectorized numpy code.  The structured sets are
+everything stays inside vectorized numpy code.  The exp table is built by
+block doubling: multiplying digit planes by a fixed power of g, an n x n
+matrix over Z_p, in BLAS floating point where the bound makes it exact
+and in int64 otherwise.  The structured sets are
 unions of cosets of subgroups <g^k>; only brute force loops over all pairs.
 Budgets are hard limits: an oversized request raises instead of sampling.
 """
@@ -21,9 +24,10 @@ from .errors import BudgetExceeded, ClaimViolation, FieldMismatch
 
 DEFAULT_PAIR_BUDGET = 10**9
 
-# elements per block temporary in the pair loop (2 MB as int64).  The
-# allocator keeps freed blocks in each worker thread's arena, so peak RSS
-# grows with the block size, in steps that depend on thread timing.
+# elements per block temporary in the pair loop (2 MB as int64) and in the
+# exp-table build.  The allocator keeps freed blocks in each worker
+# thread's arena, so peak RSS grows with the block size, in steps that
+# depend on thread timing.
 _BLOCK_ELEMS = 2**18
 
 # below this order it is cheaper to precompute full q x q add/sub tables
@@ -122,25 +126,32 @@ def distance(a: Point, b: Point):
 # vectorized index-space arithmetic
 
 
-def index_to_digits(idx, p: int, n: int, dtype=np.int64) -> np.ndarray:
-    """Base-p digit planes of canonical indices, least significant first.
-
-    The result has shape (n,) + idx.shape; plane k holds coefficient k.
-    """
-    tmp = np.array(idx, dtype=np.int64)
-    out = np.empty((n,) + tmp.shape, dtype=dtype)
-    for k in range(n):
-        out[k] = tmp % p
-        tmp //= p
-    return out
-
-
 def digits_to_index(ds, p: int) -> np.ndarray:
-    """Canonical indices of reduced digit planes; inverse of index_to_digits."""
+    """Canonical indices of reduced base-p digit planes, least significant first.
+
+    ds has shape (n,) + shape; plane k holds coefficient k.
+    """
     out = ds[-1].astype(np.int64)
     for d in ds[-2::-1]:
         out *= p
         out += d
+    return out
+
+
+def _digit_dtype(p: int):
+    return np.int16 if p < 2**14 else np.int32
+
+
+def _digit_planes(p: int, n: int) -> np.ndarray:
+    """Digit planes of the indices 0 .. p^n - 1: plane k of i is (i // p^k) % p.
+
+    Plane k repeats each digit p^k times and the run of p digits p^(n-k-1)
+    times, so it is filled by broadcasting, with no division.
+    """
+    out = np.empty((n, p**n), dtype=_digit_dtype(p))
+    digit = np.arange(p, dtype=out.dtype)[:, None]
+    for k in range(n):
+        out[k].reshape(p ** (n - k - 1), p, p**k)[...] = digit
     return out
 
 
@@ -159,19 +170,24 @@ class FieldTables:
         self.q = q
         self.p = p
         self.n = n
-        self.exp = _exp_table(field)
+        self.exp = exp = _exp_table(field)
         log = np.full(q, -1, dtype=np.int64)
-        log[self.exp] = np.arange(q - 1, dtype=np.int64)
+        log[exp] = np.arange(q - 1, dtype=np.int64)
         self.log = log
-        digit_dtype = np.int16 if p < 2**14 else np.int32
-        self._digits = index_to_digits(np.arange(q), p, n, digit_dtype)
-        sq = np.zeros(q, dtype=np.int64)
-        if q > 2:
-            ks = np.arange(q - 1, dtype=np.int64)
-            sq[self.exp] = self.exp[(2 * ks) % (q - 1)]
+        # (g^k)^2 = exp[2k mod (q-1)], gathered through log with the index
+        # wrapped; for odd q, q-1 = 2h and 2k mod 2h = 2(k mod h), so the
+        # even-position entries wrapped at h give it without doubling log.
+        # log[0] = -1 picks an arbitrary entry, overwritten by 0^2 = 0.
+        # Taking into a preallocated sq measured no peak RSS above the table
+        # bytes at q = 11^6; letting np.take allocate it left 6 MB more.
+        sq = np.empty(q, dtype=np.int64)
+        if q % 2:
+            np.take(exp[0::2], log, mode="wrap", out=sq)
         else:
-            sq[self.exp] = self.exp  # GF(2): 1^2 = 1
+            np.take(exp, 2 * log, mode="wrap", out=sq)
+        sq[0] = 0
         self.sq = sq
+        self._digits = _digit_planes(p, n)
         self._pair = None
 
     def add(self, a, b):
@@ -197,29 +213,60 @@ class FieldTables:
 def _exp_table(field):
     """Indices of g^0 .. g^(q-2) by repeated block-doubling.
 
-    Each doubling step multiplies the known block by the fixed element
-    g^filled, which acts linearly on coefficient vectors, so the whole
-    table costs O(q n^2) vectorized work instead of q scalar products.
+    The powers are built as base-p digit planes.  Each doubling step
+    multiplies the known columns by the fixed element g^filled, which acts
+    linearly on coefficient vectors, so the whole table costs O(q n^2)
+    vectorized work instead of q scalar products.  Columns are multiplied
+    in chunks of at most _BLOCK_ELEMS digits, which bounds the
+    temporaries; one pass at the end turns the planes into indices.
     """
-    q = field.q
-    exp = np.empty(q - 1, dtype=np.int64)
-    exp[0] = field.one.index
+    p, n, q = field.p, field.n, field.q
+    planes = np.zeros((n, q - 1), dtype=_digit_dtype(p))
+    planes[0, 0] = 1
+    chunk = max(1, _BLOCK_ELEMS // n)
     filled = 1
     while filled < q - 1:
         c = field.generator ** filled
+        # column j holds the coefficients of c * x^j
+        m = np.array([(c * field.from_index(p**j)).coeffs for j in range(n)]).T
         span = min(filled, q - 1 - filled)
-        exp[filled : filled + span] = _mul_block_by_const(field, exp[:span], c)
+        for a in range(0, span, chunk):
+            b = min(a + chunk, span)
+            planes[:, filled + a : filled + b] = _mul_planes(m, planes[:, a:b], p)
         filled += span
-    return exp
+    return digits_to_index(planes, p)
 
 
-def _mul_block_by_const(field, idx_block, c):
-    p, n = field.p, field.n
-    # matrix of the linear map v -> c*v on coefficient vectors
-    m = np.zeros((n, n), dtype=np.int64)
-    for j in range(n):
-        m[:, j] = (c * field.from_index(p**j)).coeffs
-    return digits_to_index((m @ index_to_digits(idx_block, p, n)) % p, p)
+def _mul_planes(m, ds, p: int) -> np.ndarray:
+    """(m @ ds) mod p, exactly, for an n x n matrix and digit planes over Z_p.
+
+    The result has the dtype of ds.  An entry t of the product is a sum of
+    n terms at most (p-1)^2.  While n(p-1)^2 + p is below 2^24 (float32)
+    or 2^53 (float64), every term, partial sum and multiple k*p with
+    k <= t/p + 1 is an exactly represented integer, in any summation
+    order, so BLAS computes t exactly; t/p is correctly rounded, so
+    floor(t/p) is off by at most one and t - p*floor(t/p) lies in [-p, 2p)
+    before the fix-up.  Every other
+    accepted field has n = 1 (n >= 2 forces p < 2^16) and p above about
+    9.5e7; it takes int64, where t <= (p-1)^2 < 2^62.
+    """
+    n = m.shape[0]
+    top = n * (p - 1) ** 2 + p
+    if top >= 2**53:
+        t = m.astype(np.int64) @ ds.astype(np.int64)
+        t %= p
+        return t.astype(ds.dtype)
+    ft = np.float32 if top < 2**24 else np.float64
+    t = m.astype(ft) @ ds.astype(ft)
+    k = t / p
+    np.floor(k, out=k)
+    k *= p
+    t -= k
+    # p < 2^27 here, so [-p, 2p) fits the digit dtype
+    r = t.astype(ds.dtype)
+    r[r < 0] += p
+    r[r >= p] -= p
+    return r
 
 
 def get_tables(field) -> FieldTables:

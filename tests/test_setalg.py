@@ -1,11 +1,15 @@
 """Bitsets, bulk index tables, distance sets, product sets."""
 
 import dataclasses
+import functools
+import math
 import os
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fqdist
 from fqdist import setalg
@@ -64,17 +68,91 @@ def test_elemset_json_and_hash():
 
 
 def test_tables_match_scalar_ops(gf9, gf729):
+    # GF(2), GF(4) and GF(16) have even q, where (g^k)^2 wraps at an odd q-1;
+    # 4099 has n(p-1)^2 >= 2^24, so its exp table is built in float64
+    fields = (
+        fqdist.make_prime_field(7), gf9, gf729,
+        fqdist.ExtField(2, 1), fqdist.ExtField(2, 2), fqdist.ExtField(2, 4),
+        fqdist.make_prime_field(4099),
+    )
     rng = random.Random(11)
-    for fld in (fqdist.make_prime_field(7), gf9, gf729):
+    for fld in fields:
         tabs = setalg.get_tables(fld)
         q = fld.q
-        a = np.array([rng.randrange(q) for _ in range(200)], dtype=np.int64)
-        b = np.array([rng.randrange(q) for _ in range(200)], dtype=np.int64)
-        for k in range(200):
-            ea, eb = fld.from_index(int(a[k])), fld.from_index(int(b[k]))
-            assert int(tabs.add(a, b)[k]) == (ea + eb).index
-            assert int(tabs.sub(a, b)[k]) == (ea - eb).index
-            assert int(tabs.sq[a[k]]) == (ea * ea).index
+        elems = list(fld.elements())
+        assert tabs._digits.tolist() == [list(c) for c in zip(*(e.coeffs for e in elems))]
+        assert tabs.sq.tolist() == [(e * e).index for e in elems]
+        powers, x = [], fld.one
+        for _ in range(q - 1):
+            powers.append(x.index)
+            x = x * fld.generator
+        assert tabs.exp.tolist() == powers
+        want_log = [-1] * q
+        for k, i in enumerate(powers):
+            want_log[i] = k
+        assert tabs.log.tolist() == want_log
+        # every element as a first operand, against all of F_q when it is small
+        others = range(q) if q <= 81 else [0, 1, q - 1] + rng.sample(range(q), 5)
+        idx = np.arange(q)
+        for b in others:
+            eb, bs = elems[b], np.full(q, b)
+            assert tabs.add(idx, bs).tolist() == [(e + eb).index for e in elems]
+            assert tabs.sub(idx, bs).tolist() == [(e - eb).index for e in elems]
+
+
+def _largest_modulus_below(n: int, limit: int) -> int:
+    """The largest p with n(p-1)^2 + p < limit."""
+    p = math.isqrt(limit // n) + 2
+    while n * (p - 1) ** 2 + p >= limit:
+        p -= 1
+    return p
+
+
+def test_mul_planes_is_exact_on_each_route():
+    # p on both sides of the float32 and float64 bounds, and the largest
+    # accepted prime, which takes int64; only a few hand-made columns are
+    # multiplied, so no table of order p is built
+    cases = [(n, p) for n, limit in ((6, 2**24), (1, 2**24), (1, 2**53))
+             for p0 in [_largest_modulus_below(n, limit)] for p in (p0, p0 + 1)]
+    cases.append((1, 2**31 - 1))
+    rng = random.Random(23)
+    for n, p in cases:
+        m = [[p - 1] * n] + [[rng.randrange(p) for _ in range(n)] for _ in range(n - 1)]
+        # the largest sums; the second one is odd, so a rounded sum shows
+        cols = [[p - 1] * n, [p - 2] + [p - 1] * (n - 1), [0] * n, [1] + [0] * (n - 1)]
+        cols += [[rng.randrange(p) for _ in range(n)] for _ in range(5)]
+        ds = np.array(cols, dtype=setalg._digit_dtype(p)).T
+        got = setalg._mul_planes(np.array(m), ds, p)
+        want = [[sum(m[i][j] * c[j] for j in range(n)) % p for c in cols] for i in range(n)]
+        assert got.dtype == ds.dtype and got.tolist() == want, (n, p)
+
+
+_SMALL_FIELDS = [
+    (p, n) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 97)
+    for n in range(1, 13) if p**n <= 3**8
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _small_field(p: int, n: int):
+    return fqdist.ExtField(p, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_SMALL_FIELDS), st.data())
+def test_tables_agree_with_scalar_ops_on_random_fields(pn, data):
+    fld = _small_field(*pn)
+    tabs = setalg.get_tables(fld)
+    q = fld.q
+    a, b = (data.draw(st.integers(0, q - 1)) for _ in range(2))
+    k = data.draw(st.integers(0, q - 2))
+    ea, eb, gk = fld.from_index(a), fld.from_index(b), fld.generator**k
+    assert tabs.exp[k] == gk.index and tabs.log[gk.index] == k
+    assert tabs.log[0] == -1
+    assert tabs.sq[a] == (ea * ea).index
+    assert tabs._digits[:, a].tolist() == list(ea.coeffs)
+    assert tabs.add(np.array([a]), np.array([b]))[0] == (ea + eb).index
+    assert tabs.sub(np.array([a]), np.array([b]))[0] == (ea - eb).index
 
 
 def test_exp_table_matches_scalar_powers(gf729):
