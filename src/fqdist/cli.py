@@ -1,7 +1,8 @@
 """Command-line interface: construct, verify, scan, census, selftest.
 
 Exit codes: 0 all asserted claims hold, 1 a verified claim failed (an
-implementation alarm), 2 bad invocation or configuration.
+implementation alarm), 2 bad invocation or configuration, 3 an internal
+fault (any other exception).
 """
 
 from __future__ import annotations
@@ -338,6 +339,9 @@ def main(argv=None) -> int:
     except FqdistError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 def app() -> None:

@@ -116,12 +116,12 @@ class Construction:
         field = ff.ExtField.from_json(d["field"])
         p, r = d["p"], d["r"]
         if field.p != p or field.n != 6 * r:
-            raise ValueError("field descriptor inconsistent with (p, r)")
+            raise InvalidInput("field descriptor inconsistent with (p, r)")
         if d["subfield_m"] != 2 * r:
-            raise ValueError("subfield degree must be 2r")
+            raise InvalidInput("subfield degree must be 2r")
         i = field.from_index(d["i_index"])
         if i * i != -field.one:
-            raise ValueError("i_index does not square to -1")
+            raise InvalidInput("i_index does not square to -1")
         subF = ff.locate_subfield(field, d["subfield_m"])
         V = build_subspace(field, subF, tuple(d["basis"]))
         return cls(p=p, r=r, field=field, subF=subF, i=i, V=V)

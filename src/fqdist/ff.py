@@ -195,7 +195,8 @@ class ExtField:
     Immutable after construction; all operations are pure.
     """
 
-    __slots__ = ("p", "n", "q", "modulus", "key", "_red", "_tables", "_gen_coeffs")
+    __slots__ = ("p", "n", "q", "modulus", "key", "_red", "_tables", "_cosets",
+                 "_gen_coeffs")
 
     def __init__(self, p: int, n: int = 1, modulus=None, generator_index=None):
         # p >= 2 gives p^n >= 2^n, so this refuses a huge p or n before
@@ -205,7 +206,7 @@ class ExtField:
         if not is_prime(p):
             raise NotPrime(p)
         if n < 1:
-            raise ValueError("extension degree must be positive")
+            raise InvalidInput("extension degree must be positive")
         q = p**n
         if q > MAX_FIELD_ORDER:
             raise SizeGuard(p, n, MAX_FIELD_ORDER)
@@ -217,19 +218,20 @@ class ExtField:
         else:
             modulus = [c % p for c in modulus]
             if len(modulus) != n + 1 or modulus[-1] != 1:
-                raise ValueError("modulus must be monic of degree n")
+                raise InvalidInput("modulus must be monic of degree n")
             if not is_irreducible(modulus, p):
-                raise ValueError("modulus is not irreducible over Z_p")
+                raise InvalidInput("modulus is not irreducible over Z_p")
         self.modulus = tuple(modulus)
         self.key = (p, n, self.modulus)
         self._red = self._reduction_rows()
         self._tables = None
+        self._cosets = None
         if generator_index is None:
             g = find_generator(self)
         else:
             g = self.from_index(generator_index)
             if not _has_full_order(g):
-                raise ValueError(
+                raise InvalidInput(
                     f"element #{generator_index} does not generate the multiplicative group"
                 )
         # only the coefficients are kept: an element refers back to its

@@ -1,14 +1,14 @@
 """Bulk set algebra over F_q: membership bitsets, distance sets, product sets.
 
 Sets of field elements are bitsets addressed by canonical element index.
-Bulk work runs over precomputed index-space tables -- base-p digit planes
-for addition, a squares table, discrete exp/log for coset names -- so
-everything stays inside vectorized numpy code.  The exp table is built by
-block doubling: multiplying digit planes by a fixed power of g, an n x n
-matrix over Z_p, in BLAS floating point where the bound makes it exact
-and in int64 otherwise.  The structured sets are
-unions of cosets of subgroups <g^k>; only brute force loops over all pairs.
-Budgets are hard limits: an oversized request raises instead of sampling.
+The structured sets are unions of cosets of F* and H = (F*)^2 for the
+subfield F, and those cosets are named as points of the projective plane
+PG(2, F) (CosetNames): one change of basis mod p, computed exactly in BLAS
+floating point, gives the F-coordinates of an element, and every later
+step reads tables of |F| or |F|^2 entries.  Only brute force loops over
+all pairs; it adds through base-p digit planes and reads a squares table
+(FieldTables).  Budgets are hard limits: an oversized request raises
+instead of sampling.
 """
 
 from __future__ import annotations
@@ -24,11 +24,16 @@ from .errors import BudgetExceeded, ClaimViolation, FieldMismatch
 
 DEFAULT_PAIR_BUDGET = 10**9
 
-# elements per block temporary in the pair loop (2 MB as int64) and in the
-# exp-table build.  The allocator keeps freed blocks in each worker
-# thread's arena, so peak RSS grows with the block size, in steps that
-# depend on thread timing.
+# elements per block temporary in the pair loop (2 MB as int64).  The
+# allocator keeps freed blocks in each worker thread's arena, so peak RSS
+# grows with the block size, in steps that depend on thread timing.
 _BLOCK_ELEMS = 2**18
+
+# elements per block of the passes that stream all of F_q through a few
+# int64 temporaries: coset names, name-to-bitset gathers and the squares
+# table.  The temporaries then fit a 2 MB L2 cache; 2^18-element blocks
+# measured 1.3-3x slower.
+_CACHE_BLOCK = 2**16
 
 # below this order it is cheaper to precompute full q x q add/sub tables
 _PAIR_TABLE_MAX_Q = 2048
@@ -156,38 +161,27 @@ def _digit_planes(p: int, n: int) -> np.ndarray:
 
 
 class FieldTables:
-    """Bulk arithmetic on canonical indices of one field.
+    """Per-field tables for the brute-force pass, addressed by canonical index.
 
-    exp/log tables give multiplication; per-position base-p digit planes
-    give addition and subtraction.  All lookups vectorize over numpy index
-    arrays of any shape.
+    Base-p digit planes give addition and subtraction; sq holds the square
+    of every element, computed by vectorized polynomial squaring.  All
+    lookups vectorize over numpy index arrays of any shape.  The structured
+    sets do not use these tables: they name cosets through CosetNames.
     """
 
-    __slots__ = ("q", "p", "n", "exp", "log", "sq", "_digits", "_pair")
+    __slots__ = ("q", "p", "n", "sq", "_digits", "_pair")
 
     def __init__(self, field):
         q, p, n = field.q, field.p, field.n
         self.q = q
         self.p = p
         self.n = n
-        self.exp = exp = _exp_table(field)
-        log = np.full(q, -1, dtype=np.int64)
-        log[exp] = np.arange(q - 1, dtype=np.int64)
-        self.log = log
-        # (g^k)^2 = exp[2k mod (q-1)], gathered through log with the index
-        # wrapped; for odd q, q-1 = 2h and 2k mod 2h = 2(k mod h), so the
-        # even-position entries wrapped at h give it without doubling log.
-        # log[0] = -1 picks an arbitrary entry, overwritten by 0^2 = 0.
-        # Taking into a preallocated sq measured no peak RSS above the table
-        # bytes at q = 11^6; letting np.take allocate it left 6 MB more.
-        sq = np.empty(q, dtype=np.int64)
-        if q % 2:
-            np.take(exp[0::2], log, mode="wrap", out=sq)
-        else:
-            np.take(exp, 2 * log, mode="wrap", out=sq)
-        sq[0] = 0
-        self.sq = sq
-        self._digits = _digit_planes(p, n)
+        self._digits = ds = _digit_planes(p, n)
+        self.sq = sq = np.empty(q, dtype=np.int64)
+        chunk = max(1, _CACHE_BLOCK // n)
+        for a in range(0, q, chunk):
+            d = ds[:, a : a + chunk]
+            sq[a : a + chunk] = digits_to_index(_mul_digits(field, d, d), p)
         self._pair = None
 
     def add(self, a, b):
@@ -210,38 +204,179 @@ class FieldTables:
         return self._pair
 
 
-def _exp_table(field):
-    """Indices of g^0 .. g^(q-2) by repeated block-doubling.
+def _mul_digits(field, a, b) -> np.ndarray:
+    """Digit planes of the products of the elements with digit planes a and b.
 
-    The powers are built as base-p digit planes.  Each doubling step
-    multiplies the known columns by the fixed element g^filled, which acts
-    linearly on coefficient vectors, so the whole table costs O(q n^2)
-    vectorized work instead of q scalar products.  Columns are multiplied
-    in chunks of at most _BLOCK_ELEMS digits, which bounds the
-    temporaries; one pass at the end turns the planes into indices.
+    a and b have shape (n,) + s and broadcast over s.  The schoolbook
+    product has 2n-1 coefficients; those of x^n .. x^(2n-2) are folded back
+    through field._red.  Every sum fits int64: n >= 2 forces p < 2^16, and
+    for n = 1 the one product is below (p-1)^2 < 2^62.
     """
-    p, n, q = field.p, field.n, field.q
-    planes = np.zeros((n, q - 1), dtype=_digit_dtype(p))
-    planes[0, 0] = 1
-    chunk = max(1, _BLOCK_ELEMS // n)
-    filled = 1
-    while filled < q - 1:
-        c = field.generator ** filled
-        # column j holds the coefficients of c * x^j
-        m = np.array([(c * field.from_index(p**j)).coeffs for j in range(n)]).T
-        span = min(filled, q - 1 - filled)
-        for a in range(0, span, chunk):
-            b = min(a + chunk, span)
-            planes[:, filled + a : filled + b] = _mul_planes(m, planes[:, a:b], p)
-        filled += span
-    return digits_to_index(planes, p)
+    p, n = field.p, field.n
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
+    conv = np.zeros((2 * n - 1,) + shape, dtype=np.int64)
+    for i in range(n):
+        conv[i : i + n] += a[i] * b
+    conv %= p
+    out = conv[:n]
+    for k, row in enumerate(field._red[: n - 1]):
+        out += np.reshape(row, (n,) + (1,) * len(shape)) * conv[n + k]
+    out %= p
+    return out
+
+
+def index_digits(idx, p: int, n: int) -> np.ndarray:
+    """Base-p digit planes of canonical indices; the inverse of digits_to_index."""
+    rest = np.asarray(idx, dtype=np.int64)
+    out = np.empty((n,) + rest.shape, dtype=np.int64)
+    for k in range(n):
+        rest, out[k] = np.divmod(rest, p)
+    return out
+
+
+def square_indices(V) -> np.ndarray:
+    """S = {v^2 : v in V} as sorted distinct canonical indices."""
+    f = V.field
+    d = index_digits(V.indices, f.p, f.n)
+    return np.unique(digits_to_index(_mul_digits(f, d, d), f.p))
+
+
+def _inverse_mod(rows, p: int) -> list:
+    """Inverse of an invertible square matrix over Z_p, by Gauss-Jordan."""
+    n = len(rows)
+    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if m[i][col]), None)
+        if piv is None:
+            raise AssertionError("singular change of basis")
+        m[col], m[piv] = m[piv], m[col]
+        inv = pow(m[col][col], -1, p)
+        m[col] = [v * inv % p for v in m[col]]
+        for i in range(n):
+            f = m[i][col]
+            if i != col and f:
+                m[i] = [(v - f * w) % p for v, w in zip(m[i], m[col])]
+    return [r[n:] for r in m]
+
+
+class CosetNames:
+    """Names of the cosets of F* and H = (F*)^2 in F_q*, read off PG(2, F).
+
+    F is the subfield of order Q = p^m, m = n/3, and gamma = g^step with
+    step = (q-1)/(Q-1) = Q^2 + Q + 1 generates F*.  x has degree 3 over F,
+    so {gamma^i x^j : i < m, j < 3} is a basis of F_q over Z_p, and one
+    change of basis gives every z its F-coordinates (t0, t1, t2).  F is
+    coded in [0, Q) by its digits over {gamma^i}.  The F*-coset of z != 0
+    is the projective point of (t0, t1, t2): the coordinates divided by the
+    last nonzero one, t_l.  Those points get the names [0, step): (a, b, 1)
+    is a + Q*b, (a, 1, 0) is Q^2 + a and (1, 0, 0) is Q^2 + Q.  H has index
+    2 in F*, so the H-name adds step * (log_gamma(t_l) mod 2).  Zero gets
+    the name 2*step.  All of this reads only Q- and Q x Q-sized tables.
+
+    names holds the H-names of all of [0, q) in index order.  It is built
+    from the coordinates of the low and high halves of the base-p digits of
+    each index, added in F through the Q x Q table, in blocks of at most
+    _CACHE_BLOCK elements.
+    """
+
+    __slots__ = ("Q", "step", "zero", "_split", "_lo", "_hi_q", "_add", "_sub",
+                 "_n0", "_n1", "names")
+
+    def __init__(self, field):
+        p, n, q = field.p, field.n, field.q
+        m = n // 3
+        Q = self.Q = p**m
+        self.step = step = (q - 1) // (Q - 1)
+        self.zero = 2 * step
+        dtype = np.min_scalar_type(self.zero)
+        gamma = field.generator**step
+        x = field.root
+        basis = [(gamma**i * x**j).coeffs for j in range(3) for i in range(m)]
+        inv = np.array(_inverse_mod(list(zip(*basis)), p))
+
+        def codes(ds, cols):
+            # the three F-codes of the digit planes ds in the digit positions cols
+            c = _mul_planes(inv[:, cols], ds, p)
+            return [digits_to_index(c[j * m : (j + 1) * m], p) for j in range(3)]
+
+        h = n // 2
+        self._split = p**h
+        self._lo = codes(_digit_planes(p, h), slice(0, h))
+        self._hi_q = [t * Q for t in codes(_digit_planes(p, n - h), slice(h, n))]
+
+        # F arithmetic on codes: digit sums, and powers of gamma, whose
+        # coordinates shift up one place at each step, with gamma^m folded
+        # back through its own coordinates
+        fd = _digit_planes(p, m).astype(np.int64)
+        self._add = digits_to_index((fd[:, :, None] + fd[:, None, :]) % p, p).ravel()
+        self._sub = digits_to_index((fd[:, :, None] - fd[:, None, :]) % p, p).ravel()
+        top = inv @ np.array((gamma**m).coeffs) % p
+        exp, v = [], [1] + [0] * (m - 1)
+        for _ in range(Q - 1):
+            exp.append(sum(c * p**i for i, c in enumerate(v)))
+            v = [(a + v[-1] * int(t)) % p for a, t in zip([0] + v[:-1], top[:m])]
+        exp = np.array(exp, dtype=np.int64)
+        log = np.zeros(Q, dtype=np.int64)
+        log[exp] = np.arange(Q - 1)
+        # ratio[a, b] = a/b for b != 0; the name tables for t_l = b
+        ratio = exp[(log[:, None] - log[None, :]) % (Q - 1)]
+        ratio[0] = 0
+        self._n0 = (ratio + step * (log % 2)[None, :]).astype(dtype).ravel()
+        self._n1 = (Q * ratio).astype(dtype).ravel()
+
+        self.names = out = np.empty(q, dtype=dtype)
+        rows = out.reshape(-1, self._split)
+        block = max(1, _CACHE_BLOCK // self._split)
+        lo = [t[None, :] for t in self._lo]
+        for a in range(0, len(rows), block):
+            hi = [t[a : a + block, None] for t in self._hi_q]
+            rows[a : a + block] = self.name(*(self._add[u + v] for u, v in zip(hi, lo)))
+
+    def coords(self, idx):
+        """The F-codes (t0, t1, t2) of the elements with canonical indices idx."""
+        hi, lo = np.divmod(idx, self._split)
+        return tuple(self._add[u[hi] + v[lo]] for u, v in zip(self._hi_q, self._lo))
+
+    def name(self, t0, t1, t2) -> np.ndarray:
+        """H-names of the elements with F-codes (t0, t1, t2); F*-names mod step."""
+        Q = self.Q
+        out = self._n0[t0 * Q + t2] + self._n1[t1 * Q + t2]
+        (k,) = np.nonzero(t2.ravel() == 0)
+        if len(k):
+            # t2 = 0: the points (a, 1, 0), (1, 0, 0) and zero
+            a, b = t0.ravel()[k], t1.ravel()[k]
+            sub = Q * Q + self._n0[a * Q + b]
+            on_line = b == 0
+            sub[on_line] = Q * Q + Q + self._n0[a[on_line]]
+            sub[on_line & (a == 0)] = self.zero
+            out.ravel()[k] = sub
+        return out
+
+    def union(self, mask) -> ElemSet:
+        """The elements whose names are set in mask, which has 2*step + 1 entries."""
+        out = ElemSet(len(self.names))
+        for a in range(0, out.q, _CACHE_BLOCK):
+            b = a + _CACHE_BLOCK
+            np.take(mask, self.names[a:b], out=out.bits[a:b])
+        return out
+
+
+def coset_names(field) -> CosetNames:
+    """The field's CosetNames, built on first use and kept with the field."""
+    c = field._cosets
+    if c is None:
+        c = CosetNames(field)
+        field._cosets = c
+    return c
 
 
 def _mul_planes(m, ds, p: int) -> np.ndarray:
-    """(m @ ds) mod p, exactly, for an n x n matrix and digit planes over Z_p.
+    """(m @ ds) mod p, exactly, for an n x k matrix and k digit planes over Z_p.
 
     The result has the dtype of ds.  An entry t of the product is a sum of
-    n terms at most (p-1)^2.  While n(p-1)^2 + p is below 2^24 (float32)
+    k <= n terms at most (p-1)^2.  While n(p-1)^2 + p is below 2^24 (float32)
     or 2^53 (float64), every term, partial sum and multiple k*p with
     k <= t/p + 1 is an exactly represented integer, in any summation
     order, so BLAS computes t exactly; t/p is correctly rounded, so
@@ -358,66 +493,66 @@ def distance_set_bruteforce(points, budget: int = DEFAULT_PAIR_BUDGET, threads: 
     return _accumulate(fld.q, threads, npts, fill)
 
 
-def _coset_names(tabs, k: int, members, what: str):
-    """Names log mod k of the cosets of <g^k> met by distinct members.
+def _one_per_coset(names, size: int, what: str):
+    """The position of one member of each coset that the members meet.
 
-    Returns the sorted names and one nonzero member of each.  A coset has
-    (q-1)/k members, so the members are a union of whole cosets (0 aside)
-    exactly when len(names) * (q-1)/k of them are nonzero; any other count
+    names holds one coset name per distinct nonzero member, and a coset has
+    size members, so the members are a union of whole cosets exactly when
+    there are (number of distinct names) * size of them; any other count
     raises ClaimViolation.
     """
-    nonzero = members[members != 0]
-    names, first = np.unique(tabs.log[nonzero] % k, return_index=True)
-    if len(names) * ((tabs.q - 1) // k) != len(nonzero):
-        raise ClaimViolation(f"{what} is not a union of cosets of <g^{k}>")
-    return names, nonzero[first]
-
-
-def _coset_union(tabs, k: int, names, zero: bool) -> ElemSet:
-    """The union of the cosets of <g^k> with the given names, plus 0 if zero."""
-    mask = np.zeros(k, dtype=bool)
-    mask[names] = True
-    out = ElemSet(tabs.q)
-    # exp[j] = g^j lies in coset j mod k, and k divides q - 1
-    out.bits[tabs.exp] = np.tile(mask, (tabs.q - 1) // k)
-    out.bits[0] = zero
-    return out
+    distinct, first = np.unique(names, return_index=True)
+    if len(distinct) * size != len(names):
+        raise ClaimViolation(f"{what} is not a union of cosets of a subgroup of order {size}")
+    return first
 
 
 def product_set(V, budget: int = DEFAULT_PAIR_BUDGET, threads: int = 1) -> ElemSet:
     """Exact VV = {u*v : u, v in V} for a subspace V over the subfield F.
 
-    F*.V = V, so V minus 0 is a union of |F|+1 cosets of F* = <g^step>, and
-    coset products add names.  Raises ClaimViolation if V is not F*-closed,
-    BudgetExceeded if |V|^2 exceeds the budget.  threads has no effect;
-    callers may still pass it.
+    F*.V = V, so V minus 0 is a union of |F|+1 cosets of F*, and VV minus 0
+    is the union of the F*-cosets of the products of one member of each.
+    Raises ClaimViolation if V is not F*-closed, BudgetExceeded if |V|^2
+    exceeds the budget.  threads has no effect; callers may still pass it.
     """
     idx = V.indices
     m = len(idx)
     if m * m > budget:
         raise BudgetExceeded("ordered product pairs", m * m, budget)
-    tabs = get_tables(V.field)
-    step = V.subfield.step
-    names, _ = _coset_names(tabs, step, idx, "V")
-    products = (names[:, None] + names[None, :]) % step
-    return _coset_union(tabs, step, products, zero=0 in idx)
+    f = V.field
+    cn = coset_names(f)
+    nonzero = idx[idx != 0]
+    first = _one_per_coset(cn.name(*cn.coords(nonzero)) % cn.step, cn.Q - 1, "V")
+    reps = index_digits(nonzero[first], f.p, f.n)
+    products = digits_to_index(_mul_digits(f, reps[:, :, None], reps[:, None, :]), f.p)
+    named = np.zeros(cn.step, dtype=bool)
+    named[cn.name(*cn.coords(products)) % cn.step] = True
+    # an F*-coset is the union of its two H-cosets, step apart
+    return cn.union(np.concatenate([named, named, [0 in idx]]))
 
 
 def distance_set_structured(c, threads: int = 1) -> ElemSet:
     """Distance set of the constructed point set, S - S for S = {v^2 : v in V}.
 
-    F*.V = V gives H.S = S for H = (F*)^2 = <g^(2 step)>, so S minus 0 is a
-    union of H-cosets.  With one member r per coset, plus 0 if 0 is in S,
+    F*.V = V gives H.S = S for H = (F*)^2, so S minus 0 is a union of
+    H-cosets.  With one member r per coset, plus 0 if 0 is in S,
     S - S = H.({r} - S): s = h*r gives s - t = h*(r - t/h) with t/h in S,
-    and h*(r - t) = h*r - h*t.  That is (|F|+2)*|S| differences instead
-    of |S|^2.  Raises ClaimViolation if S is not H-closed.  threads has no
-    effect; callers may still pass it.
+    and h*(r - t) = h*r - h*t.  That is (|F|+2)*|S| differences, taken in
+    F-coordinates, instead of |S|^2.  Raises ClaimViolation if S is not
+    H-closed.  threads has no effect; callers may still pass it.
     """
-    tabs = get_tables(c.field)
-    k = 2 * c.subF.step
-    squares = np.unique(tabs.sq[c.V.indices])
-    _, rows = _coset_names(tabs, k, squares, "the squares of V")
+    cn = coset_names(c.field)
+    squares = square_indices(c.V)
+    t = cn.coords(squares)
+    names = cn.name(*t)
+    nonzero = np.flatnonzero(squares)
+    first = _one_per_coset(names[nonzero], (cn.Q - 1) // 2, "the squares of V")
+    rows = nonzero[first]
     if squares[0] == 0:
         rows = np.append(rows, 0)
-    diffs = tabs.sub(rows[:, None], squares[None, :])
-    return _coset_union(tabs, k, tabs.log[diffs[diffs != 0]] % k, zero=True)
+    named = np.zeros(cn.zero + 1, dtype=bool)
+    block = max(1, _CACHE_BLOCK // len(squares))
+    for a in range(0, len(rows), block):
+        r = rows[a : a + block, None]
+        named[cn.name(*(cn._sub[u[r] * cn.Q + u] for u in t))] = True
+    return cn.union(named)

@@ -62,6 +62,15 @@ def test_claim_violation_maps_to_exit_1(monkeypatch, capsys):
     assert "CLAIM VIOLATED" in capsys.readouterr().err
 
 
+def test_internal_fault_maps_to_exit_3(monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise RuntimeError("synthetic fault")
+
+    monkeypatch.setattr(cli.verify, "verify_counterexample", boom)
+    assert run(["verify", "--p", "3", "--r", "1"]) == 3
+    assert capsys.readouterr().err == "internal error: RuntimeError: synthetic fault\n"
+
+
 def test_pair_budget_flag(capsys):
     assert run(["verify", "--p", "3", "--r", "1", "--pair-budget", "100"]) == 2
     assert "exceeds the budget" in capsys.readouterr().err

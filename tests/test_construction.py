@@ -9,6 +9,7 @@ from fqdist.construction import Construction
 from fqdist.errors import (
     BudgetExceeded,
     DependentBasis,
+    InvalidInput,
     NoSqrtMinusOne,
     NotPrime,
     SizeGuard,
@@ -160,6 +161,27 @@ def test_construction_json_rejects_bad_i(c31):
     rec = dict(rec, i_index=1)
     with pytest.raises(ValueError):
         Construction.from_json(rec)
+
+
+def test_corrupted_construction_records_raise_invalid_input(c31):
+    rec = c31.to_json()
+    field = rec["field"]
+    bad = [
+        dict(rec, p=5),  # field of characteristic 3
+        dict(rec, r=2),  # field of degree 6, not 12
+        dict(rec, subfield_m=3),
+        dict(rec, i_index=1),  # 1 * 1 != -1
+        dict(rec, i_index=729),  # out of range
+        dict(rec, field=dict(field, modulus=[1, 0, 0, 0, 0, 0, 1])),  # x^6 + 1 = (x^2 + 1)^3
+        dict(rec, field=dict(field, modulus=[2, 1, 1])),  # degree 2, not 6
+        dict(rec, field=dict(field, generator_index=1)),  # 1 has order 1
+        dict(rec, field=dict(field, n=3)),  # a degree-6 modulus
+    ]
+    for d in bad:
+        with pytest.raises(InvalidInput):
+            Construction.from_json(d)
+    with pytest.raises(DependentBasis):
+        Construction.from_json(dict(rec, basis=[1, 2]))  # 2 = -1 lies in F
 
 
 def test_rebuild_is_deterministic():

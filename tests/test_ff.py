@@ -288,9 +288,9 @@ def test_field_json_round_trip(gf729):
 
 
 def test_field_json_rejects_bad_records(gf9):
-    with pytest.raises(ValueError):
+    with pytest.raises(fqdist.InvalidInput):
         fqdist.ExtField.from_json({"p": 3, "n": 2, "modulus": [2, 0, 1], "generator_index": 4})
-    with pytest.raises(ValueError):
+    with pytest.raises(fqdist.InvalidInput):
         fqdist.ExtField.from_json({"p": 3, "n": 2, "modulus": [1, 0, 1], "generator_index": 2})
 
 

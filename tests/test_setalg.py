@@ -8,7 +8,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fqdist
@@ -68,8 +68,8 @@ def test_elemset_json_and_hash():
 
 
 def test_tables_match_scalar_ops(gf9, gf729):
-    # GF(2), GF(4) and GF(16) have even q, where (g^k)^2 wraps at an odd q-1;
-    # 4099 has n(p-1)^2 >= 2^24, so its exp table is built in float64
+    # GF(2), GF(4) and GF(16) have characteristic 2; GF(4099) has one digit
+    # whose square exceeds 2^24
     fields = (
         fqdist.make_prime_field(7), gf9, gf729,
         fqdist.ExtField(2, 1), fqdist.ExtField(2, 2), fqdist.ExtField(2, 4),
@@ -82,15 +82,6 @@ def test_tables_match_scalar_ops(gf9, gf729):
         elems = list(fld.elements())
         assert tabs._digits.tolist() == [list(c) for c in zip(*(e.coeffs for e in elems))]
         assert tabs.sq.tolist() == [(e * e).index for e in elems]
-        powers, x = [], fld.one
-        for _ in range(q - 1):
-            powers.append(x.index)
-            x = x * fld.generator
-        assert tabs.exp.tolist() == powers
-        want_log = [-1] * q
-        for k, i in enumerate(powers):
-            want_log[i] = k
-        assert tabs.log.tolist() == want_log
         # every element as a first operand, against all of F_q when it is small
         others = range(q) if q <= 81 else [0, 1, q - 1] + rng.sample(range(q), 5)
         idx = np.arange(q)
@@ -145,25 +136,52 @@ def test_tables_agree_with_scalar_ops_on_random_fields(pn, data):
     tabs = setalg.get_tables(fld)
     q = fld.q
     a, b = (data.draw(st.integers(0, q - 1)) for _ in range(2))
-    k = data.draw(st.integers(0, q - 2))
-    ea, eb, gk = fld.from_index(a), fld.from_index(b), fld.generator**k
-    assert tabs.exp[k] == gk.index and tabs.log[gk.index] == k
-    assert tabs.log[0] == -1
+    ea, eb = fld.from_index(a), fld.from_index(b)
     assert tabs.sq[a] == (ea * ea).index
     assert tabs._digits[:, a].tolist() == list(ea.coeffs)
     assert tabs.add(np.array([a]), np.array([b]))[0] == (ea + eb).index
     assert tabs.sub(np.array([a]), np.array([b]))[0] == (ea - eb).index
 
 
-def test_exp_table_matches_scalar_powers(gf729):
-    tabs = setalg.get_tables(gf729)
-    g = gf729.generator
-    rng = random.Random(3)
-    for _ in range(25):
-        k = rng.randrange(gf729.q - 1)
-        assert int(tabs.exp[k]) == (g**k).index
-    # exp is a bijection onto the nonzero indices
-    assert sorted(tabs.exp.tolist()) == list(range(1, gf729.q))
+# --- coset names over PG(2, F) ------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_coset_names_partition_the_field(p):
+    fld = fqdist.ExtField(p, 6)
+    cn = setalg.coset_names(fld)
+    Q, step = cn.Q, cn.step
+    assert Q == p**2 and step == Q * Q + Q + 1 == (fld.q - 1) // (Q - 1)
+    names = cn.names
+    assert names.dtype.itemsize <= 4 and names[0] == cn.zero == 2 * step
+    # every H-name has |H| = (Q-1)/2 members ...
+    sizes = np.bincount(names, minlength=cn.zero + 1)
+    assert sizes[cn.zero] == 1 and (sizes[: cn.zero] == (Q - 1) // 2).all()
+    # ... and is closed under H, so the names are exactly the H-cosets;
+    # scaling by F* keeps the name mod step
+    sub = fqdist.locate_subfield(fld, 2)
+    lams = [lam for lam in sub.elements if lam]
+    rng = random.Random(p)
+    for z in [fld.one, fld.root] + [fld.from_index(rng.randrange(1, fld.q)) for _ in range(25)]:
+        for lam in lams:
+            assert names[(lam * z).index] % step == names[z.index] % step
+            assert names[(lam * lam * z).index] == names[z.index]
+    # coords() and name() of arbitrary indices agree with the expansion
+    idx = np.array(rng.sample(range(fld.q), 500))
+    assert (cn.name(*cn.coords(idx)) == names[idx]).all()
+
+
+def test_structured_path_builds_no_field_tables(monkeypatch):
+    c = fqdist.build_construction(3, 1)
+    fqdist.distance_set_structured(c)
+    fqdist.product_set(c.V)
+    assert c.field._tables is None and c.field._cosets is not None
+
+    def refuse(field):
+        raise AssertionError("FieldTables built on the structured path")
+
+    monkeypatch.setattr(setalg, "get_tables", refuse)
+    assert fqdist.verify_counterexample(3, 1, oracle="structured").size_delta == 441
 
 
 # --- distance ----------------------------------------------------------------
@@ -319,6 +337,20 @@ def test_structured_matches_naive_square_differences(c31):
         delta = fqdist.distance_set_structured(c)
         want = oracles.scalar_square_difference_set(c.V.elements)
         assert {i for i in range(c31.q) if delta.has(i)} == want
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 728), st.integers(1, 728))
+def test_structured_sets_on_random_bases(c31, i1, i2):
+    try:
+        V = fqdist.build_subspace(c31.field, c31.subF, (i1, i2))
+    except fqdist.DependentBasis:
+        assume(False)
+    c = dataclasses.replace(c31, V=V)
+    delta = fqdist.distance_set_structured(c)
+    vv = fqdist.product_set(V)
+    assert set(np.flatnonzero(delta.bits).tolist()) == oracles.scalar_square_difference_set(V.elements)
+    assert set(np.flatnonzero(vv.bits).tolist()) == oracles.scalar_product_set(V.elements)
 
 
 def test_structured_rejects_squares_that_are_not_coset_closed(c31):

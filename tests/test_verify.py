@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 import fqdist
-from fqdist import verify
-from fqdist.errors import BudgetExceeded, UnsupportedSize
+from fqdist import setalg, verify
+from fqdist.errors import BudgetExceeded, ClaimViolation, UnsupportedSize
 
 import oracles
 
@@ -60,6 +60,25 @@ def test_verify_structured_only_mode():
     rep = fqdist.verify_counterexample(3, 1, oracle="structured")
     assert rep.oracle_mode == "structured-only"
     assert rep.size_delta == 441
+
+
+def test_missing_distance_recheck_catches_a_cleared_distance(monkeypatch):
+    # clear the true distance 1 = 1^2 - 0^2 in both Δ and VV: they still
+    # agree, the witness becomes 1, and only the recheck can object
+    real_delta, real_vv = setalg.distance_set_structured, setalg.product_set
+
+    def cleared(real):
+        def run(*args, **kwargs):
+            s = real(*args, **kwargs)
+            assert s.has(1) and s.complement_witness() == 28
+            s.bits[1] = False
+            return s
+        return run
+
+    monkeypatch.setattr(setalg, "distance_set_structured", cleared(real_delta))
+    monkeypatch.setattr(setalg, "product_set", cleared(real_vv))
+    with pytest.raises(ClaimViolation, match="#1 is a distance"):
+        fqdist.verify_counterexample(3, 1, oracle="structured")
 
 
 def test_verify_auto_downgrades_when_bruteforce_oversized():
