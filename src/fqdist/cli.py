@@ -121,6 +121,8 @@ def _validate(args) -> None:
         raise FqdistError("pair budget must be positive")
     if args.threads < 1:
         raise FqdistError("threads must be at least 1")
+    if args.command == "verify" and args.enum_budget < 1:
+        raise FqdistError("enum budget must be positive")
     if args.command != "scan" and args.format == "csv":
         raise FqdistError("--format csv is only available for scan")
     if args.command == "selftest" and args.triples < 1:
@@ -199,10 +201,7 @@ def run_verify(args) -> int:
 
 
 def run_scan(args) -> int:
-    rows = verify.ratio_scan(
-        args.p, args.r, basis=args.basis,
-        pair_budget=args.pair_budget, threads=args.threads,
-    )
+    rows = verify.ratio_scan(args.p, args.r, basis=args.basis, pair_budget=args.pair_budget)
     if args.format == "csv":
         text = verify.scan_to_csv(rows)
     else:
@@ -277,17 +276,14 @@ def run_selftest(args) -> int:
     checks.append(("index round-trip GF(729)", round_trip))
 
     sub = ff.locate_subfield(gf729, 2)
-    fixed = all(
-        (ff.frobenius(e, 2) == e) == sub.members.has(e.index)
-        for e in gf729.elements()
-    )
+    members = {e.index for e in sub.elements}
+    fixed = all((ff.frobenius(e, 2) == e) == (e.index in members) for e in gf729.elements())
     checks.append(("subfield = Frobenius fixed set (q=729, m=2)", fixed))
 
     i729 = ff.sqrt_minus_one(gf729)
     checks.append(("i^2 = -1 in GF(729)", i729 * i729 == -gf729.one))
 
-    rep = verify.verify_counterexample(3, 1, oracle="structured",
-                                       pair_budget=args.pair_budget, threads=args.threads)
+    rep = verify.verify_counterexample(3, 1, oracle="structured", pair_budget=args.pair_budget)
     checks.append(("structured oracle = VV at (p=3, r=1)", rep.delta_equals_VV))
     checks.append(("missing distance exists at (p=3, r=1)", rep.delta_ne_Fq))
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import ff
 from .errors import BudgetExceeded, DependentBasis, InvalidInput, WrongSubfieldDegree
-from .setalg import Point, digits_to_index
+from .setalg import Point, add_indices
 
 # largest point count enumerate_E will materialize by default
 DEFAULT_ENUM_BUDGET = 2**26
@@ -47,11 +47,10 @@ def _span_indices(subF, e1, e2):
     The pair is F-independent exactly when all |F|^2 combinations are
     distinct, so the enumeration doubles as the independence check.
     """
-    p = e1.field.p
-    # coefficient planes, shape (n, |F|)
-    a_parts = np.array([(a * e1).coeffs for a in subF.elements], dtype=np.int64).T
-    b_parts = np.array([(b * e2).coeffs for b in subF.elements], dtype=np.int64).T
-    span = np.unique(digits_to_index((a_parts[:, :, None] + b_parts[:, None, :]) % p, p))
+    f = e1.field
+    a_parts = np.array([(a * e1).index for a in subF.elements], dtype=np.int64)
+    b_parts = np.array([(b * e2).index for b in subF.elements], dtype=np.int64)
+    span = np.unique(add_indices(a_parts[:, None], b_parts, f.p, f.n))
     if len(span) < subF.order**2:
         return None
     span.flags.writeable = False

@@ -21,7 +21,6 @@ from .errors import (
     SizeGuard,
     ZeroInverse,
 )
-from .setalg import ElemSet
 
 MAX_FIELD_ORDER = 2**31
 
@@ -498,14 +497,12 @@ def find_generator(field: ExtField) -> FieldElem:
 class SubfieldHandle:
     """The subfield of order p^m located inside GF(p^n), m | n.
 
-    members = {0} union {g^(k*step)}; elements is the same set as a tuple
-    sorted by canonical index.
+    elements = {0} union {g^(k*step)}, as a tuple sorted by canonical index.
     """
 
     m: int
     order: int
     step: int
-    members: ElemSet
     elements: tuple
 
 
@@ -528,7 +525,6 @@ def locate_subfield(field: ExtField, m: int) -> SubfieldHandle:
         m=m,
         order=order,
         step=step,
-        members=ElemSet.from_indices(field.q, idxs),
         elements=tuple(field.from_index(i) for i in idxs),
     )
 

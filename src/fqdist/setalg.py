@@ -3,16 +3,17 @@
 Sets of field elements are bitsets addressed by canonical element index.
 The structured sets are unions of cosets of F* and H = (F*)^2 for the
 subfield F, and those cosets are named as points of the projective plane
-PG(2, F) (CosetNames): one change of basis mod p, computed exactly in BLAS
-floating point, gives the F-coordinates of an element, and every later
-step reads tables of |F| or |F|^2 entries.  Only brute force loops over
-all pairs; it adds through base-p digit planes and reads a squares table
+PG(2, F) (CosetNames): one change of basis mod p, computed exactly in
+int64, gives the F-coordinates of an element, and every later step reads
+tables of |F| or |F|^2 entries.  Only brute force loops over all pairs; it
+adds base-p digits (add_indices, sub_indices) and reads a squares table
 (FieldTables).  Budgets are hard limits: an oversized request raises
 instead of sampling.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -143,63 +144,83 @@ def digits_to_index(ds, p: int) -> np.ndarray:
     return out
 
 
-def _digit_dtype(p: int):
-    return np.int16 if p < 2**14 else np.int32
+def _digits_of(idx, p: int, n: int):
+    """The base-p digits of canonical indices, least significant first."""
+    rest = np.asarray(idx, dtype=np.int64)
+    for _ in range(n):
+        rest, d = np.divmod(rest, p)
+        yield d
 
 
-def _digit_planes(p: int, n: int) -> np.ndarray:
-    """Digit planes of the indices 0 .. p^n - 1: plane k of i is (i // p^k) % p.
+def index_digits(idx, p: int, n: int) -> np.ndarray:
+    """Base-p digit planes of canonical indices; the inverse of digits_to_index."""
+    return np.stack(list(_digits_of(idx, p, n)))
 
-    Plane k repeats each digit p^k times and the run of p digits p^(n-k-1)
-    times, so it is filled by broadcasting, with no division.
+
+def _carries(a, b, p: int, n: int, borrow: bool):
+    """Sum of p^(k+1) over the digit positions k where a + b carries (a - b borrows).
+
+    Digits are taken one position at a time, so the temporaries have the
+    broadcast shape of a and b, never n times it.
     """
-    out = np.empty((n, p**n), dtype=_digit_dtype(p))
-    digit = np.arange(p, dtype=out.dtype)[:, None]
-    for k in range(n):
-        out[k].reshape(p ** (n - k - 1), p, p**k)[...] = digit
+    out = 0
+    for k, (da, db) in enumerate(zip(_digits_of(a, p, n), _digits_of(b, p, n))):
+        out = out + p ** (k + 1) * (da < db if borrow else da + db >= p)
     return out
+
+
+def add_indices(a, b, p: int, n: int) -> np.ndarray:
+    """Canonical indices of the sums a + b in GF(p^n); a and b broadcast.
+
+    Digit k of the sum is da_k + db_k, less p where that reaches p, so the
+    index is the integer a + b less p^(k+1) for each such k.
+    """
+    return np.add(a, b) - _carries(a, b, p, n, borrow=False)
+
+
+def sub_indices(a, b, p: int, n: int) -> np.ndarray:
+    """Canonical indices of the differences a - b in GF(p^n); a and b broadcast.
+
+    Digit k of the difference is da_k - db_k, plus p where that is negative.
+    """
+    return np.subtract(a, b) + _carries(a, b, p, n, borrow=True)
 
 
 class FieldTables:
     """Per-field tables for the brute-force pass, addressed by canonical index.
 
-    Base-p digit planes give addition and subtraction; sq holds the square
-    of every element, computed by vectorized polynomial squaring.  All
-    lookups vectorize over numpy index arrays of any shape.  The structured
-    sets do not use these tables: they name cosets through CosetNames.
+    sq holds the square of every element, computed by vectorized
+    polynomial squaring in blocks; pair_tables() adds full add/sub tables
+    for small q.  The structured sets do not use these tables: they name
+    cosets through CosetNames.
     """
 
-    __slots__ = ("q", "p", "n", "sq", "_digits", "_pair")
+    __slots__ = ("q", "p", "n", "sq", "_pair")
 
     def __init__(self, field):
         q, p, n = field.q, field.p, field.n
         self.q = q
         self.p = p
         self.n = n
-        self._digits = ds = _digit_planes(p, n)
         self.sq = sq = np.empty(q, dtype=np.int64)
         chunk = max(1, _CACHE_BLOCK // n)
         for a in range(0, q, chunk):
-            d = ds[:, a : a + chunk]
+            d = index_digits(np.arange(a, min(a + chunk, q)), p, n)
             sq[a : a + chunk] = digits_to_index(_mul_digits(field, d, d), p)
         self._pair = None
 
-    def add(self, a, b):
-        ds = self._digits[:, a] + self._digits[:, b]
-        ds[ds >= self.p] -= self.p
-        return digits_to_index(ds, self.p)
-
-    def sub(self, a, b):
-        ds = self._digits[:, a] - self._digits[:, b]
-        ds[ds < 0] += self.p
-        return digits_to_index(ds, self.p)
-
     def pair_tables(self):
-        """Full (q, q) add/sub lookup tables; only built for small q."""
+        """Full (q, q) add/sub lookup tables, built in row blocks; only for small q."""
         if self._pair is None:
-            idx = np.arange(self.q, dtype=np.int64)
-            addt = self.add(idx[:, None], idx[None, :])
-            subt = self.sub(idx[:, None], idx[None, :])
+            q, p, n = self.q, self.p, self.n
+            idx = np.arange(q, dtype=np.int64)
+            addt = np.empty((q, q), dtype=np.int64)
+            subt = np.empty((q, q), dtype=np.int64)
+            block = max(1, _CACHE_BLOCK // q)
+            for a in range(0, q, block):
+                rows = idx[a : a + block, None]
+                addt[a : a + block] = add_indices(rows, idx, p, n)
+                subt[a : a + block] = sub_indices(rows, idx, p, n)
             self._pair = (addt, subt)
         return self._pair
 
@@ -224,15 +245,6 @@ def _mul_digits(field, a, b) -> np.ndarray:
     for k, row in enumerate(field._red[: n - 1]):
         out += np.reshape(row, (n,) + (1,) * len(shape)) * conv[n + k]
     out %= p
-    return out
-
-
-def index_digits(idx, p: int, n: int) -> np.ndarray:
-    """Base-p digit planes of canonical indices; the inverse of digits_to_index."""
-    rest = np.asarray(idx, dtype=np.int64)
-    out = np.empty((n,) + rest.shape, dtype=np.int64)
-    for k in range(n):
-        rest, out[k] = np.divmod(rest, p)
     return out
 
 
@@ -294,24 +306,25 @@ class CosetNames:
         gamma = field.generator**step
         x = field.root
         basis = [(gamma**i * x**j).coeffs for j in range(3) for i in range(m)]
-        inv = np.array(_inverse_mod(list(zip(*basis)), p))
+        inv = np.array(_inverse_mod(list(zip(*basis)), p), dtype=np.int64)
 
-        def codes(ds, cols):
-            # the three F-codes of the digit planes ds in the digit positions cols
-            c = _mul_planes(inv[:, cols], ds, p)
+        def codes(k, cols):
+            # the three F-codes of the indices [0, p^k) read as the digits in
+            # positions cols; a sum is at most n(p-1)^2 < 2^63, exact in int64
+            c = inv[:, cols] @ index_digits(np.arange(p**k), p, k) % p
             return [digits_to_index(c[j * m : (j + 1) * m], p) for j in range(3)]
 
         h = n // 2
         self._split = p**h
-        self._lo = codes(_digit_planes(p, h), slice(0, h))
-        self._hi_q = [t * Q for t in codes(_digit_planes(p, n - h), slice(h, n))]
+        self._lo = codes(h, slice(0, h))
+        self._hi_q = [t * Q for t in codes(n - h, slice(h, n))]
 
         # F arithmetic on codes: digit sums, and powers of gamma, whose
         # coordinates shift up one place at each step, with gamma^m folded
         # back through its own coordinates
-        fd = _digit_planes(p, m).astype(np.int64)
-        self._add = digits_to_index((fd[:, :, None] + fd[:, None, :]) % p, p).ravel()
-        self._sub = digits_to_index((fd[:, :, None] - fd[:, None, :]) % p, p).ravel()
+        fq = np.arange(Q)
+        self._add = add_indices(fq[:, None], fq, p, m).ravel()
+        self._sub = sub_indices(fq[:, None], fq, p, m).ravel()
         top = inv @ np.array((gamma**m).coeffs) % p
         exp, v = [], [1] + [0] * (m - 1)
         for _ in range(Q - 1):
@@ -370,38 +383,6 @@ def coset_names(field) -> CosetNames:
         c = CosetNames(field)
         field._cosets = c
     return c
-
-
-def _mul_planes(m, ds, p: int) -> np.ndarray:
-    """(m @ ds) mod p, exactly, for an n x k matrix and k digit planes over Z_p.
-
-    The result has the dtype of ds.  An entry t of the product is a sum of
-    k <= n terms at most (p-1)^2.  While n(p-1)^2 + p is below 2^24 (float32)
-    or 2^53 (float64), every term, partial sum and multiple k*p with
-    k <= t/p + 1 is an exactly represented integer, in any summation
-    order, so BLAS computes t exactly; t/p is correctly rounded, so
-    floor(t/p) is off by at most one and t - p*floor(t/p) lies in [-p, 2p)
-    before the fix-up.  Every other
-    accepted field has n = 1 (n >= 2 forces p < 2^16) and p above about
-    9.5e7; it takes int64, where t <= (p-1)^2 < 2^62.
-    """
-    n = m.shape[0]
-    top = n * (p - 1) ** 2 + p
-    if top >= 2**53:
-        t = m.astype(np.int64) @ ds.astype(np.int64)
-        t %= p
-        return t.astype(ds.dtype)
-    ft = np.float32 if top < 2**24 else np.float64
-    t = m.astype(ft) @ ds.astype(ft)
-    k = t / p
-    np.floor(k, out=k)
-    k *= p
-    t -= k
-    # p < 2^27 here, so [-p, 2p) fits the digit dtype
-    r = t.astype(ds.dtype)
-    r[r < 0] += p
-    r[r >= p] -= p
-    return r
 
 
 def get_tables(field) -> FieldTables:
@@ -479,7 +460,8 @@ def distance_set_bruteforce(points, budget: int = DEFAULT_PAIR_BUDGET, threads: 
         addt, subt = tabs.pair_tables()
         add, sub = (lambda a, b: addt[a, b]), (lambda a, b: subt[a, b])
     else:
-        add, sub = tabs.add, tabs.sub
+        add = functools.partial(add_indices, p=fld.p, n=fld.n)
+        sub = functools.partial(sub_indices, p=fld.p, n=fld.n)
 
     block = max(1, _BLOCK_ELEMS // npts)
 

@@ -107,8 +107,7 @@ def _misses_square_differences(c, z: int) -> bool:
     """
     p, n = c.field.p, c.field.n
     squares = setalg.square_indices(c.V)
-    shifted = (setalg.index_digits(squares, p, n) + setalg.index_digits(z, p, n)[:, None]) % p
-    shifted = setalg.digits_to_index(shifted, p)
+    shifted = setalg.add_indices(squares, z, p, n)
     pos = np.minimum(np.searchsorted(squares, shifted), len(squares) - 1)
     return not bool(np.any(squares[pos] == shifted))
 
@@ -251,7 +250,6 @@ def ratio_scan(
     r_list,
     basis="auto",
     pair_budget: int = setalg.DEFAULT_PAIR_BUDGET,
-    threads: int = 1,
 ) -> list[ScanRow]:
     """One verified row per r, via the structured oracle; failures isolate.
 
@@ -264,10 +262,8 @@ def ratio_scan(
     rows = []
     for r in r_list:
         try:
-            rep = verify_counterexample(
-                p, r, basis=basis, oracle="structured",
-                pair_budget=pair_budget, threads=threads,
-            )
+            rep = verify_counterexample(p, r, basis=basis, oracle="structured",
+                                        pair_budget=pair_budget)
             rows.append(
                 ScanRow(
                     r=r,

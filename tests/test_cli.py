@@ -76,6 +76,15 @@ def test_pair_budget_flag(capsys):
     assert "exceeds the budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("oracle", ["auto", "both"])
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_enum_budget_must_be_positive(oracle, budget, capsys):
+    # with auto, a budget below 1 used to drop the brute-force oracle and exit 0
+    assert run(["verify", "--p", "3", "--r", "1", "--oracle", oracle,
+                "--enum-budget", budget]) == 2
+    assert "enum budget must be positive" in capsys.readouterr().err
+
+
 def test_pair_budget_env_override(monkeypatch, capsys):
     monkeypatch.setenv(cli.ENV_PAIR_BUDGET, "50")
     assert run(["verify", "--p", "3", "--r", "1"]) == 2

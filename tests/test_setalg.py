@@ -2,7 +2,6 @@
 
 import dataclasses
 import functools
-import math
 import os
 import random
 
@@ -68,8 +67,8 @@ def test_elemset_json_and_hash():
 
 
 def test_tables_match_scalar_ops(gf9, gf729):
-    # GF(2), GF(4) and GF(16) have characteristic 2; GF(4099) has one digit
-    # whose square exceeds 2^24
+    # GF(2), GF(4) and GF(16) have characteristic 2; GF(4099) is a one-digit
+    # field above the pair-table bound
     fields = (
         fqdist.make_prime_field(7), gf9, gf729,
         fqdist.ExtField(2, 1), fqdist.ExtField(2, 2), fqdist.ExtField(2, 4),
@@ -78,44 +77,28 @@ def test_tables_match_scalar_ops(gf9, gf729):
     rng = random.Random(11)
     for fld in fields:
         tabs = setalg.get_tables(fld)
-        q = fld.q
+        q, p, n = fld.q, fld.p, fld.n
         elems = list(fld.elements())
-        assert tabs._digits.tolist() == [list(c) for c in zip(*(e.coeffs for e in elems))]
+        idx = np.arange(q)
+        digits = setalg.index_digits(idx, p, n)
+        assert digits.tolist() == [list(c) for c in zip(*(e.coeffs for e in elems))]
         assert tabs.sq.tolist() == [(e * e).index for e in elems]
         # every element as a first operand, against all of F_q when it is small
         others = range(q) if q <= 81 else [0, 1, q - 1] + rng.sample(range(q), 5)
-        idx = np.arange(q)
         for b in others:
             eb, bs = elems[b], np.full(q, b)
-            assert tabs.add(idx, bs).tolist() == [(e + eb).index for e in elems]
-            assert tabs.sub(idx, bs).tolist() == [(e - eb).index for e in elems]
+            assert setalg.add_indices(idx, bs, p, n).tolist() == [(e + eb).index for e in elems]
+            assert setalg.sub_indices(idx, bs, p, n).tolist() == [(e - eb).index for e in elems]
+            # a scalar second operand broadcasts against the array
+            assert setalg.sub_indices(idx, b, p, n).tolist() == [(e - eb).index for e in elems]
 
 
-def _largest_modulus_below(n: int, limit: int) -> int:
-    """The largest p with n(p-1)^2 + p < limit."""
-    p = math.isqrt(limit // n) + 2
-    while n * (p - 1) ** 2 + p >= limit:
-        p -= 1
-    return p
-
-
-def test_mul_planes_is_exact_on_each_route():
-    # p on both sides of the float32 and float64 bounds, and the largest
-    # accepted prime, which takes int64; only a few hand-made columns are
-    # multiplied, so no table of order p is built
-    cases = [(n, p) for n, limit in ((6, 2**24), (1, 2**24), (1, 2**53))
-             for p0 in [_largest_modulus_below(n, limit)] for p in (p0, p0 + 1)]
-    cases.append((1, 2**31 - 1))
-    rng = random.Random(23)
-    for n, p in cases:
-        m = [[p - 1] * n] + [[rng.randrange(p) for _ in range(n)] for _ in range(n - 1)]
-        # the largest sums; the second one is odd, so a rounded sum shows
-        cols = [[p - 1] * n, [p - 2] + [p - 1] * (n - 1), [0] * n, [1] + [0] * (n - 1)]
-        cols += [[rng.randrange(p) for _ in range(n)] for _ in range(5)]
-        ds = np.array(cols, dtype=setalg._digit_dtype(p)).T
-        got = setalg._mul_planes(np.array(m), ds, p)
-        want = [[sum(m[i][j] * c[j] for j in range(n)) % p for c in cols] for i in range(n)]
-        assert got.dtype == ds.dtype and got.tolist() == want, (n, p)
+def test_pair_tables_match_index_arithmetic(gf729):
+    # the table is built in 89-row blocks, the last of them partial (729 = 8*89 + 17)
+    addt, subt = setalg.get_tables(gf729).pair_tables()
+    idx = np.arange(gf729.q)
+    assert np.array_equal(addt, setalg.add_indices(idx[:, None], idx[None, :], 3, 6))
+    assert np.array_equal(subt, setalg.sub_indices(idx[:, None], idx[None, :], 3, 6))
 
 
 _SMALL_FIELDS = [
@@ -137,10 +120,11 @@ def test_tables_agree_with_scalar_ops_on_random_fields(pn, data):
     q = fld.q
     a, b = (data.draw(st.integers(0, q - 1)) for _ in range(2))
     ea, eb = fld.from_index(a), fld.from_index(b)
+    p, n = fld.p, fld.n
     assert tabs.sq[a] == (ea * ea).index
-    assert tabs._digits[:, a].tolist() == list(ea.coeffs)
-    assert tabs.add(np.array([a]), np.array([b]))[0] == (ea + eb).index
-    assert tabs.sub(np.array([a]), np.array([b]))[0] == (ea - eb).index
+    assert setalg.index_digits(a, p, n).tolist() == list(ea.coeffs)
+    assert setalg.add_indices(np.array([a]), np.array([b]), p, n)[0] == (ea + eb).index
+    assert setalg.sub_indices(np.array([a]), np.array([b]), p, n)[0] == (ea - eb).index
 
 
 # --- coset names over PG(2, F) ------------------------------------------------
