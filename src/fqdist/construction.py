@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import ff
+from . import ff, setalg
 from .errors import BudgetExceeded, DependentBasis, InvalidInput, WrongSubfieldDegree
 from .setalg import Point, add_indices
 
@@ -28,7 +28,8 @@ class Subspace:
 
     indices holds the canonical indices of all |F|^2 members, sorted and
     read-only; it is a function of (field, basis), so equality ignores it.
-    elements is the same members as FieldElems, built on first use.
+    elements is the same members as FieldElems, and squares the sorted
+    distinct indices of their squares; both are built on first use.
     """
 
     field: ff.ExtField
@@ -39,6 +40,12 @@ class Subspace:
     @cached_property
     def elements(self) -> tuple:
         return tuple(self.field.from_index(i) for i in self.indices.tolist())
+
+    @cached_property
+    def squares(self) -> np.ndarray:
+        s = setalg.square_indices(self)
+        s.flags.writeable = False
+        return s
 
 
 def _span_indices(subF, e1, e2):

@@ -5,15 +5,15 @@ The structured sets are unions of cosets of F* and H = (F*)^2 for the
 subfield F, and those cosets are named as points of the projective plane
 PG(2, F) (CosetNames): one change of basis mod p, computed exactly in
 int64, gives the F-coordinates of an element, and every later step reads
-tables of |F| or |F|^2 entries.  Only brute force loops over all pairs; it
-adds base-p digits (add_indices, sub_indices) and reads a squares table
-(FieldTables).  Budgets are hard limits: an oversized request raises
-instead of sampling.
+tables of |F| or |F|^2 entries.  Only brute force loops over all pairs.  For
+q <= _PAIR_TABLE_MAX_Q it reads q x q tables of squared differences and of
+sums (FieldTables.pair_tables); above that it adds base-p digits
+(add_indices, sub_indices) and reads the squares table FieldTables.sq.
+Budgets are hard limits: an oversized request raises instead of sampling.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -25,18 +25,18 @@ from .errors import BudgetExceeded, ClaimViolation, FieldMismatch
 
 DEFAULT_PAIR_BUDGET = 10**9
 
-# elements per block temporary in the pair loop (2 MB as int64).  The
-# allocator keeps freed blocks in each worker thread's arena, so peak RSS
-# grows with the block size, in steps that depend on thread timing.
-_BLOCK_ELEMS = 2**18
-
-# elements per block of the passes that stream all of F_q through a few
-# int64 temporaries: coset names, name-to-bitset gathers and the squares
-# table.  The temporaries then fit a 2 MB L2 cache; 2^18-element blocks
-# measured 1.3-3x slower.
+# elements per block of the passes that stream many elements or pairs
+# through a few int64 temporaries: coset names, name-to-bitset gathers, the
+# squares and pair tables, and the brute-force pair loop.  The temporaries
+# then fit a 2 MB L2 cache.  2^18-element blocks measured 1.3-3x slower for
+# the names; in the pair loop they were no faster and raised peak RSS (83
+# against 47 MB over 1500 points of GF(3^8), 2 threads on a 2-vCPU guest).
 _CACHE_BLOCK = 2**16
 
-# below this order it is cheaper to precompute full q x q add/sub tables
+# up to this order brute force reads q x q pair tables (14*q^2 bytes, 58.7 MB
+# at q = 2048) instead of adding base-p digits.  The bound keeps every
+# squared difference below 2^16 and q times one below 2^31, as
+# FieldTables.pair_tables stores them.
 _PAIR_TABLE_MAX_Q = 2048
 
 
@@ -190,9 +190,9 @@ class FieldTables:
     """Per-field tables for the brute-force pass, addressed by canonical index.
 
     sq holds the square of every element, computed by vectorized
-    polynomial squaring in blocks; pair_tables() adds full add/sub tables
-    for small q.  The structured sets do not use these tables: they name
-    cosets through CosetNames.
+    polynomial squaring in blocks; pair_tables() adds q x q tables of
+    squared differences and sums for small q.  The structured sets do not
+    use these tables: they name cosets through CosetNames.
     """
 
     __slots__ = ("q", "p", "n", "sq", "_pair")
@@ -210,18 +210,26 @@ class FieldTables:
         self._pair = None
 
     def pair_tables(self):
-        """Full (q, q) add/sub lookup tables, built in row blocks; only for small q."""
+        """(dq, d, add): flat q x q tables, built in row blocks; only for small q.
+
+        d[a*q + b] is the index of (a - b)^2, as uint16; dq is q*d as int32;
+        add[a*q + b] is the index of a + b, as int64.  So the index of
+        (xa - xb)^2 + (ya - yb)^2 is add[dq[xa*q + xb] + d[ya*q + yb]].
+        Together they take 14*q^2 bytes.
+        """
         if self._pair is None:
             q, p, n = self.q, self.p, self.n
             idx = np.arange(q, dtype=np.int64)
-            addt = np.empty((q, q), dtype=np.int64)
-            subt = np.empty((q, q), dtype=np.int64)
+            d = np.empty((q, q), dtype=np.uint16)
+            add = np.empty((q, q), dtype=np.int64)
             block = max(1, _CACHE_BLOCK // q)
             for a in range(0, q, block):
                 rows = idx[a : a + block, None]
-                addt[a : a + block] = add_indices(rows, idx, p, n)
-                subt[a : a + block] = sub_indices(rows, idx, p, n)
-            self._pair = (addt, subt)
+                d[a : a + block] = self.sq[sub_indices(rows, idx, p, n)]
+                add[a : a + block] = add_indices(rows, idx, p, n)
+            dq = d.astype(np.int32)
+            dq *= q
+            self._pair = (dq.ravel(), d.ravel(), add.ravel())
         return self._pair
 
 
@@ -444,7 +452,13 @@ def _accumulate(q: int, threads: int, nrows: int, fill) -> ElemSet:
 def distance_set_bruteforce(points, budget: int = DEFAULT_PAIR_BUDGET, threads: int = 1) -> ElemSet:
     """Exact distance set over all ordered pairs of the given points.
 
-    Refuses (rather than samples) when len(points)^2 exceeds the budget.
+    Refuses (rather than samples) when len(points)^2 exceeds the budget, and
+    raises FieldMismatch when the coordinates do not share one field.  Rows
+    are walked in blocks of about _CACHE_BLOCK pairs.  For q <=
+    _PAIR_TABLE_MAX_Q a pair costs two gathers of squared differences, one
+    add, one gather of the sum and one scatter (see FieldTables.pair_tables);
+    above that it adds and subtracts base-p digits and reads the squares
+    table.
     """
     npts = len(points)
     if npts == 0:
@@ -452,25 +466,37 @@ def distance_set_bruteforce(points, budget: int = DEFAULT_PAIR_BUDGET, threads: 
     if npts * npts > budget:
         raise BudgetExceeded("ordered distance pairs", npts * npts, budget)
     fld = points[0].x.field
+    for pt in points:
+        for e in (pt.x, pt.y):
+            # identity first, then key, as distance() compares fields; every
+            # index is then below q, which the flat pair tables rely on
+            if e.field is not fld and e.field.key != fld.key:
+                raise FieldMismatch(fld, e.field)
     tabs = get_tables(fld)
     xs = np.fromiter((pt.x.index for pt in points), dtype=np.int64, count=npts)
     ys = np.fromiter((pt.y.index for pt in points), dtype=np.int64, count=npts)
-    sq = tabs.sq
+    block = max(1, _CACHE_BLOCK // npts)
+
     if fld.q <= _PAIR_TABLE_MAX_Q:
-        addt, subt = tabs.pair_tables()
-        add, sub = (lambda a, b: addt[a, b]), (lambda a, b: subt[a, b])
+        dq, d, add = tabs.pair_tables()
+        xq, yq = xs * fld.q, ys * fld.q
+
+        def fill(rows, bits):
+            for j0 in range(0, len(rows), block):
+                blk = rows[j0 : j0 + block, None]
+                # int64 sums, so the add gather casts no index array
+                k = np.add(dq[xq[blk] + xs], d[yq[blk] + ys], dtype=np.int64)
+                bits[add[k]] = True
+
     else:
-        add = functools.partial(add_indices, p=fld.p, n=fld.n)
-        sub = functools.partial(sub_indices, p=fld.p, n=fld.n)
+        sq, p, n = tabs.sq, fld.p, fld.n
 
-    block = max(1, _BLOCK_ELEMS // npts)
-
-    def fill(rows, bits):
-        for j0 in range(0, len(rows), block):
-            blk = rows[j0 : j0 + block]
-            dx2 = sq[sub(xs[blk][:, None], xs[None, :])]
-            dy2 = sq[sub(ys[blk][:, None], ys[None, :])]
-            bits[add(dx2, dy2).ravel()] = True
+        def fill(rows, bits):
+            for j0 in range(0, len(rows), block):
+                blk = rows[j0 : j0 + block, None]
+                dx2 = sq[sub_indices(xs[blk], xs, p, n)]
+                dy2 = sq[sub_indices(ys[blk], ys, p, n)]
+                bits[add_indices(dx2, dy2, p, n)] = True
 
     return _accumulate(fld.q, threads, npts, fill)
 
@@ -524,7 +550,7 @@ def distance_set_structured(c, threads: int = 1) -> ElemSet:
     H-closed.  threads has no effect; callers may still pass it.
     """
     cn = coset_names(c.field)
-    squares = square_indices(c.V)
+    squares = c.V.squares
     t = cn.coords(squares)
     names = cn.name(*t)
     nonzero = np.flatnonzero(squares)

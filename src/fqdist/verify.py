@@ -106,7 +106,7 @@ def _misses_square_differences(c, z: int) -> bool:
     missed exactly when S + z and S are disjoint.
     """
     p, n = c.field.p, c.field.n
-    squares = setalg.square_indices(c.V)
+    squares = c.V.squares
     shifted = setalg.add_indices(squares, z, p, n)
     pos = np.minimum(np.searchsorted(squares, shifted), len(squares) - 1)
     return not bool(np.any(squares[pos] == shifted))

@@ -94,11 +94,32 @@ def test_tables_match_scalar_ops(gf9, gf729):
 
 
 def test_pair_tables_match_index_arithmetic(gf729):
-    # the table is built in 89-row blocks, the last of them partial (729 = 8*89 + 17)
-    addt, subt = setalg.get_tables(gf729).pair_tables()
+    # the tables are built in 89-row blocks, the last of them partial (729 = 8*89 + 17)
+    tabs = setalg.get_tables(gf729)
+    dq, d, add = tabs.pair_tables()
+    assert (dq.dtype, d.dtype, add.dtype) == (np.int32, np.uint16, np.int64)
     idx = np.arange(gf729.q)
-    assert np.array_equal(addt, setalg.add_indices(idx[:, None], idx[None, :], 3, 6))
-    assert np.array_equal(subt, setalg.sub_indices(idx[:, None], idx[None, :], 3, 6))
+    squared = tabs.sq[setalg.sub_indices(idx[:, None], idx[None, :], 3, 6)].ravel()
+    assert np.array_equal(d, squared)
+    assert np.array_equal(dq, gf729.q * squared)
+    assert np.array_equal(add, setalg.add_indices(idx[:, None], idx[None, :], 3, 6).ravel())
+
+
+@pytest.mark.parametrize("p, n", [(3, 6), (2, 11)])
+def test_pair_tables_fit_the_memory_bound(p, n):
+    fld = fqdist.ExtField(p, n)
+    q = fld.q
+    tabs = setalg.get_tables(fld)
+    dq, d, add = tabs.pair_tables()
+    assert sum(a.nbytes for a in (dq, d, add)) <= 16 * q * q
+    # at q = 2048, the largest order on the table route, the narrow types
+    # still hold every value: d up to q - 1 and dq up to q*(q - 1)
+    assert np.array_equal(dq, q * d.astype(np.int64))
+    idx = np.arange(q)
+    for a in (0, 1, q - 1):
+        row = slice(a * q, (a + 1) * q)
+        assert np.array_equal(d[row], tabs.sq[setalg.sub_indices(a, idx, p, n)])
+        assert np.array_equal(add[row], setalg.add_indices(a, idx, p, n))
 
 
 _SMALL_FIELDS = [
@@ -210,7 +231,7 @@ def test_empty_point_list_rejected():
 
 def test_bruteforce_matches_scalar_oracle(gf9, gf729):
     rng = random.Random(99)
-    # GF(3^8) has q = 6561 > _PAIR_TABLE_MAX_Q, so it takes the digit-plane lookups
+    # GF(3^8) has q = 6561 > _PAIR_TABLE_MAX_Q, so it adds base-p digits
     for fld in (gf9, fqdist.make_prime_field(7), gf729, fqdist.ExtField(3, 8)):
         for _ in range(8):
             pts = [
@@ -220,6 +241,51 @@ def test_bruteforce_matches_scalar_oracle(gf9, gf729):
             got = fqdist.distance_set_bruteforce(pts)
             want = oracles.scalar_distance_set(pts)
             assert {i for i in range(fld.q) if got.has(i)} == want
+
+
+@pytest.mark.parametrize("spread", [True, False])
+@pytest.mark.parametrize("pn", [(3, 6), (2, 10), (2039, 1), (2053, 1)])
+def test_bruteforce_over_many_blocks_matches_scalar_oracle(pn, spread):
+    # 600 points drawn with replacement from 120 random points (spread) or
+    # from the 36 points of a random 6 x 6 grid, whose distance set misses
+    # part of F_q.  At 600 points a block is 109 rows, so the rows of every
+    # thread count below span two or more blocks, the last one partial.
+    # GF(2039) is the largest prime field on the table route, GF(2053) the
+    # smallest above it.
+    fld = _small_field(*pn)
+    assert (fld.q <= setalg._PAIR_TABLE_MAX_Q) == (fld.q != 2053)
+    rng = random.Random(f"{pn}-{spread}")
+    elems = [fld.from_index(i) for i in rng.sample(range(fld.q), 240 if spread else 12)]
+    if spread:
+        pool = [Point(elems[2 * k], elems[2 * k + 1]) for k in range(120)]
+    else:
+        pool = [Point(x, y) for x in elems[:6] for y in elems[6:]]
+    pts = rng.choices(pool, k=600)
+    want = oracles.scalar_distance_set(list(dict.fromkeys(pts)))
+    got = [fqdist.distance_set_bruteforce(pts, threads=t) for t in (1, 2, 3)]
+    assert set(np.flatnonzero(got[0].bits).tolist()) == want
+    assert got[0] == got[1] == got[2]
+    assert spread or len(want) < fld.q
+
+
+def test_bruteforce_rejects_mixed_fields(gf9):
+    gf27 = fqdist.ExtField(3, 3)
+    a, b = Point(gf9.one, gf9.root), Point(gf27.one, gf27.root)
+    for pts in ([a, b], [b, a], [Point(gf9.one, gf27.one)]):
+        with pytest.raises(FieldMismatch):
+            fqdist.distance_set_bruteforce(pts)
+    # two fields of order 9 with different moduli
+    f1, f2 = fqdist.ExtField(3, 2, modulus=(1, 0, 1)), fqdist.ExtField(3, 2, modulus=(2, 2, 1))
+    for pts in ([Point(f1.one, f1.root), Point(f2.one, f2.root)],
+                [Point(f2.one, f2.root), Point(f1.one, f1.root)]):
+        with pytest.raises(FieldMismatch):
+            fqdist.distance_set_bruteforce(pts)
+    # refused before any table is built
+    assert f1._tables is None and f2._tables is None and gf27._tables is None
+    # equal fields that are distinct objects are accepted, as distance() does
+    f3 = fqdist.ExtField(3, 2, modulus=(1, 0, 1))
+    got = fqdist.distance_set_bruteforce([Point(f1.one, f1.root), Point(f3.zero, f3.one)])
+    assert got.count == 2
 
 
 def test_monotonicity_random_subsets():

@@ -245,3 +245,20 @@ def test_census_json():
     d = res.to_json_dict()
     assert d["q"] == 2 and d["max_incomplete_size"] == 2
     assert d["witness_set"] == [[0, 0], [1, 1]]
+
+
+def test_verify_squares_v_once(monkeypatch):
+    # distance_set_structured and the missing-distance recheck share
+    # V.squares, so one verification squares V once
+    calls = []
+    square_indices = setalg.square_indices
+
+    def counting(V):
+        calls.append(V)
+        return square_indices(V)
+
+    monkeypatch.setattr(setalg, "square_indices", counting)
+    for oracle in ("structured", "both"):
+        calls.clear()
+        assert fqdist.verify_counterexample(3, 1, oracle=oracle).missing_distance == 28
+        assert len(calls) == 1
