@@ -18,8 +18,6 @@ from . import construction as cx
 from . import ff, setalg, verify
 from .errors import ClaimViolation, FqdistError
 
-ENV_PAIR_BUDGET = "FALCONER_PAIR_BUDGET"
-
 
 def _parse_basis(text: str):
     if text == "auto":
@@ -43,17 +41,8 @@ def _parse_r_list(text: str):
     return values
 
 
-def _default_pair_budget() -> int:
-    env = os.environ.get(ENV_PAIR_BUDGET)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise FqdistError(f"{ENV_PAIR_BUDGET} must be an integer, got {env!r}")
-    return setalg.DEFAULT_PAIR_BUDGET
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """One parser per subcommand, holding only the flags that subcommand reads."""
     ap = argparse.ArgumentParser(
         prog="fqdist",
         description=(
@@ -63,70 +52,68 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--pair-budget", type=int, default=None,
+    def instance(sp, r_type=int, r_help=None):
+        sp.add_argument("--p", type=int, required=True)
+        sp.add_argument("--r", type=r_type, required=True, help=r_help)
+        sp.add_argument("--basis", type=_parse_basis, default="auto")
+
+    def pair_budget(sp):
+        sp.add_argument("--pair-budget", type=int, default=setalg.DEFAULT_PAIR_BUDGET,
                         help=f"max ordered pairs per exact set computation "
-                             f"(default {setalg.DEFAULT_PAIR_BUDGET}, or ${ENV_PAIR_BUDGET})")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads for the brute-force pass of verify "
-                             "(run by --oracle both, or auto when it fits); other "
-                             "subcommands and computations use one (default 1)")
+                             f"(default {setalg.DEFAULT_PAIR_BUDGET})")
+
+    def out(sp):
         sp.add_argument("--out", default=None, help="write the machine report here")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("-v", "--verbose", action="store_true")
 
     sp = sub.add_parser("construct", help="build a construction and emit its replayable record")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--basis", type=_parse_basis, default="auto")
-    common(sp)
+    instance(sp)
+    out(sp)
 
     sp = sub.add_parser("verify", help="verify all claims for one (p, r)")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--basis", type=_parse_basis, default="auto")
+    instance(sp)
     sp.add_argument("--oracle", choices=("auto", "both", "structured"), default="auto",
                     help="'both' forces the brute-force pass, 'auto' runs it when it fits the budget")
-    sp.add_argument("--enum-budget", type=int, default=cx.DEFAULT_ENUM_BUDGET,
-                    help="max points to materialize for the brute-force oracle")
     sp.add_argument("--dump-bits", action="store_true",
                     help="include full bitset dumps in the report")
-    common(sp)
+    pair_budget(sp)
+    sp.add_argument("--threads", type=int, default=1,
+                    help="worker threads for the brute-force pass (run by --oracle both, "
+                         "or auto when it fits; default 1)")
+    out(sp)
+    sp.add_argument("-v", "--verbose", action="store_true")
 
     sp = sub.add_parser("scan", help="ratio table over several r values")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--r", type=_parse_r_list, required=True, help="comma list, e.g. 1,2")
-    sp.add_argument("--basis", type=_parse_basis, default="auto")
-    common(sp)
+    instance(sp, _parse_r_list, "comma list, e.g. 1,2")
+    pair_budget(sp)
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
+    out(sp)
 
     sp = sub.add_parser("census", help="exhaustive max incomplete-distance-set size at tiny q")
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--pruning", choices=("on", "off"), default="on")
-    common(sp)
+    out(sp)
 
     sp = sub.add_parser("selftest", help="randomized property self-tests")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--triples", type=int, default=10000,
                     help="random triples per field for the axiom suite")
-    common(sp)
 
     return ap
 
 
+# the flags that must be at least 1, where a subcommand has them
+_POSITIVE = {
+    "pair_budget": "pair budget must be positive",
+    "threads": "threads must be at least 1",
+    "triples": "triples must be positive",
+}
+
+
 def _validate(args) -> None:
-    """Check the parsed flags before anything runs; resolve the pair budget."""
-    if args.pair_budget is None:
-        args.pair_budget = _default_pair_budget()
-    if args.pair_budget < 1:
-        raise FqdistError("pair budget must be positive")
-    if args.threads < 1:
-        raise FqdistError("threads must be at least 1")
-    if args.command == "verify" and args.enum_budget < 1:
-        raise FqdistError("enum budget must be positive")
-    if args.command != "scan" and args.format == "csv":
-        raise FqdistError("--format csv is only available for scan")
-    if args.command == "selftest" and args.triples < 1:
-        raise FqdistError("triples must be positive")
+    """Check the parsed flags before anything runs."""
+    for name, message in _POSITIVE.items():
+        if vars(args).get(name, 1) < 1:
+            raise FqdistError(message)
 
 
 def _dump_json(obj) -> str:
@@ -172,7 +159,6 @@ def run_verify(args) -> int:
         basis=args.basis,
         oracle=args.oracle,
         pair_budget=args.pair_budget,
-        enum_budget=args.enum_budget,
         threads=args.threads,
         dump_bits=args.dump_bits,
     )
@@ -283,7 +269,7 @@ def run_selftest(args) -> int:
     i729 = ff.sqrt_minus_one(gf729)
     checks.append(("i^2 = -1 in GF(729)", i729 * i729 == -gf729.one))
 
-    rep = verify.verify_counterexample(3, 1, oracle="structured", pair_budget=args.pair_budget)
+    rep = verify.verify_counterexample(3, 1, oracle="structured")
     checks.append(("structured oracle = VV at (p=3, r=1)", rep.delta_equals_VV))
     checks.append(("missing distance exists at (p=3, r=1)", rep.delta_ne_Fq))
 

@@ -417,8 +417,12 @@ def _row_chunks(nrows: int, threads: int) -> list:
     return [np.arange(w, nrows, k) for w in range(k)]
 
 
-def _accumulate(q: int, threads: int, nrows: int, fill) -> ElemSet:
+def _accumulate(q: int, threads: int, nrows: int, fill) -> tuple[ElemSet, int]:
     """Run fill(rows, bits) once per row chunk, OR-merging the bitsets.
+
+    fill returns the number of pairs it evaluated; the merged set comes
+    back with the sum of these counts, so the caller can check that no
+    pair was left out.
 
     fill walks its chunk in blocks itself, so the large block temporaries
     stay alive from one block to the next and their memory is reused
@@ -430,19 +434,18 @@ def _accumulate(q: int, threads: int, nrows: int, fill) -> ElemSet:
     out = ElemSet(q)
     chunks = _row_chunks(nrows, threads)
     if len(chunks) <= 1:
-        for ch in chunks:
-            fill(ch, out.bits)
-        return out
+        return out, sum(fill(ch, out.bits) for ch in chunks)
 
     def run(ch):
         bits = np.zeros(q, dtype=bool)
-        fill(ch, bits)
-        return bits
+        return bits, fill(ch, bits)
 
+    done = 0
     with ThreadPoolExecutor(max_workers=len(chunks)) as ex:
-        for bits in ex.map(run, chunks):
+        for bits, pairs in ex.map(run, chunks):
             out.bits |= bits
-    return out
+            done += pairs
+    return out, done
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +461,8 @@ def distance_set_bruteforce(points, budget: int = DEFAULT_PAIR_BUDGET, threads: 
     _PAIR_TABLE_MAX_Q a pair costs two gathers of squared differences, one
     add, one gather of the sum and one scatter (see FieldTables.pair_tables);
     above that it adds and subtracts base-p digits and reads the squares
-    table.
+    table.  Raises AssertionError unless the blocks evaluated exactly
+    len(points)^2 pairs.
     """
     npts = len(points)
     if npts == 0:
@@ -482,23 +486,33 @@ def distance_set_bruteforce(points, budget: int = DEFAULT_PAIR_BUDGET, threads: 
         xq, yq = xs * fld.q, ys * fld.q
 
         def fill(rows, bits):
+            done = 0
             for j0 in range(0, len(rows), block):
                 blk = rows[j0 : j0 + block, None]
                 # int64 sums, so the add gather casts no index array
                 k = np.add(dq[xq[blk] + xs], d[yq[blk] + ys], dtype=np.int64)
                 bits[add[k]] = True
+                done += k.size
+            return done
 
     else:
         sq, p, n = tabs.sq, fld.p, fld.n
 
         def fill(rows, bits):
+            done = 0
             for j0 in range(0, len(rows), block):
                 blk = rows[j0 : j0 + block, None]
                 dx2 = sq[sub_indices(xs[blk], xs, p, n)]
                 dy2 = sq[sub_indices(ys[blk], ys, p, n)]
-                bits[add_indices(dx2, dy2, p, n)] = True
+                k = add_indices(dx2, dy2, p, n)
+                bits[k] = True
+                done += k.size
+            return done
 
-    return _accumulate(fld.q, threads, npts, fill)
+    out, done = _accumulate(fld.q, threads, npts, fill)
+    if done != npts * npts:
+        raise AssertionError(f"brute force evaluated {done} of {npts * npts} ordered pairs")
+    return out
 
 
 def _one_per_coset(names, size: int, what: str):

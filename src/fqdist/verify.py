@@ -60,8 +60,8 @@ class VerificationReport:
     delta_set: dict
     vv_set: dict
 
-    def to_json_dict(self, include_elapsed: bool = True) -> dict:
-        d = {
+    def to_json_dict(self) -> dict:
+        return {
             "schema_version": SCHEMA_VERSION,
             "p": self.p,
             "r": self.r,
@@ -82,10 +82,8 @@ class VerificationReport:
             "construction": self.construction,
             "delta_set": self.delta_set,
             "vv_set": self.vv_set,
+            "elapsed_seconds": self.elapsed_seconds,
         }
-        if include_elapsed:
-            d["elapsed_seconds"] = self.elapsed_seconds
-        return d
 
 
 def report_digest(report_dict: dict) -> str:
@@ -118,7 +116,6 @@ def verify_counterexample(
     basis="auto",
     oracle: str = "auto",
     pair_budget: int = setalg.DEFAULT_PAIR_BUDGET,
-    enum_budget: int = cx.DEFAULT_ENUM_BUDGET,
     threads: int = 1,
     dump_bits: bool = False,
 ) -> VerificationReport:
@@ -126,8 +123,13 @@ def verify_counterexample(
 
     Asserts the full identity chain: the structured distance set is
     contained in VV, equals VV for odd q, equals the brute-force distance
-    set whenever that oracle fits its budget, and misses a rechecked
-    concrete element of F_q.  Raises ClaimViolation if anything fails.
+    set whenever that oracle runs, and misses a rechecked concrete element
+    of F_q.  Raises ClaimViolation if anything fails.
+
+    Brute force takes |E|^2 ordered pairs over |E| materialized points.
+    "auto" runs it when the pairs fit pair_budget and the points fit
+    construction.DEFAULT_ENUM_BUDGET; "both" raises BudgetExceeded when the
+    pairs do not fit.  Either is decided before any set is computed.
     """
     if oracle not in ("auto", "both", "structured"):
         raise ValueError(f"unknown oracle mode {oracle!r}")
@@ -137,6 +139,12 @@ def verify_counterexample(
     size_e = c.size_E
     if size_e != p ** (8 * r):
         raise ClaimViolation(f"|E| = {size_e} differs from p^(8r)")
+    pairs = size_e * size_e
+    if oracle == "both" and pairs > pair_budget:
+        raise BudgetExceeded("ordered distance pairs", pairs, pair_budget)
+    run_bruteforce = oracle == "both" or (
+        oracle == "auto" and pairs <= pair_budget and size_e <= cx.DEFAULT_ENUM_BUDGET
+    )
 
     nv = len(c.V.indices)
     if nv * nv > pair_budget:
@@ -149,14 +157,8 @@ def verify_counterexample(
     if q % 2 == 1 and not delta_equals_vv:
         raise ClaimViolation("distance set differs from VV although q is odd")
 
-    if oracle == "both":
-        run_bruteforce = True
-    elif oracle == "auto":
-        run_bruteforce = size_e <= enum_budget and size_e * size_e <= pair_budget
-    else:
-        run_bruteforce = False
     if run_bruteforce:
-        points = cx.enumerate_E(c, budget=enum_budget)
+        points = cx.enumerate_E(c)
         brute = setalg.distance_set_bruteforce(points, budget=pair_budget, threads=threads)
         if brute != delta:
             raise ClaimViolation("brute-force distance set disagrees with structured path")
@@ -194,7 +196,9 @@ def verify_counterexample(
 # ---------------------------------------------------------------------------
 # ratio scan
 
-SCAN_CSV_HEADER = "r,q,size_E,size_delta,size_VV,ratio_num,ratio_den,ratio_decimal,delta_ne_Fq"
+SCAN_COLUMNS = ("r", "q", "size_E", "size_delta", "size_VV",
+                "ratio_num", "ratio_den", "ratio_decimal", "delta_ne_Fq")
+SCAN_CSV_HEADER = ",".join(SCAN_COLUMNS)
 
 
 @dataclass
@@ -210,39 +214,18 @@ class ScanRow:
     error_kind: str | None = None  # "claim" or "config"
 
     def to_json_dict(self) -> dict:
-        d = {"r": self.r}
         if self.error is not None:
-            d["error"] = self.error
-            d["error_kind"] = self.error_kind
-            return d
-        d.update(
-            q=self.q,
-            size_E=self.size_E,
-            size_delta=self.size_delta,
-            size_VV=self.size_VV,
-            ratio_num=self.ratio.numerator,
-            ratio_den=self.ratio.denominator,
-            ratio_decimal=_ratio_decimal(self.ratio),
-            delta_ne_Fq=self.delta_ne_Fq,
-        )
-        return d
+            return {"r": self.r, "error": self.error, "error_kind": self.error_kind}
+        ratio = self.ratio
+        values = (self.r, self.q, self.size_E, self.size_delta, self.size_VV,
+                  ratio.numerator, ratio.denominator, _ratio_decimal(ratio), self.delta_ne_Fq)
+        return dict(zip(SCAN_COLUMNS, values, strict=True))
 
     def to_csv_line(self) -> str:
         if self.error is not None:
-            return f"{self.r},,,,,,,,"
-        return ",".join(
-            [
-                str(self.r),
-                str(self.q),
-                str(self.size_E),
-                str(self.size_delta),
-                str(self.size_VV),
-                str(self.ratio.numerator),
-                str(self.ratio.denominator),
-                _ratio_decimal(self.ratio),
-                "true" if self.delta_ne_Fq else "false",
-            ]
-        )
+            return ",".join([str(self.r)] + [""] * (len(SCAN_COLUMNS) - 1))
+        # the one bool renders as true/false; every other cell is digits
+        return ",".join(str(v).lower() for v in self.to_json_dict().values())
 
 
 def ratio_scan(

@@ -1,4 +1,4 @@
-"""CLI contracts: exit codes, machine reports, determinism, env overrides."""
+"""CLI contracts: the flags of each subcommand, exit codes, machine reports, determinism."""
 
 import json
 import os
@@ -76,26 +76,42 @@ def test_pair_budget_flag(capsys):
     assert "exceeds the budget" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("oracle", ["auto", "both"])
-@pytest.mark.parametrize("budget", ["0", "-1"])
-def test_enum_budget_must_be_positive(oracle, budget, capsys):
-    # with auto, a budget below 1 used to drop the brute-force oracle and exit 0
-    assert run(["verify", "--p", "3", "--r", "1", "--oracle", oracle,
-                "--enum-budget", budget]) == 2
-    assert "enum budget must be positive" in capsys.readouterr().err
-
-
-def test_pair_budget_env_override(monkeypatch, capsys):
-    monkeypatch.setenv(cli.ENV_PAIR_BUDGET, "50")
-    assert run(["verify", "--p", "3", "--r", "1"]) == 2
-    # explicit flag wins over the environment
-    assert run(["verify", "--p", "3", "--r", "1", "--oracle", "structured",
-                "--pair-budget", str(10**9)]) == 0
-
-
 def test_bad_env_budget(monkeypatch):
-    monkeypatch.setenv(cli.ENV_PAIR_BUDGET, "lots")
-    assert run(["verify", "--p", "3", "--r", "1"]) == 2
+    # the pair budget has one source, --pair-budget; the environment
+    # variable that once set it is not read
+    monkeypatch.setenv("FALCONER_PAIR_BUDGET", "lots")
+    assert run(["verify", "--p", "3", "--r", "1"]) == 0
+
+
+def test_each_subcommand_has_only_the_flags_it_reads():
+    want = {
+        "construct": ["--p", "--r", "--basis", "--out"],
+        "verify": ["--p", "--r", "--basis", "--oracle", "--dump-bits", "--pair-budget",
+                   "--threads", "--out", "-v"],
+        "scan": ["--p", "--r", "--basis", "--pair-budget", "--format", "--out"],
+        "census": ["--q", "--pruning", "--out"],
+        "selftest": ["--seed", "--triples"],
+    }
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    got = {
+        name: [a.option_strings[0] for a in sp._actions if a.dest != "help"]
+        for name, sp in sub.choices.items()
+    }
+    assert got == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--p", "3", "--r", "1", "--threads", "2"],
+    ["scan", "--p", "3", "--r", "1", "--threads", "2"],
+    ["census", "--q", "3", "--pair-budget", "5"],
+    ["selftest", "--triples", "1", "--out", "x.json"],
+    ["verify", "--p", "3", "--r", "1", "--enum-budget", "5"],
+])
+def test_unread_flag_exits_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_scan_csv(tmp_path, capsys):

@@ -455,4 +455,26 @@ def test_row_chunks_bounded_by_rows():
     def fill(rows, bits):
         raise AssertionError("fill called without rows")
 
-    assert setalg._accumulate(7, 4, 0, fill) == ElemSet(7)
+    assert setalg._accumulate(7, 4, 0, fill) == (ElemSet(7), 0)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("pn", [(3, 2), (3, 8)])
+def test_bruteforce_refuses_a_pass_that_skips_a_row(monkeypatch, pn, threads):
+    # the distance is symmetric, so the set of a pass that skips one row
+    # can still be right; only the count of evaluated pairs shows the gap.
+    # GF(3^8) is above _PAIR_TABLE_MAX_Q, so both routes are covered
+    fld = _small_field(*pn)
+    rng = random.Random(f"{pn}")
+    pts = [Point(fld.from_index(rng.randrange(fld.q)), fld.from_index(rng.randrange(fld.q)))
+           for _ in range(40)]
+    row_chunks = setalg._row_chunks
+
+    def drop_one_row(nrows, threads):
+        chunks = row_chunks(nrows, threads)
+        chunks[0] = chunks[0][1:]
+        return chunks
+
+    monkeypatch.setattr(setalg, "_row_chunks", drop_one_row)
+    with pytest.raises(AssertionError, match="evaluated 1560 of 1600 ordered pairs"):
+        fqdist.distance_set_bruteforce(pts, threads=threads)

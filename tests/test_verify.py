@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import fqdist
-from fqdist import setalg, verify
+from fqdist import construction, setalg, verify
 from fqdist.errors import BudgetExceeded, ClaimViolation, UnsupportedSize
 
 import oracles
@@ -98,10 +98,20 @@ def test_verify_budget_exceeded_is_loud():
         fqdist.verify_counterexample(3, 1, pair_budget=1000)
 
 
-def test_verify_oracle_both_requires_budget():
+def test_verify_oracle_both_requires_budget(monkeypatch):
+    # refused before Δ, VV or any point of E is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("a set was computed although brute force does not fit")
+
+    monkeypatch.setattr(setalg, "distance_set_structured", refuse)
+    monkeypatch.setattr(setalg, "product_set", refuse)
+    monkeypatch.setattr(construction, "enumerate_E", refuse)
     # structured fits but the forced brute-force pass does not
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match="ordered distance pairs"):
         fqdist.verify_counterexample(3, 1, oracle="both", pair_budget=10**7)
+    # 5 764 801 points, 3.3e13 ordered pairs against the default 10^9
+    with pytest.raises(BudgetExceeded, match="ordered distance pairs: 33232930569601 "):
+        fqdist.verify_counterexample(7, 1, oracle="both")
 
 
 def test_report_json_schema():
@@ -114,7 +124,6 @@ def test_report_json_schema():
     assert len(d["delta_set"]["sha256_of_bitset"]) == 64
     assert d["construction"]["basis"] == [1, 3]
     assert "elapsed_seconds" in d
-    assert "elapsed_seconds" not in rep.to_json_dict(include_elapsed=False)
 
 
 def test_report_digest_ignores_elapsed():
