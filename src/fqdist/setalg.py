@@ -5,9 +5,11 @@ The structured sets are unions of cosets of F* and H = (F*)^2 for the
 subfield F, and those cosets are named as points of the projective plane
 PG(2, F) (CosetNames): one change of basis mod p, computed exactly in
 int64, gives the F-coordinates of an element, and every later step reads
-tables of |F| or |F|^2 entries.  Only brute force loops over all pairs.  For
-q <= _PAIR_TABLE_MAX_Q it reads q x q tables of squared differences and of
-sums (FieldTables.pair_tables); above that it adds base-p digits
+tables of |F| or |F|^2 entries.  Only brute force loops over pairs, and
+since the distance is symmetric it takes each unordered pair once.  For q <=
+_PAIR_TABLE_MAX_Q it reads q x q difference tables (FieldTables.pair_tables)
+into a bitset of difference vectors and takes their norms in one pass over
+that bitset; above that it subtracts and adds base-p digits per pair
 (add_indices, sub_indices) and reads the squares table FieldTables.sq.
 Budgets are hard limits: an oversized request raises instead of sampling.
 """
@@ -33,10 +35,10 @@ DEFAULT_PAIR_BUDGET = 10**9
 # against 47 MB over 1500 points of GF(3^8), 2 threads on a 2-vCPU guest).
 _CACHE_BLOCK = 2**16
 
-# up to this order brute force reads q x q pair tables (14*q^2 bytes, 58.7 MB
-# at q = 2048) instead of adding base-p digits.  The bound keeps every
-# squared difference below 2^16 and q times one below 2^31, as
-# FieldTables.pair_tables stores them.
+# up to this order brute force reads q x q difference tables (6*q^2 bytes,
+# 25.2 MB at q = 2048) and a q^2-byte bitset per worker instead of adding
+# base-p digits.  The bound keeps every difference below 2^16 and q times one
+# below 2^31, as FieldTables.pair_tables stores them.
 _PAIR_TABLE_MAX_Q = 2048
 
 
@@ -190,9 +192,9 @@ class FieldTables:
     """Per-field tables for the brute-force pass, addressed by canonical index.
 
     sq holds the square of every element, computed by vectorized
-    polynomial squaring in blocks; pair_tables() adds q x q tables of
-    squared differences and sums for small q.  The structured sets do not
-    use these tables: they name cosets through CosetNames.
+    polynomial squaring in blocks; brute force reads it to take norms.
+    pair_tables() adds q x q difference tables for small q.  The structured
+    sets do not use these tables: they name cosets through CosetNames.
     """
 
     __slots__ = ("q", "p", "n", "sq", "_pair")
@@ -210,26 +212,23 @@ class FieldTables:
         self._pair = None
 
     def pair_tables(self):
-        """(dq, d, add): flat q x q tables, built in row blocks; only for small q.
+        """(subq, sub): flat q x q difference tables, built in row blocks; only for small q.
 
-        d[a*q + b] is the index of (a - b)^2, as uint16; dq is q*d as int32;
-        add[a*q + b] is the index of a + b, as int64.  So the index of
-        (xa - xb)^2 + (ya - yb)^2 is add[dq[xa*q + xb] + d[ya*q + yb]].
-        Together they take 14*q^2 bytes.
+        sub[a*q + b] is the index of a - b, as uint16; subq is q*sub, as
+        int32.  So subq[xa*q + xb] + sub[ya*q + yb] is dx*q + dy, the
+        position of the difference vector (dx, dy) = (xa - xb, ya - yb) in
+        a q^2-entry bitset.  Together they take 6*q^2 bytes.
         """
         if self._pair is None:
             q, p, n = self.q, self.p, self.n
             idx = np.arange(q, dtype=np.int64)
-            d = np.empty((q, q), dtype=np.uint16)
-            add = np.empty((q, q), dtype=np.int64)
+            sub = np.empty((q, q), dtype=np.uint16)
             block = max(1, _CACHE_BLOCK // q)
             for a in range(0, q, block):
-                rows = idx[a : a + block, None]
-                d[a : a + block] = self.sq[sub_indices(rows, idx, p, n)]
-                add[a : a + block] = add_indices(rows, idx, p, n)
-            dq = d.astype(np.int32)
-            dq *= q
-            self._pair = (dq.ravel(), d.ravel(), add.ravel())
+                sub[a : a + block] = sub_indices(idx[a : a + block, None], idx, p, n)
+            subq = sub.astype(np.int32)
+            subq *= q
+            self._pair = (subq.ravel(), sub.ravel())
         return self._pair
 
 
@@ -407,18 +406,52 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _row_chunks(nrows: int, threads: int) -> list:
-    """At most min(threads, CPUs available, nrows) strided row sets, none empty.
+def _chunk_count(nrows: int, threads: int) -> int:
+    """min(threads, CPUs available, nrows), and at least 1 when there are rows."""
+    return min(max(threads, 1), _available_cpus(), nrows)
 
-    Each chunk gets its own OS thread and q-byte bitset, so chunks beyond
-    the CPUs this process may run on would only cost memory.
+
+def _row_chunks(nrows: int, threads: int) -> list:
+    """_chunk_count(nrows, threads) strided row sets, none empty.
+
+    Each chunk gets its own OS thread and private bitset (q bytes on the
+    digit route, q^2 on the table route), so chunks beyond the CPUs this
+    process may run on would only cost memory.
     """
-    k = min(max(threads, 1), _available_cpus(), nrows)
+    k = _chunk_count(nrows, threads)
     return [np.arange(w, nrows, k) for w in range(k)]
 
 
-def _accumulate(q: int, threads: int, nrows: int, fill) -> tuple[ElemSet, int]:
-    """Run fill(rows, bits) once per row chunk, OR-merging the bitsets.
+def _blocks(rows, block: int):
+    """The row blocks of a chunk, as a column, each with its first column.
+
+    A block takes the columns from its own first row onward, so every row
+    a it holds meets every column b >= a.
+    """
+    for j0 in range(0, len(rows), block):
+        blk = rows[j0 : j0 + block]
+        yield blk[:, None], int(blk[0])
+
+
+def _triangle_pairs(nrows: int, chunks: int, block: int) -> int:
+    """The number of pairs the blocks of _blocks take over _row_chunks.
+
+    Chunk w has m rows, w, w + chunks, ...; its j-th block starts at row
+    w + chunks*block*j and takes nrows minus that many columns per row.
+    Summed over the full blocks and the partial last one.
+    """
+    total = 0
+    for w in range(chunks):
+        m = len(range(w, nrows, chunks))
+        full, rest = divmod(m, block)
+        stride = chunks * block
+        total += block * (full * (nrows - w) - stride * full * (full - 1) // 2)
+        total += rest * (nrows - w - stride * full)
+    return total
+
+
+def _accumulate(size: int, threads: int, nrows: int, fill) -> tuple[ElemSet, int]:
+    """Run fill(rows, bits) once per row chunk, OR-merging bitsets over [0, size).
 
     fill returns the number of pairs it evaluated; the merged set comes
     back with the sum of these counts, so the caller can check that no
@@ -427,17 +460,18 @@ def _accumulate(q: int, threads: int, nrows: int, fill) -> tuple[ElemSet, int]:
     fill walks its chunk in blocks itself, so the large block temporaries
     stay alive from one block to the next and their memory is reused
     instead of being returned and faulted in again.  Each worker owns one
-    chunk and a private bitset.  The merge is
-    associative, commutative and idempotent, so the result is bit-identical
-    for any worker count, including sequential execution.
+    chunk and a private size-byte bitset: q bytes on the digit route, q^2
+    on the table route.  The merge is associative, commutative and
+    idempotent, so the result is bit-identical for any worker count,
+    including sequential execution.
     """
-    out = ElemSet(q)
+    out = ElemSet(size)
     chunks = _row_chunks(nrows, threads)
     if len(chunks) <= 1:
         return out, sum(fill(ch, out.bits) for ch in chunks)
 
     def run(ch):
-        bits = np.zeros(q, dtype=bool)
+        bits = np.zeros(size, dtype=bool)
         return bits, fill(ch, bits)
 
     done = 0
@@ -448,6 +482,20 @@ def _accumulate(q: int, threads: int, nrows: int, fill) -> tuple[ElemSet, int]:
     return out, done
 
 
+def _vector_norms(vectors: ElemSet, tabs: FieldTables) -> ElemSet:
+    """The norms dx^2 + dy^2 of the difference vectors set in vectors.
+
+    vectors is a bitset over [0, q^2) in which dx*q + dy stands for the
+    vector (dx, dy).  It is read in blocks of _CACHE_BLOCK entries.
+    """
+    q, sq = tabs.q, tabs.sq
+    out = ElemSet(q)
+    for a in range(0, q * q, _CACHE_BLOCK):
+        dx, dy = np.divmod(np.flatnonzero(vectors.bits[a : a + _CACHE_BLOCK]) + a, q)
+        out.add_array(add_indices(sq[dx], sq[dy], tabs.p, tabs.n))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # distance sets and product sets
 
@@ -456,13 +504,17 @@ def distance_set_bruteforce(points, budget: int = DEFAULT_PAIR_BUDGET, threads: 
     """Exact distance set over all ordered pairs of the given points.
 
     Refuses (rather than samples) when len(points)^2 exceeds the budget, and
-    raises FieldMismatch when the coordinates do not share one field.  Rows
-    are walked in blocks of about _CACHE_BLOCK pairs.  For q <=
-    _PAIR_TABLE_MAX_Q a pair costs two gathers of squared differences, one
-    add, one gather of the sum and one scatter (see FieldTables.pair_tables);
-    above that it adds and subtracts base-p digits and reads the squares
-    table.  Raises AssertionError unless the blocks evaluated exactly
-    len(points)^2 pairs.
+    raises FieldMismatch when the coordinates do not share one field.  The
+    distance is symmetric, so pairing each row a with the columns b >= a
+    gives the same set from about half the pairs: rows are walked in blocks
+    of about _CACHE_BLOCK pairs, each taking the columns from its own first
+    row on (_blocks).  For q <= _PAIR_TABLE_MAX_Q a pair costs two gathers
+    from the difference tables (FieldTables.pair_tables), one add and one
+    scatter into a q^2-entry bitset of difference vectors, and one pass
+    over that bitset then takes the norms (_vector_norms).  Above that a
+    pair subtracts and adds base-p digits and reads the squares table.
+    Raises AssertionError unless the blocks evaluated exactly the number
+    of pairs _triangle_pairs gives.
     """
     npts = len(points)
     if npts == 0:
@@ -477,21 +529,23 @@ def distance_set_bruteforce(points, budget: int = DEFAULT_PAIR_BUDGET, threads: 
             if e.field is not fld and e.field.key != fld.key:
                 raise FieldMismatch(fld, e.field)
     tabs = get_tables(fld)
+    q = fld.q
     xs = np.fromiter((pt.x.index for pt in points), dtype=np.int64, count=npts)
     ys = np.fromiter((pt.y.index for pt in points), dtype=np.int64, count=npts)
     block = max(1, _CACHE_BLOCK // npts)
+    want = _triangle_pairs(npts, _chunk_count(npts, threads), block)
 
-    if fld.q <= _PAIR_TABLE_MAX_Q:
-        dq, d, add = tabs.pair_tables()
-        xq, yq = xs * fld.q, ys * fld.q
+    tables = q <= _PAIR_TABLE_MAX_Q
+    if tables:
+        subq, sub = tabs.pair_tables()
+        xq, yq = xs * q, ys * q
 
         def fill(rows, bits):
             done = 0
-            for j0 in range(0, len(rows), block):
-                blk = rows[j0 : j0 + block, None]
-                # int64 sums, so the add gather casts no index array
-                k = np.add(dq[xq[blk] + xs], d[yq[blk] + ys], dtype=np.int64)
-                bits[add[k]] = True
+            for blk, c0 in _blocks(rows, block):
+                # an int64 sum, so the scatter casts no index array
+                k = np.add(subq[xq[blk] + xs[c0:]], sub[yq[blk] + ys[c0:]], dtype=np.int64)
+                bits[k] = True
                 done += k.size
             return done
 
@@ -500,19 +554,18 @@ def distance_set_bruteforce(points, budget: int = DEFAULT_PAIR_BUDGET, threads: 
 
         def fill(rows, bits):
             done = 0
-            for j0 in range(0, len(rows), block):
-                blk = rows[j0 : j0 + block, None]
-                dx2 = sq[sub_indices(xs[blk], xs, p, n)]
-                dy2 = sq[sub_indices(ys[blk], ys, p, n)]
+            for blk, c0 in _blocks(rows, block):
+                dx2 = sq[sub_indices(xs[blk], xs[c0:], p, n)]
+                dy2 = sq[sub_indices(ys[blk], ys[c0:], p, n)]
                 k = add_indices(dx2, dy2, p, n)
                 bits[k] = True
                 done += k.size
             return done
 
-    out, done = _accumulate(fld.q, threads, npts, fill)
-    if done != npts * npts:
-        raise AssertionError(f"brute force evaluated {done} of {npts * npts} ordered pairs")
-    return out
+    found, done = _accumulate(q * q if tables else q, threads, npts, fill)
+    if done != want:
+        raise AssertionError(f"brute force evaluated {done} of {want} pairs")
+    return _vector_norms(found, tabs) if tables else found
 
 
 def _one_per_coset(names, size: int, what: str):

@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -225,3 +228,16 @@ def test_selftest(capsys):
 
 def test_help_exits_zero():
     assert run(["--help"]) == 0
+
+
+def test_python_m_fqdist_from_a_checkout():
+    # the package run as a module from the source tree, not installed
+    src = str(Path(fqdist.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "fqdist", "verify", "--p", "3", "--r", "1", "--oracle", "both",
+         "--threads", "2"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert any(line.startswith("oracles: bruteforce+structured") for line in done.stdout.splitlines())

@@ -96,13 +96,12 @@ def test_tables_match_scalar_ops(gf9, gf729):
 def test_pair_tables_match_index_arithmetic(gf729):
     # the tables are built in 89-row blocks, the last of them partial (729 = 8*89 + 17)
     tabs = setalg.get_tables(gf729)
-    dq, d, add = tabs.pair_tables()
-    assert (dq.dtype, d.dtype, add.dtype) == (np.int32, np.uint16, np.int64)
+    subq, sub = tabs.pair_tables()
+    assert (subq.dtype, sub.dtype) == (np.int32, np.uint16)
     idx = np.arange(gf729.q)
-    squared = tabs.sq[setalg.sub_indices(idx[:, None], idx[None, :], 3, 6)].ravel()
-    assert np.array_equal(d, squared)
-    assert np.array_equal(dq, gf729.q * squared)
-    assert np.array_equal(add, setalg.add_indices(idx[:, None], idx[None, :], 3, 6).ravel())
+    diff = setalg.sub_indices(idx[:, None], idx[None, :], 3, 6).ravel()
+    assert np.array_equal(sub, diff)
+    assert np.array_equal(subq, gf729.q * diff)
 
 
 @pytest.mark.parametrize("p, n", [(3, 6), (2, 11)])
@@ -110,16 +109,16 @@ def test_pair_tables_fit_the_memory_bound(p, n):
     fld = fqdist.ExtField(p, n)
     q = fld.q
     tabs = setalg.get_tables(fld)
-    dq, d, add = tabs.pair_tables()
-    assert sum(a.nbytes for a in (dq, d, add)) <= 16 * q * q
+    subq, sub = tabs.pair_tables()
+    assert sum(a.nbytes for a in (subq, sub)) <= 6 * q * q
     # at q = 2048, the largest order on the table route, the narrow types
-    # still hold every value: d up to q - 1 and dq up to q*(q - 1)
-    assert np.array_equal(dq, q * d.astype(np.int64))
+    # still hold every value: sub up to q - 1 and subq up to q*(q - 1)
+    assert int(sub.max()) == q - 1 and int(subq.max()) == q * (q - 1)
+    assert np.array_equal(subq, q * sub.astype(np.int64))
     idx = np.arange(q)
     for a in (0, 1, q - 1):
         row = slice(a * q, (a + 1) * q)
-        assert np.array_equal(d[row], tabs.sq[setalg.sub_indices(a, idx, p, n)])
-        assert np.array_equal(add[row], setalg.add_indices(a, idx, p, n))
+        assert np.array_equal(sub[row], setalg.sub_indices(a, idx, p, n))
 
 
 _SMALL_FIELDS = [
@@ -458,6 +457,12 @@ def test_row_chunks_bounded_by_rows():
     assert setalg._accumulate(7, 4, 0, fill) == (ElemSet(7), 0)
 
 
+def _skip_counts(threads):
+    # 40 points fit one block per chunk: one chunk of rows 0..39 from column
+    # 0, or rows 0, 2, .., 38 from column 0 and 1, 3, .., 39 from column 1
+    return {1: (1600, 1521, 1560), 2: (1580, 1502, 1540)}[min(threads, len(os.sched_getaffinity(0)))]
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("pn", [(3, 2), (3, 8)])
 def test_bruteforce_refuses_a_pass_that_skips_a_row(monkeypatch, pn, threads):
@@ -469,6 +474,7 @@ def test_bruteforce_refuses_a_pass_that_skips_a_row(monkeypatch, pn, threads):
     pts = [Point(fld.from_index(rng.randrange(fld.q)), fld.from_index(rng.randrange(fld.q)))
            for _ in range(40)]
     row_chunks = setalg._row_chunks
+    want, got, _ = _skip_counts(threads)
 
     def drop_one_row(nrows, threads):
         chunks = row_chunks(nrows, threads)
@@ -476,5 +482,85 @@ def test_bruteforce_refuses_a_pass_that_skips_a_row(monkeypatch, pn, threads):
         return chunks
 
     monkeypatch.setattr(setalg, "_row_chunks", drop_one_row)
-    with pytest.raises(AssertionError, match="evaluated 1560 of 1600 ordered pairs"):
+    with pytest.raises(AssertionError, match=f"evaluated {got} of {want} pairs"):
         fqdist.distance_set_bruteforce(pts, threads=threads)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("pn", [(3, 2), (3, 8)])
+def test_bruteforce_refuses_columns_that_start_past_the_block(monkeypatch, pn, threads):
+    # a block that starts its columns one past its first row misses that
+    # row's pair with itself, whose distance 0 every other row still gives
+    fld = _small_field(*pn)
+    rng = random.Random(f"{pn}")
+    pts = [Point(fld.from_index(rng.randrange(fld.q)), fld.from_index(rng.randrange(fld.q)))
+           for _ in range(40)]
+    blocks = setalg._blocks
+    want, _, got = _skip_counts(threads)
+
+    def one_column_late(rows, block):
+        for blk, c0 in blocks(rows, block):
+            yield blk, c0 + 1
+
+    monkeypatch.setattr(setalg, "_blocks", one_column_late)
+    with pytest.raises(AssertionError, match=f"evaluated {got} of {want} pairs"):
+        fqdist.distance_set_bruteforce(pts, threads=threads)
+
+
+@pytest.mark.parametrize("nrows", [1, 2, 5, 40, 301])
+@pytest.mark.parametrize("chunks", [1, 2, 3])
+@pytest.mark.parametrize("block", [1, 9, 1638])
+def test_triangle_pairs_counts_the_blocks(nrows, chunks, block):
+    chunks = min(chunks, nrows)
+    rows = [np.arange(w, nrows, chunks) for w in range(chunks)]
+    taken = [(int(a), b) for ch in rows for blk, c0 in setalg._blocks(ch, block)
+             for a in blk.ravel() for b in range(c0, nrows)]
+    assert setalg._triangle_pairs(nrows, chunks, block) == len(taken)
+    # every unordered pair, and no pair twice
+    assert len(set(taken)) == len(taken)
+    assert {(min(a, b), max(a, b)) for a, b in taken} == {
+        (a, b) for a in range(nrows) for b in range(a, nrows)}
+
+
+# --- the vector-to-norm pass ----------------------------------------------------
+
+
+@pytest.mark.parametrize("pn", [(2, 11), (2039, 1)])
+def test_vector_norms_of_all_vectors_cover_the_field(pn):
+    fld = _small_field(*pn)
+    tabs = setalg.get_tables(fld)
+    assert setalg._vector_norms(ElemSet.full_set(fld.q**2), tabs) == ElemSet.full_set(fld.q)
+
+
+@pytest.mark.parametrize("pn", [(3, 6), (2, 11), (2039, 1), (7, 3)])
+def test_vector_norms_match_scalar_norms(pn):
+    fld = _small_field(*pn)
+    q = fld.q
+    tabs = setalg.get_tables(fld)
+    rng = random.Random(f"norms-{pn}")
+    # a sparse set with both ends of [0, q^2) and both ends of a 2^16 block
+    picks = {0, q * q - 1, setalg._CACHE_BLOCK - 1, setalg._CACHE_BLOCK}
+    picks |= set(rng.sample(range(q * q), 300))
+    vectors = ElemSet.from_indices(q * q, picks)
+    want = set()
+    for v in picks:
+        dx, dy = fld.from_index(v // q), fld.from_index(v % q)
+        want.add((dx * dx + dy * dy).index)
+    got = setalg._vector_norms(vectors, tabs)
+    assert set(np.flatnonzero(got.bits).tolist()) == want
+    assert setalg._vector_norms(ElemSet(q * q), tabs) == ElemSet(q)
+
+
+@pytest.mark.parametrize("pn", [(3, 6), (2, 11), (2039, 1), (3, 8)])
+def test_bruteforce_with_fewer_points_than_threads(pn):
+    fld = _small_field(*pn)
+    rng = random.Random(f"few-{pn}")
+    for npts in (1, 2):
+        pts = [Point(fld.from_index(rng.randrange(fld.q)), fld.from_index(rng.randrange(fld.q)))
+               for _ in range(npts)]
+        got = [fqdist.distance_set_bruteforce(pts, threads=t) for t in (1, 2, 3)]
+        assert got[0] == got[1] == got[2]
+        assert got[0].sha256() == got[1].sha256() == got[2].sha256()
+        assert set(np.flatnonzero(got[0].bits).tolist()) == oracles.scalar_distance_set(pts)
+        if npts == 1:
+            assert got[0] == ElemSet.from_indices(fld.q, [0])
