@@ -14,6 +14,8 @@ import os
 import random
 import sys
 
+import numpy as np
+
 from . import construction as cx
 from . import ff, setalg, verify
 from .errors import ClaimViolation, FqdistError
@@ -265,6 +267,14 @@ def run_selftest(args) -> int:
     members = {e.index for e in sub.elements}
     fixed = all((ff.frobenius(e, 2) == e) == (e.index in members) for e in gf729.elements())
     checks.append(("subfield = Frobenius fixed set (q=729, m=2)", fixed))
+
+    # GF(3^6) keeps every H-name under Z_3* (m = 2); in GF(7^3) (m = 1) the
+    # non-residues 3, 5 and 6 move them
+    named = True
+    for fld in (gf729, ff.ExtField(7, 3)):
+        cn = setalg.coset_names(fld)
+        named = named and np.array_equal(cn.names, cn.name(*cn.coords(np.arange(fld.q))))
+    checks.append(("coset names = direct naming of every element, GF(3^6) and GF(7^3)", named))
 
     i729 = ff.sqrt_minus_one(gf729)
     checks.append(("i^2 = -1 in GF(729)", i729 * i729 == -gf729.one))

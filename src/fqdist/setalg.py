@@ -5,8 +5,10 @@ The structured sets are unions of cosets of F* and H = (F*)^2 for the
 subfield F, and those cosets are named as points of the projective plane
 PG(2, F) (CosetNames): one change of basis mod p, computed exactly in
 int64, gives the F-coordinates of an element, and every later step reads
-tables of |F| or |F|^2 entries.  Only brute force loops over pairs, and
-since the distance is symmetric it takes each unordered pair once.  For q <=
+tables of |F| or |F|^2 entries.  Δ pairs each H-coset with the cosets
+from its own on (distance_set_structured).  Only brute force loops over
+point pairs, and since the distance is symmetric it takes each unordered
+pair once.  For q <=
 _PAIR_TABLE_MAX_Q it reads q x q difference tables (FieldTables.pair_tables)
 into a bitset of difference vectors and takes their norms in one pass over
 that bitset; above that it subtracts and adds base-p digits per pair
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, ClaimViolation, FieldMismatch
+from .errors import BudgetExceeded, ClaimViolation, FieldMismatch, WrongSubfieldDegree
 
 DEFAULT_PAIR_BUDGET = 10**9
 
@@ -280,6 +282,15 @@ def _inverse_mod(rows, p: int) -> list:
     return [r[n:] for r in m]
 
 
+def _scale_digits(idx, s, p: int, n: int) -> np.ndarray:
+    """The indices whose n base-p digits are those of idx times s mod p.
+
+    For idx the canonical indices of elements of GF(p^n) and s in Z_p,
+    these are the indices of s times those elements.  idx and s broadcast.
+    """
+    return digits_to_index([d * s % p for d in _digits_of(idx, p, n)], p)
+
+
 class CosetNames:
     """Names of the cosets of F* and H = (F*)^2 in F_q*, read off PG(2, F).
 
@@ -293,11 +304,21 @@ class CosetNames:
     is a + Q*b, (a, 1, 0) is Q^2 + a and (1, 0, 0) is Q^2 + Q.  H has index
     2 in F*, so the H-name adds step * (log_gamma(t_l) mod 2).  Zero gets
     the name 2*step.  All of this reads only Q- and Q x Q-sized tables.
+    Raises WrongSubfieldDegree unless 3 divides n.
 
-    names holds the H-names of all of [0, q) in index order.  It is built
-    from the coordinates of the low and high halves of the base-p digits of
-    each index, added in F through the Q x Q table, in blocks of at most
-    _CACHE_BLOCK elements.
+    names holds the H-names of all of [0, q) in index order, as a
+    (p^(n-h), p^h) array of rows hi and columns lo, h = n//2: the element
+    hi*p^h + lo has the low digits lo and the high digits hi.  Scaling by
+    s in Z_p* multiplies every digit by s, so row s.hi is row hi with its
+    columns permuted by lo -> lo/s.  s fixes the F*-name, and it fixes the
+    H-name too exactly when s is a square in F: always when m is even,
+    otherwise when s is a residue mod p; a non-residue moves a nonzero
+    H-name by step.  So only row 0 and the rows whose leading nonzero digit
+    is 1, a 1/(p-1) share, are named: from the coordinates of their halves,
+    added in F through the Q x Q table, in blocks of at most _CACHE_BLOCK
+    elements.  Each block is copied to its p - 2 multiples right after it
+    is named.  That is about 1/(p-1) of a naming per element, plus one
+    gather.
     """
 
     __slots__ = ("Q", "step", "zero", "_split", "_lo", "_hi_q", "_add", "_sub",
@@ -305,6 +326,8 @@ class CosetNames:
 
     def __init__(self, field):
         p, n, q = field.p, field.n, field.q
+        if n % 3:
+            raise WrongSubfieldDegree(n // 3, n)
         m = n // 3
         Q = self.Q = p**m
         self.step = step = (q - 1) // (Q - 1)
@@ -322,7 +345,7 @@ class CosetNames:
             return [digits_to_index(c[j * m : (j + 1) * m], p) for j in range(3)]
 
         h = n // 2
-        self._split = p**h
+        self._split = split = p**h
         self._lo = codes(h, slice(0, h))
         self._hi_q = [t * Q for t in codes(n - h, slice(h, n))]
 
@@ -347,12 +370,29 @@ class CosetNames:
         self._n1 = (Q * ratio).astype(dtype).ravel()
 
         self.names = out = np.empty(q, dtype=dtype)
-        rows = out.reshape(-1, self._split)
-        block = max(1, _CACHE_BLOCK // self._split)
+        rows = out.reshape(-1, split)
+        block = max(1, _CACHE_BLOCK // split)
         lo = [t[None, :] for t in self._lo]
-        for a in range(0, len(rows), block):
-            hi = [t[a : a + block, None] for t in self._hi_q]
-            rows[a : a + block] = self.name(*(self._add[u + v] for u, v in zip(hi, lo)))
+        # the scalars s = 2 .. p-1, the columns lo/s of each, and whether s
+        # moves the H-name
+        scales = np.arange(2, p).reshape(-1, 1)
+        inverses = np.array([pow(s, -1, p) for s in range(2, p)], dtype=np.int64).reshape(-1, 1)
+        perms = _scale_digits(np.arange(split), inverses, p, h)
+        moves = [m % 2 and pow(s, (p - 1) // 2, p) != 1 for s in range(2, p)]
+        # row 0, then the rows [p^k, 2p^k) with leading digit 1 in position k
+        for a0, a1 in [(0, 1)] + [(p**k, 2 * p**k) for k in range(n - h)]:
+            for a in range(a0, a1, block):
+                b = min(a + block, a1)
+                hi = [t[a:b, None] for t in self._hi_q]
+                named = rows[a:b] = self.name(*(self._add[u + v] for u, v in zip(hi, lo)))
+                if not a:
+                    continue  # every s fixes row 0
+                targets = _scale_digits(np.arange(a, b), scales, p, n - h)
+                for perm, move, target in zip(perms, moves, targets):
+                    copy = named[:, perm]
+                    if move:
+                        copy = np.where(copy < step, copy + step, copy - step)
+                    rows[target] = copy
 
     def coords(self, idx):
         """The F-codes (t0, t1, t2) of the elements with canonical indices idx."""
@@ -568,18 +608,22 @@ def distance_set_bruteforce(points, budget: int = DEFAULT_PAIR_BUDGET, threads: 
     return _vector_norms(found, tabs) if tables else found
 
 
-def _one_per_coset(names, size: int, what: str):
-    """The position of one member of each coset that the members meet.
+def _coset_runs(names, size: int, what: str) -> np.ndarray:
+    """The positions of the members in order of their coset names.
 
     names holds one coset name per distinct nonzero member, and a coset has
     size members, so the members are a union of whole cosets exactly when
-    there are (number of distinct names) * size of them; any other count
-    raises ClaimViolation.
+    each name that occurs, occurs size times.  The order then holds one run
+    of size positions per coset met, run j from position j*size on; any
+    other count raises ClaimViolation.
     """
-    distinct, first = np.unique(names, return_index=True)
-    if len(distinct) * size != len(names):
-        raise ClaimViolation(f"{what} is not a union of cosets of a subgroup of order {size}")
-    return first
+    order = np.argsort(names, kind="stable")
+    runs = names[order]
+    if len(runs) % size == 0:
+        runs = runs.reshape(-1, size)
+        if (runs == runs[:, :1]).all() and (runs[1:, 0] != runs[:-1, 0]).all():
+            return order
+    raise ClaimViolation(f"{what} is not a union of cosets of a subgroup of order {size}")
 
 
 def product_set(V, budget: int = DEFAULT_PAIR_BUDGET, threads: int = 1) -> ElemSet:
@@ -597,8 +641,8 @@ def product_set(V, budget: int = DEFAULT_PAIR_BUDGET, threads: int = 1) -> ElemS
     f = V.field
     cn = coset_names(f)
     nonzero = idx[idx != 0]
-    first = _one_per_coset(cn.name(*cn.coords(nonzero)) % cn.step, cn.Q - 1, "V")
-    reps = index_digits(nonzero[first], f.p, f.n)
+    runs = _coset_runs(cn.name(*cn.coords(nonzero)) % cn.step, cn.Q - 1, "V")
+    reps = index_digits(nonzero[runs[:: cn.Q - 1]], f.p, f.n)
     products = digits_to_index(_mul_digits(f, reps[:, :, None], reps[:, None, :]), f.p)
     named = np.zeros(cn.step, dtype=bool)
     named[cn.name(*cn.coords(products)) % cn.step] = True
@@ -610,24 +654,45 @@ def distance_set_structured(c, threads: int = 1) -> ElemSet:
     """Distance set of the constructed point set, S - S for S = {v^2 : v in V}.
 
     F*.V = V gives H.S = S for H = (F*)^2, so S minus 0 is a union of
-    H-cosets.  With one member r per coset, plus 0 if 0 is in S,
-    S - S = H.({r} - S): s = h*r gives s - t = h*(r - t/h) with t/h in S,
-    and h*(r - t) = h*r - h*t.  That is (|F|+2)*|S| differences, taken in
-    F-coordinates, instead of |S|^2.  Raises ClaimViolation if S is not
-    H-closed.  threads has no effect; callers may still pass it.
+    H-cosets, and S - S is H times the differences r_a - t of one member
+    r_a per coset a and every t in S.  For t = h*r_b, -1 in H (|F| = 1 mod
+    4) makes r_a - h*r_b = -h*(r_b - r_a/h) share its H-name with r_b -
+    r_a/h, so coset a against the members of coset b names the same cosets
+    as coset b against those of coset a, and only b >= a is taken.  The
+    nonzero squares are sorted by H-name, so each coset is a run
+    (_coset_runs), and the rows are walked in blocks of about _CACHE_BLOCK
+    differences, each taking the columns from its own first coset on
+    (_blocks).  When 0 is in S the names of S itself stand for the zero
+    row and column: s - 0 = s and 0 - t = -t.  That is about
+    (|F|+1)*|S|/2 differences, taken in F-coordinates: 475 440 at (11, 1),
+    against (|F|+2)*|S| = 900 483 for every row against all of S and
+    |S|^2 = 5.4e7 for all pairs.  Raises ClaimViolation if S is
+    not H-closed, and AssertionError if -1 is not in H or the blocks did
+    not take exactly the differences _triangle_pairs gives.  threads has
+    no effect; callers may still pass it.
     """
     cn = coset_names(c.field)
+    Q, size = cn.Q, (cn.Q - 1) // 2
+    if (Q - 1) % 4:
+        raise AssertionError(f"-1 is not a square in the subfield of order {Q}")
     squares = c.V.squares
-    t = cn.coords(squares)
+    nonzero = squares[squares != 0]
+    t = cn.coords(nonzero)
     names = cn.name(*t)
-    nonzero = np.flatnonzero(squares)
-    first = _one_per_coset(names[nonzero], (cn.Q - 1) // 2, "the squares of V")
-    rows = nonzero[first]
-    if squares[0] == 0:
-        rows = np.append(rows, 0)
+    order = _coset_runs(names, size, "the squares of V")
+    t = [u[order] for u in t]
     named = np.zeros(cn.zero + 1, dtype=bool)
+    if squares[0] == 0:
+        named[names] = True
+        named[cn.zero] = True
+    cosets = np.arange(len(nonzero) // size)
     block = max(1, _CACHE_BLOCK // len(squares))
-    for a in range(0, len(rows), block):
-        r = rows[a : a + block, None]
-        named[cn.name(*(cn._sub[u[r] * cn.Q + u] for u in t))] = True
+    done = 0
+    for blk, c0 in _blocks(cosets, block):
+        d = cn.name(*(cn._sub[u[blk * size] * Q + u[c0 * size :]] for u in t))
+        named[d] = True
+        done += d.size
+    want = size * _triangle_pairs(len(cosets), 1, block)
+    if done != want:
+        raise AssertionError(f"structured distance set took {done} of {want} differences")
     return cn.union(named)

@@ -1,11 +1,13 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately slow and simple: plain scalar loops and
-trial division, sharing no code path with the vectorized implementations
-they check.
+trial division, and at most numpy arithmetic on coefficient vectors,
+sharing no code path with the vectorized implementations they check.
 """
 
 from itertools import product as iproduct
+
+import numpy as np
 
 
 def scalar_distance_set(points) -> set:
@@ -29,11 +31,18 @@ def scalar_product_set(elements) -> set:
 
 
 def scalar_square_difference_set(elements) -> set:
-    """{u^2 - v^2} indices by the naive double loop."""
+    """{u^2 - v^2} indices: the distinct squares, then all their differences.
+
+    The squares come from scalar multiplication.  A difference is the
+    coefficient vectors' difference mod p, read as the base-p digits of
+    its index, one square against all the others at a time.
+    """
+    f = elements[0].field
+    squares = np.array(sorted({(u * u).coeffs for u in elements}), dtype=np.int64)
+    weights = f.p ** np.arange(f.n, dtype=np.int64)
     out = set()
-    for u in elements:
-        for v in elements:
-            out.add((u * u - v * v).index)
+    for a in squares:
+        out.update((((a - squares) % f.p) @ weights).tolist())
     return out
 
 

@@ -224,6 +224,7 @@ def test_selftest(capsys):
     assert run(["selftest", "--seed", "1", "--triples", "300"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out and "PASS" in out
+    assert "PASS  coset names = direct naming of every element, GF(3^6) and GF(7^3)" in out
 
 
 def test_help_exits_zero():

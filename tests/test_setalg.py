@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import os
 import random
+import types
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import fqdist
 from fqdist import setalg
-from fqdist.errors import BudgetExceeded, ClaimViolation, FieldMismatch
+from fqdist.errors import BudgetExceeded, ClaimViolation, FieldMismatch, WrongSubfieldDegree
 from fqdist.setalg import ElemSet, Point
 
 import oracles
@@ -173,6 +174,35 @@ def test_coset_names_partition_the_field(p):
     # coords() and name() of arbitrary indices agree with the expansion
     idx = np.array(rng.sample(range(fld.q), 500))
     assert (cn.name(*cn.coords(idx)) == names[idx]).all()
+
+
+# odd m with p = 3, 7, 13 and 3^9 take the non-residue rule, the rest m even
+# or p = 2; 11^6 is the benchmark's field
+@pytest.mark.parametrize("pn", [(3, 3), (7, 3), (13, 3), (3, 9), (3, 6), (5, 6), (7, 6),
+                                (11, 6), (2, 6)], ids=lambda pn: f"{pn[0]}^{pn[1]}")
+def test_coset_names_name_every_element_directly(pn):
+    # CosetNames names a 1/(p-1) share of the rows and copies the rest by
+    # scaling with Z_p*; the direct naming of every index must agree
+    fld = _small_field(*pn)
+    cn = setalg.coset_names(fld)
+    assert len(cn.names) == fld.q
+    for a in range(0, fld.q, 2**18):
+        idx = np.arange(a, min(a + 2**18, fld.q))
+        assert np.array_equal(cn.names[idx], cn.name(*cn.coords(idx)))
+
+
+@pytest.mark.parametrize("pn", [(3, 4), (3, 5), (3, 2), (5, 1)], ids=lambda pn: f"{pn[0]}^{pn[1]}")
+def test_coset_names_refuse_a_degree_not_divisible_by_three(monkeypatch, pn):
+    fld = _small_field(*pn)
+
+    def refuse(*args):
+        raise AssertionError("a table was built")
+
+    for table in ("_inverse_mod", "index_digits", "add_indices"):
+        monkeypatch.setattr(setalg, table, refuse)
+    with pytest.raises(WrongSubfieldDegree):
+        setalg.coset_names(fld)
+    assert fld._cosets is None
 
 
 def test_structured_path_builds_no_field_tables(monkeypatch):
@@ -377,15 +407,68 @@ def test_product_set_budget():
 # --- structured distance set ----------------------------------------------------
 
 
-def test_structured_matches_naive_square_differences(c31):
-    delta = fqdist.distance_set_structured(c31)
-    want = oracles.scalar_square_difference_set(c31.V.elements)
-    assert {i for i in range(c31.q) if delta.has(i)} == want
-    for basis in ((2, 10), (28, 500), (364, 7)):
-        c = dataclasses.replace(c31, V=fqdist.build_subspace(c31.field, c31.subF, basis))
-        delta = fqdist.distance_set_structured(c)
-        want = oracles.scalar_square_difference_set(c.V.elements)
-        assert {i for i in range(c31.q) if delta.has(i)} == want
+_BASES = {
+    3: ("auto", (2, 10), (28, 500), (364, 7)),
+    5: ("auto", (77, 15000), (2, 30), (9000, 41)),
+    7: ("auto", (12345, 999), (2, 50), (100000, 3)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _construction(p: int, r: int):
+    return fqdist.build_construction(p, r)
+
+
+def test_structured_matches_naive_square_differences():
+    # Δ pairs coset a with the cosets b >= a only; every difference of
+    # squares must still be found, on the automatic basis and three others
+    for p in (3, 5, 7):
+        c0 = _construction(p, 1)
+        for basis in _BASES[p]:
+            c = dataclasses.replace(c0, V=fqdist.build_subspace(c0.field, c0.subF, basis))
+            delta = fqdist.distance_set_structured(c)
+            want = oracles.scalar_square_difference_set(c.V.elements)
+            assert set(np.flatnonzero(delta.bits).tolist()) == want
+
+
+@pytest.mark.parametrize("pr", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_coset_runs_start_at_multiples_of_the_coset_size(pr):
+    c = _construction(*pr)
+    cn = setalg.coset_names(c.field)
+    size = (cn.Q - 1) // 2
+    squares = c.V.squares
+    names = cn.name(*cn.coords(squares[squares != 0]))
+    ranked = names[setalg._coset_runs(names, size, "S")]
+    # |F| + 1 runs of |H| = (|F|-1)/2 squares, each of one name, no name twice
+    runs = ranked.reshape(cn.Q + 1, size)
+    assert (runs == runs[:, :1]).all()
+    assert len(set(runs[:, 0].tolist())) == cn.Q + 1
+    # a name met twice as often, or a count not a multiple of size, is refused
+    for bad in (np.concatenate([names, names]), names[1:]):
+        with pytest.raises(ClaimViolation):
+            setalg._coset_runs(bad, size, "S")
+
+
+@pytest.mark.parametrize("pr", [(3, 1), (3, 2)])
+def test_structured_refuses_columns_that_start_one_coset_late(monkeypatch, pr):
+    # at (3, 1) one block holds every coset; at (3, 2) 82 cosets take 5 blocks
+    c = _construction(*pr)
+    blocks = setalg._blocks
+
+    def one_coset_late(rows, block):
+        for blk, c0 in blocks(rows, block):
+            yield blk, c0 + 1
+
+    monkeypatch.setattr(setalg, "_blocks", one_coset_late)
+    with pytest.raises(AssertionError, match="differences"):
+        fqdist.distance_set_structured(c)
+
+
+def test_structured_requires_minus_one_in_h():
+    # GF(3^3) over GF(3): -1 is not a square in F, so the triangle is unsound
+    c = types.SimpleNamespace(field=fqdist.ExtField(3, 3))
+    with pytest.raises(AssertionError, match="-1 is not a square"):
+        fqdist.distance_set_structured(c)
 
 
 @settings(max_examples=15, deadline=None)

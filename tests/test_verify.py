@@ -126,6 +126,34 @@ def test_report_json_schema():
     assert "elapsed_seconds" in d
 
 
+# Outputs frozen since the seed implementation: Δ = VV, so one bitset hash,
+# size and missing element serve both sets, and the digest of the whole
+# report, elapsed time excluded, pins every other field
+_FROZEN = [
+    (3, 1, "both", 441, 28,
+     "6058111bb88ae2b5c11b41509335af0cf338cea8c29f4bf237f25d457dd0b293",
+     "9c2dee57af3ae310927820ce64af76666c1a7365c02afa87838d2f726d23d721"),
+    (3, 2, "structured", 272241, 36,
+     "6f204ddfbba0caa6d4203884758ae3a623972182e07e9994853e8963ac078bdb",
+     "e287b166bca2d7a0ab00182d81705b21d985d124cf78df52e3aa555ef2cf504c"),
+    (11, 1, "structured", 900361, 1331,
+     "54258d81af830e1504958b8792ad6b210870519bfe891b3afac97acb0f35a154",
+     "f45503684fe0141e0150a3ef3492e20c9fe33cdb06c1131a586012ad599eedcd"),
+]
+
+
+@pytest.mark.parametrize("p, r, oracle, size, missing, sha, digest", _FROZEN,
+                         ids=[f"{p}-{r}-{o}" for p, r, o, *_ in _FROZEN])
+def test_frozen_outputs(p, r, oracle, size, missing, sha, digest):
+    d = fqdist.verify_counterexample(p, r, oracle=oracle).to_json_dict()
+    for key in ("delta_set", "vv_set"):
+        assert d[key]["count"] == size
+        assert d[key]["missing_witness"] == missing
+        assert d[key]["sha256_of_bitset"] == sha
+    assert d["missing_distance"] == missing
+    assert fqdist.report_digest(d) == digest
+
+
 def test_report_digest_ignores_elapsed():
     r1 = fqdist.verify_counterexample(3, 1, oracle="structured").to_json_dict()
     r2 = fqdist.verify_counterexample(3, 1, oracle="structured").to_json_dict()
