@@ -268,10 +268,26 @@ def run_selftest(args) -> int:
     fixed = all((ff.frobenius(e, 2) == e) == (e.index in members) for e in gf729.elements())
     checks.append(("subfield = Frobenius fixed set (q=729, m=2)", fixed))
 
+    # BLAS differs between machines, so the exactness of the float64 multiply
+    # kernel is checked where it runs; GF(46337^2) has its largest sums
+    gf343 = ff.ExtField(7, 3)
+    batched = True
+    for fld in (gf729, gf343, ff.ExtField(46337, 2)):
+        top = fld.element([-1] * fld.n)
+        pairs = [(top, top)] + [
+            (fld.from_index(rng.randrange(fld.q)), fld.from_index(rng.randrange(fld.q)))
+            for _ in range(200)
+        ]
+        a, b = (np.array([e.coeffs for e in col]).T for col in zip(*pairs))
+        want = [list((x * y).coeffs) for x, y in pairs]
+        batched = batched and fld.mul_digits(a, b).T.tolist() == want
+    checks.append(("batched multiply = scalar multiply, random pairs, GF(3^6), GF(7^3), "
+                   "GF(46337^2)", batched))
+
     # GF(3^6) keeps every H-name under Z_3* (m = 2); in GF(7^3) (m = 1) the
     # non-residues 3, 5 and 6 move them
     named = True
-    for fld in (gf729, ff.ExtField(7, 3)):
+    for fld in (gf729, gf343):
         cn = setalg.coset_names(fld)
         named = named and np.array_equal(cn.names, cn.name(*cn.coords(np.arange(fld.q))))
     checks.append(("coset names = direct naming of every element, GF(3^6) and GF(7^3)", named))

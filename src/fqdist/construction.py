@@ -55,9 +55,11 @@ def _span_indices(subF, e1, e2):
     distinct, so the enumeration doubles as the independence check.
     """
     f = e1.field
-    a_parts = np.array([(a * e1).index for a in subF.elements], dtype=np.int64)
-    b_parts = np.array([(b * e2).index for b in subF.elements], dtype=np.int64)
-    span = np.unique(add_indices(a_parts[:, None], b_parts, f.p, f.n))
+    F = np.array([a.coeffs for a in subF.elements]).T[:, :, None]
+    basis = np.array([e1.coeffs, e2.coeffs]).T[:, None]
+    # column k of parts holds the indices of F times basis element k
+    parts = ff.digits_to_index(f.mul_digits(F, basis), f.p)
+    span = np.unique(add_indices(parts[:, :1], parts[:, 1], f.p, f.n))
     if len(span) < subF.order**2:
         return None
     span.flags.writeable = False

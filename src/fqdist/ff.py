@@ -2,17 +2,29 @@
 
 Elements are coefficient vectors over Z_p reduced modulo a monic
 irreducible polynomial.  Every context is deterministic: the modulus is
-the lexicographically smallest irreducible of its degree, the generator
-is the lowest-index element of full multiplicative order, and the
-canonical index of an element is the base-p value of its coefficient
-vector.  That index addresses the bitsets used throughout the package.
+the lexicographically smallest irreducible of its degree (Ben-Or's test
+decides each candidate), the generator is the lowest-index element of
+full multiplicative order, and the canonical index of an element is the
+base-p value of its coefficient vector.  That index addresses the bitsets
+used throughout the package.
+
+FieldElem is the scalar API.  Bulk work takes base-p digit planes, one
+plane per coefficient, and multiplies them with one exact kernel
+(ExtField.mul_digits): the field's structure tensor times the outer
+products of the digits, in float64 through BLAS, where every sum is an
+integer below 2^53.  Powers with one exponent per lane (pow_digits) drive
+the field set-up: the generator search, the subfield and the square root
+of -1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
+    BudgetExceeded,
     FieldMismatch,
     InvalidInput,
     NoSqrtMinusOne,
@@ -23,6 +35,18 @@ from .errors import (
 )
 
 MAX_FIELD_ORDER = 2**31
+
+# lanes per float64 block of the multiply kernel: its n^2 outer products
+# take n^2 * 4 KB, 590 KB at n = 12, so only one block is converted at a time
+_LANES = 512
+
+# the generator search tests candidates in blocks that start at 16 and
+# double up to this many
+_GENERATOR_BLOCK_MAX = 1024
+
+# the largest subfield locate_subfield enumerates; the family needs at most
+# q^(1/3) <= 1290 elements
+MAX_SUBFIELD_ORDER = 2**20
 
 
 def is_prime(n: int) -> bool:
@@ -130,11 +154,13 @@ def _ppowmod(f, e, mod, p):
 
 
 def is_irreducible(f, p: int) -> bool:
-    """Irreducibility of a monic polynomial over Z_p.
+    """Irreducibility of a monic polynomial over Z_p, by Ben-Or's test.
 
-    Uses the Frobenius-power criterion: f of degree d is irreducible iff
-    x^(p^d) = x (mod f) and gcd(x^(p^(d/l)) - x, f) = 1 for every prime
-    l dividing d.
+    f of degree d is irreducible iff gcd(f, x^(p^i) - x) = 1 for i = 1 ..
+    d//2: a factor of degree i would divide x^(p^i) - x.  The test stops
+    at the first nontrivial gcd, so most reducible candidates take one or
+    two Frobenius steps (M. Ben-Or, Probabilistic algorithms in finite
+    fields, FOCS 1981).
     """
     f = _ptrim([c % p for c in f])
     d = _pdeg(f)
@@ -143,19 +169,10 @@ def is_irreducible(f, p: int) -> bool:
     if f[-1] != 1:
         raise ValueError("polynomial must be monic")
     x = [0, 1]
-    xr = _pdivmod(x, f, p)[1]
-    frob = xr
-    frob_at = {}
-    needed = {d // l for l in prime_factors(d)}
-    for j in range(1, d + 1):
+    frob = x
+    for _ in range(d // 2):
         frob = _ppowmod(frob, p, f, p)
-        if j in needed:
-            frob_at[j] = frob
-    if frob != xr:
-        return False
-    for k in needed:
-        g = _pgcd(_psub(frob_at[k], x, p), f, p)
-        if _pdeg(g) != 0:
+        if _pdeg(_pgcd(_psub(frob, x, p), f, p)) != 0:
             return False
     return True
 
@@ -166,6 +183,31 @@ def _digits(t: int, p: int, n: int) -> list[int]:
         t, rem = divmod(t, p)
         out.append(rem)
     return out
+
+
+def digits_to_index(ds, p: int) -> np.ndarray:
+    """Canonical indices of reduced base-p digit planes, least significant first.
+
+    ds has shape (n,) + shape; plane k holds coefficient k.
+    """
+    out = ds[-1].astype(np.int64)
+    for d in ds[-2::-1]:
+        out *= p
+        out += d
+    return out
+
+
+def _digits_of(idx, p: int, n: int):
+    """The base-p digits of canonical indices, least significant first."""
+    rest = np.asarray(idx, dtype=np.int64)
+    for _ in range(n):
+        rest, d = np.divmod(rest, p)
+        yield d
+
+
+def index_digits(idx, p: int, n: int) -> np.ndarray:
+    """Base-p digit planes of canonical indices; the inverse of digits_to_index."""
+    return np.stack(list(_digits_of(idx, p, n)))
 
 
 def find_irreducible(p: int, n: int) -> list[int]:
@@ -194,7 +236,7 @@ class ExtField:
     Immutable after construction; all operations are pure.
     """
 
-    __slots__ = ("p", "n", "q", "modulus", "key", "_red", "_tables", "_cosets",
+    __slots__ = ("p", "n", "q", "modulus", "key", "_red", "_T", "_tables", "_cosets",
                  "_gen_coeffs")
 
     def __init__(self, p: int, n: int = 1, modulus=None, generator_index=None):
@@ -223,6 +265,7 @@ class ExtField:
         self.modulus = tuple(modulus)
         self.key = (p, n, self.modulus)
         self._red = self._reduction_rows()
+        self._T = _structure_tensor(p, n, self._red) if n > 1 else None
         self._tables = None
         self._cosets = None
         if generator_index is None:
@@ -252,6 +295,60 @@ class ExtField:
                 r = [(r[t] + top * base[t]) % p for t in range(n)]
             rows.append(tuple(r))
         return rows
+
+    # -- digit-plane arithmetic (bulk)
+
+    def mul_digits(self, a, b) -> np.ndarray:
+        """Digit planes of the products of the elements with digit planes a and b.
+
+        a and b have shape (n,) + s and broadcast over s; the result is
+        int64 of shape (n,) + s.  For n > 1 each block of _LANES lanes takes
+        the n^2 products a_i*b_j in float64 and multiplies them by the
+        structure tensor: every sum is at most n^2 (p-1)^3 < 2^53, so it is
+        exact, and is reduced mod p in int64.  For n = 1 the one product is
+        below (p-1)^2 < 2^62 and is taken in int64.
+        """
+        p, n = self.p, self.n
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        if n == 1:
+            return a * b % p
+        shape = a.shape[1:] if a.shape == b.shape else np.broadcast(a[0], b[0]).shape
+        a, b = _lanes(a, shape), _lanes(b, shape)
+        out = np.empty(a.shape, dtype=np.int64)
+        for s in range(0, out.shape[1], _LANES):
+            fa = a[:, s : s + _LANES].astype(np.float64)
+            fb = b[:, s : s + _LANES].astype(np.float64)
+            outer = (fa[:, None] * fb[None, :]).reshape(n * n, -1)
+            out[:, s : s + _LANES] = self._T @ outer
+        out %= p
+        return out.reshape((n,) + shape)
+
+    def pow_digits(self, a, e) -> np.ndarray:
+        """Digit planes of a^e by square and multiply, each lane with its own e >= 0.
+
+        a has shape (n,) + s and e a shape that broadcasts with s; the base
+        is squared at its own shape, so lanes that share a base share its
+        squares.
+        """
+        e = np.asarray(e, dtype=np.int64)
+        base = np.asarray(a, dtype=np.int64)
+        out = np.zeros((self.n,) + np.broadcast(base[0], e).shape, dtype=np.int64)
+        out[0] = 1
+        started = False  # until a lane's lowest set bit, every lane holds 1
+        for k in range(int(e.max(initial=0)).bit_length()):
+            if k:
+                base = self.mul_digits(base, base)
+            bit = (e >> k) & 1 == 1
+            if bit.any():
+                out = np.where(bit, self.mul_digits(out, base) if started else base, out)
+                started = True
+        return out
+
+    def generator_power(self, e) -> np.ndarray:
+        """Digit planes of g^e for the generator g, one column per exponent in e."""
+        e = np.atleast_1d(e)
+        return self.pow_digits(np.reshape(self._gen_coeffs, (self.n, 1)), e)
 
     # -- element constructors
 
@@ -369,6 +466,29 @@ class ExtField:
         return f"ExtField(p={self.p}, n={self.n}, q={self.q})"
 
 
+def _lanes(x: np.ndarray, shape) -> np.ndarray:
+    """The planes x broadcast to (n,) + shape, flattened to (n, lanes)."""
+    if x.shape[1:] != shape:
+        full = np.empty(x.shape[:1] + shape, dtype=x.dtype)
+        full[...] = x
+        x = full
+    return x.reshape(len(x), -1)
+
+
+def _structure_tensor(p: int, n: int, red) -> np.ndarray:
+    """T[t, i*n + j] = coefficient t of x^(i+j) mod the modulus, as float64.
+
+    red holds the rows x^n .. x^(2n-2) mod the modulus.  The multiply
+    kernel sums n^2 products of a coefficient and two digits, each at most
+    p - 1, so it is exact only while n^2 (p-1)^3 < 2^53; under
+    MAX_FIELD_ORDER the largest such sum is 3.98e14, at GF(46337^2).
+    """
+    if n * n * (p - 1) ** 3 >= 2**53:
+        raise AssertionError(f"GF({p}^{n}) products overflow the float64 multiply kernel")
+    powers = np.vstack([np.eye(n), np.reshape(red, (-1, n))])
+    return powers[np.add.outer(np.arange(n), np.arange(n)).ravel()].T.copy()
+
+
 class FieldElem:
     """One element of an ExtField, stored as a reduced coefficient vector."""
 
@@ -471,25 +591,46 @@ def make_prime_field(p: int) -> ExtField:
     return ExtField(p, 1)
 
 
+def _cofactors(q: int) -> np.ndarray:
+    """(q-1)/l for the distinct primes l dividing q - 1."""
+    return np.array([(q - 1) // l for l in prime_factors(q - 1)], dtype=np.int64)
+
+
+def _full_order(field: ExtField, idx, cofactors) -> np.ndarray:
+    """Whether each nonzero element idx has order q - 1: no a^((q-1)/l) is 1.
+
+    One lane per element and cofactor, all raised in one pow_digits call.
+    """
+    digits = index_digits(idx, field.p, field.n)
+    powers = field.pow_digits(digits[..., None], cofactors)
+    is_one = (powers[0] == 1) & ~powers[1:].any(axis=0)
+    return ~is_one.any(axis=-1)
+
+
 def _has_full_order(e: FieldElem) -> bool:
-    q = e.field.q
-    one = e.field.one
     if not e:
         return False
-    if e ** (q - 1) != one:
-        return False
-    return all(e ** ((q - 1) // l) != one for l in prime_factors(q - 1))
+    f = e.field
+    return bool(_full_order(f, [e.index], _cofactors(f.q))[0])
 
 
 def find_generator(field: ExtField) -> FieldElem:
-    """Lowest-index element whose multiplicative order is q - 1."""
-    q = field.q
-    cofactors = [(q - 1) // l for l in prime_factors(q - 1)]
-    one = field.one
-    for idx in range(1, q):
-        e = field.from_index(idx)
-        if all(e**c != one for c in cofactors):
-            return e
+    """Lowest-index element whose multiplicative order is q - 1.
+
+    Candidates are tested in index order, in blocks of 16 that double up
+    to _GENERATOR_BLOCK_MAX.  For n > 1 the indices below p are skipped:
+    they are Z_p, whose orders divide p - 1 < q - 1.
+    """
+    p, q = field.p, field.q
+    cofactors = _cofactors(q)
+    start, size = (p if field.n > 1 else 1), 16
+    while start < q:
+        idx = np.arange(start, min(start + size, q))
+        full = _full_order(field, idx, cofactors)
+        if full.any():
+            return field.from_index(int(idx[np.argmax(full)]))
+        start += size
+        size = min(2 * size, _GENERATOR_BLOCK_MAX)
     raise AssertionError("unreachable: every finite field is cyclic")
 
 
@@ -507,26 +648,31 @@ class SubfieldHandle:
 
 
 def locate_subfield(field: ExtField, m: int) -> SubfieldHandle:
-    """Locate the order-p^m subfield as generator powers of stride step."""
+    """Locate the order-p^m subfield as generator powers of stride step.
+
+    The powers of gamma = g^step are taken by doubling: the first k
+    powers times gamma^k are the next k.  Raises BudgetExceeded, before
+    anything is computed, for a subfield above MAX_SUBFIELD_ORDER elements.
+    """
     if m < 1 or field.n % m != 0:
         raise NotADivisor(m, field.n)
     order = field.p**m
+    if order > MAX_SUBFIELD_ORDER:
+        raise BudgetExceeded("subfield elements", order, MAX_SUBFIELD_ORDER)
     step = (field.q - 1) // (order - 1)
-    s = field.generator**step
-    elems = [field.zero, field.one]
-    cur = field.one
-    for _ in range(order - 2):
-        cur = cur * s
-        elems.append(cur)
-    idxs = sorted(e.index for e in elems)
-    if len(set(idxs)) != order:
+    gamma_k = field.generator_power(step)
+    powers = np.eye(field.n, 1, dtype=np.int64)
+    while powers.shape[1] < order - 1:
+        powers = np.concatenate([powers, field.mul_digits(powers, gamma_k)], axis=1)
+        gamma_k = field.mul_digits(gamma_k, gamma_k)
+    powers = powers[:, : order - 1]
+    idx = digits_to_index(powers, field.p)
+    rank = np.argsort(idx)
+    if (np.diff(idx[rank]) == 0).any():
         raise AssertionError("subfield enumeration produced duplicates")
-    return SubfieldHandle(
-        m=m,
-        order=order,
-        step=step,
-        elements=tuple(field.from_index(i) for i in idxs),
-    )
+    # zero has the lowest index, and no power of gamma is zero
+    nonzero = tuple(FieldElem(field, tuple(c)) for c in powers[:, rank].T.tolist())
+    return SubfieldHandle(m=m, order=order, step=step, elements=(field.zero,) + nonzero)
 
 
 def frobenius(a: FieldElem, m: int) -> FieldElem:
@@ -545,9 +691,8 @@ def sqrt_minus_one(field: ExtField) -> FieldElem:
     q = field.q
     if (q - 1) % 4 != 0:
         raise NoSqrtMinusOne(q)
-    c = field.generator ** ((q - 1) // 4)
-    d = -c
-    i = c if c.index < d.index else d
+    c = field.generator_power((q - 1) // 4)
+    i = field.from_index(int(digits_to_index(np.hstack([c, -c % field.p]), field.p).min()))
     if i * i != -field.one:
         raise AssertionError("generator order is inconsistent")
     return i

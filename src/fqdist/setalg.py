@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, ClaimViolation, FieldMismatch, WrongSubfieldDegree
+from .ff import _digits_of, digits_to_index, index_digits
 
 DEFAULT_PAIR_BUDGET = 10**9
 
@@ -136,31 +137,6 @@ def distance(a: Point, b: Point):
 # vectorized index-space arithmetic
 
 
-def digits_to_index(ds, p: int) -> np.ndarray:
-    """Canonical indices of reduced base-p digit planes, least significant first.
-
-    ds has shape (n,) + shape; plane k holds coefficient k.
-    """
-    out = ds[-1].astype(np.int64)
-    for d in ds[-2::-1]:
-        out *= p
-        out += d
-    return out
-
-
-def _digits_of(idx, p: int, n: int):
-    """The base-p digits of canonical indices, least significant first."""
-    rest = np.asarray(idx, dtype=np.int64)
-    for _ in range(n):
-        rest, d = np.divmod(rest, p)
-        yield d
-
-
-def index_digits(idx, p: int, n: int) -> np.ndarray:
-    """Base-p digit planes of canonical indices; the inverse of digits_to_index."""
-    return np.stack(list(_digits_of(idx, p, n)))
-
-
 def _carries(a, b, p: int, n: int, borrow: bool):
     """Sum of p^(k+1) over the digit positions k where a + b carries (a - b borrows).
 
@@ -193,8 +169,8 @@ def sub_indices(a, b, p: int, n: int) -> np.ndarray:
 class FieldTables:
     """Per-field tables for the brute-force pass, addressed by canonical index.
 
-    sq holds the square of every element, computed by vectorized
-    polynomial squaring in blocks; brute force reads it to take norms.
+    sq holds the square of every element, computed by the field's multiply
+    kernel in blocks; brute force reads it to take norms.
     pair_tables() adds q x q difference tables for small q.  The structured
     sets do not use these tables: they name cosets through CosetNames.
     """
@@ -210,7 +186,7 @@ class FieldTables:
         chunk = max(1, _CACHE_BLOCK // n)
         for a in range(0, q, chunk):
             d = index_digits(np.arange(a, min(a + chunk, q)), p, n)
-            sq[a : a + chunk] = digits_to_index(_mul_digits(field, d, d), p)
+            sq[a : a + chunk] = digits_to_index(field.mul_digits(d, d), p)
         self._pair = None
 
     def pair_tables(self):
@@ -234,34 +210,11 @@ class FieldTables:
         return self._pair
 
 
-def _mul_digits(field, a, b) -> np.ndarray:
-    """Digit planes of the products of the elements with digit planes a and b.
-
-    a and b have shape (n,) + s and broadcast over s.  The schoolbook
-    product has 2n-1 coefficients; those of x^n .. x^(2n-2) are folded back
-    through field._red.  Every sum fits int64: n >= 2 forces p < 2^16, and
-    for n = 1 the one product is below (p-1)^2 < 2^62.
-    """
-    p, n = field.p, field.n
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
-    conv = np.zeros((2 * n - 1,) + shape, dtype=np.int64)
-    for i in range(n):
-        conv[i : i + n] += a[i] * b
-    conv %= p
-    out = conv[:n]
-    for k, row in enumerate(field._red[: n - 1]):
-        out += np.reshape(row, (n,) + (1,) * len(shape)) * conv[n + k]
-    out %= p
-    return out
-
-
 def square_indices(V) -> np.ndarray:
     """S = {v^2 : v in V} as sorted distinct canonical indices."""
     f = V.field
     d = index_digits(V.indices, f.p, f.n)
-    return np.unique(digits_to_index(_mul_digits(f, d, d), f.p))
+    return np.unique(digits_to_index(f.mul_digits(d, d), f.p))
 
 
 def _inverse_mod(rows, p: int) -> list:
@@ -333,10 +286,11 @@ class CosetNames:
         self.step = step = (q - 1) // (Q - 1)
         self.zero = 2 * step
         dtype = np.min_scalar_type(self.zero)
-        gamma = field.generator**step
-        x = field.root
-        basis = [(gamma**i * x**j).coeffs for j in range(3) for i in range(m)]
-        inv = np.array(_inverse_mod(list(zip(*basis)), p), dtype=np.int64)
+        # prods[:, j, i] is gamma^i x^j for i <= m; x^j is the unit digit plane j
+        prods = field.mul_digits(np.eye(n, 3, dtype=np.int64)[:, :, None],
+                                 field.generator_power(step * np.arange(m + 1))[:, None, :])
+        inv = np.array(_inverse_mod(prods[:, :, :m].reshape(n, 3 * m).tolist(), p),
+                       dtype=np.int64)
 
         def codes(k, cols):
             # the three F-codes of the indices [0, p^k) read as the digits in
@@ -355,7 +309,7 @@ class CosetNames:
         fq = np.arange(Q)
         self._add = add_indices(fq[:, None], fq, p, m).ravel()
         self._sub = sub_indices(fq[:, None], fq, p, m).ravel()
-        top = inv @ np.array((gamma**m).coeffs) % p
+        top = inv @ prods[:, 0, m] % p
         exp, v = [], [1] + [0] * (m - 1)
         for _ in range(Q - 1):
             exp.append(sum(c * p**i for i, c in enumerate(v)))
@@ -643,7 +597,7 @@ def product_set(V, budget: int = DEFAULT_PAIR_BUDGET, threads: int = 1) -> ElemS
     nonzero = idx[idx != 0]
     runs = _coset_runs(cn.name(*cn.coords(nonzero)) % cn.step, cn.Q - 1, "V")
     reps = index_digits(nonzero[runs[:: cn.Q - 1]], f.p, f.n)
-    products = digits_to_index(_mul_digits(f, reps[:, :, None], reps[:, None, :]), f.p)
+    products = digits_to_index(f.mul_digits(reps[:, :, None], reps[:, None, :]), f.p)
     named = np.zeros(cn.step, dtype=bool)
     named[cn.name(*cn.coords(products)) % cn.step] = True
     # an F*-coset is the union of its two H-cosets, step apart

@@ -126,10 +126,12 @@ def verify_counterexample(
     set whenever that oracle runs, and misses a rechecked concrete element
     of F_q.  Raises ClaimViolation if anything fails.
 
-    Brute force takes |E|^2 ordered pairs over |E| materialized points.
-    "auto" runs it when the pairs fit pair_budget and the points fit
-    construction.DEFAULT_ENUM_BUDGET; "both" raises BudgetExceeded when the
-    pairs do not fit.  Either is decided before any set is computed.
+    Brute force takes each unordered pair of the |E| materialized points
+    once, about |E|^2/2 pairs, but its budget is still checked on the |E|^2
+    ordered pairs.  "auto" runs it when those fit pair_budget and the
+    points fit construction.DEFAULT_ENUM_BUDGET; "both" raises
+    BudgetExceeded when they do not fit.  Either is decided before any set
+    is computed.
     """
     if oracle not in ("auto", "both", "structured"):
         raise ValueError(f"unknown oracle mode {oracle!r}")

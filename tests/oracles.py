@@ -59,6 +59,27 @@ def element_order(e) -> int:
     return k
 
 
+def scalar_subfield(field, m) -> list:
+    """Sorted indices of the order-p^m subfield: 0 and the powers of g^step.
+
+    The powers are stepped one scalar product at a time, until they return to 1.
+    """
+    order = field.p**m
+    gamma = field.generator ** ((field.q - 1) // (order - 1))
+    out, cur = [0], field.one
+    for _ in range(order - 1):
+        out.append(cur.index)
+        cur = cur * gamma
+    if cur != field.one:
+        raise AssertionError("g^step does not have order p^m - 1")
+    return sorted(out)
+
+
+def scalar_span(sub_elements, e1, e2) -> list:
+    """Sorted distinct indices of a*e1 + b*e2 over all a, b in sub_elements."""
+    return sorted({(a * e1 + b * e2).index for a in sub_elements for b in sub_elements})
+
+
 def poly_divides(g, f, p) -> bool:
     """Long division over Z_p, written from scratch; coefficients low-first."""
     rem = [c % p for c in f]

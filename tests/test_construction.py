@@ -16,6 +16,8 @@ from fqdist.errors import (
     WrongSubfieldDegree,
 )
 
+import oracles
+
 
 def test_subspace_sizes(c31):
     assert c31.subF.order == 9
@@ -28,6 +30,16 @@ def test_subspace_sizes(c31):
     e1, e2 = c31.V.basis
     F = c31.subF.elements
     assert set(idx.tolist()) == {(a * e1 + b * e2).index for a in F for b in F}
+
+
+@pytest.mark.parametrize("p, n, basis", [(3, 6, "auto"), (11, 6, "auto"), (3, 12, "auto"),
+                                         (3, 6, (5, 17)), (11, 6, (77, 15000)),
+                                         (3, 12, (12345, 999))])
+def test_subspace_matches_scalar_span(p, n, basis):
+    f = fqdist.ExtField(p, n)
+    V = fqdist.build_subspace(f, fqdist.locate_subfield(f, n // 3), basis)
+    F = [f.from_index(i) for i in oracles.scalar_subfield(f, n // 3)]
+    assert V.indices.tolist() == oracles.scalar_span(F, *V.basis)
 
 
 def test_subspace_closed_under_add_and_neg(c31):

@@ -2,11 +2,13 @@
 
 import random
 
+import numpy as np
 import pytest
 
 import fqdist
 from fqdist import ff
 from fqdist.errors import (
+    BudgetExceeded,
     FieldMismatch,
     NoSqrtMinusOne,
     NotADivisor,
@@ -84,9 +86,9 @@ def test_is_irreducible_examples():
 def test_is_irreducible_agrees_with_trial_division():
     # exhaustive on the small configurations, seeded samples above that
     rng = random.Random(20240811)
-    for p, d in [(2, 4), (2, 8), (3, 4), (5, 3), (7, 2)]:
+    for p, d in [(2, 4), (2, 8), (3, 4), (5, 3), (7, 2), (3, 6), (5, 4), (7, 3), (11, 2), (2, 10)]:
         total = p**d
-        if total <= 729:
+        if total <= 1024:
             ts = range(total)
         else:
             ts = (rng.randrange(total) for _ in range(400))
@@ -100,6 +102,81 @@ def test_is_irreducible_rejects_non_monic_and_constants():
         fqdist.is_irreducible([1, 2], 3)
     with pytest.raises(ValueError):
         fqdist.is_irreducible([1], 3)
+
+
+# --- set-up outputs ---------------------------------------------------------
+
+
+# (modulus low-first, generator index) as the scalar set-up found them
+_PINNED_SETUPS = [
+    (3, 6, [2, 1, 0, 0, 0, 0, 1], 3),
+    (11, 6, [2, 1, 0, 0, 0, 0, 1], 12),
+    (3, 12, [2, 0, 1] + [0] * 9 + [1], 14),
+    (5, 6, [2, 1, 0, 0, 0, 0, 1], 5),
+    (7, 6, [2, 0, 0, 0, 0, 0, 1], 8),
+    (13, 6, [2, 0, 0, 0, 0, 0, 1], 182),
+    (5, 12, [4, 1] + [0] * 10 + [1], 7),
+    (3, 18, [1, 2, 0, 1] + [0] * 14 + [1], 4),
+    (31, 6, [5, 0, 0, 0, 0, 0, 1], 34),
+    (1289, 3, [1, 1, 0, 1], 1296),
+    (46337, 2, [3, 0, 1], 46344),
+]
+
+
+@pytest.mark.parametrize("p, n, modulus, generator", _PINNED_SETUPS,
+                         ids=[f"{p}^{n}" for p, n, _, _ in _PINNED_SETUPS])
+def test_setup_outputs_are_pinned(p, n, modulus, generator):
+    f = fqdist.ExtField(p, n)
+    assert list(f.modulus) == modulus
+    assert f.generator.index == generator
+    # an explicit index takes the same full-order test: the generator passes
+    # it, and the index below it, which the search rejected, fails it
+    explicit = fqdist.ExtField(p, n, modulus=modulus, generator_index=generator)
+    assert explicit.generator.index == generator
+    with pytest.raises(fqdist.InvalidInput):
+        fqdist.ExtField(p, n, modulus=modulus, generator_index=generator - 1)
+
+
+@pytest.mark.parametrize("p, n, m", [(3, 6, 1), (3, 6, 2), (3, 6, 3), (3, 6, 6), (11, 6, 2),
+                                     (3, 12, 4)])
+def test_subfield_matches_scalar_powers(p, n, m):
+    f = fqdist.ExtField(p, n)
+    sub = fqdist.locate_subfield(f, m)
+    assert [e.index for e in sub.elements] == oracles.scalar_subfield(f, m)
+
+
+# GF(46337^2) has the largest sums the float64 kernel takes under the size
+# guard; GF(2^31 - 1) takes the int64 route
+@pytest.mark.parametrize("p, n", [(46337, 2), (1289, 3), (3, 19), (2, 31), (31, 6),
+                                  (2**31 - 1, 1)])
+def test_multiply_kernel_matches_scalar_products(p, n):
+    f = fqdist.ExtField(p, n)
+    rng = random.Random(p + n)
+    top = (p - 1,) * n
+    pairs = [(top, top)] + [
+        (tuple(rng.randrange(p) for _ in range(n)), tuple(rng.randrange(p) for _ in range(n)))
+        for _ in range(300)
+    ]
+    a, b = (np.array(col).T for col in zip(*pairs))
+    assert f.mul_digits(a, b).T.tolist() == [list(f._mul(x, y)) for x, y in pairs]
+    # one operand broadcast against all lanes
+    assert f.mul_digits(a[:, :1], b).T.tolist() == [list(f._mul(top, y)) for _, y in pairs]
+
+
+def test_multiply_kernel_refuses_sums_beyond_float64():
+    # n^2 (p-1)^3 = 3.98e14 at GF(46337^2) fits 2^53; p = 2^31 - 1 with n = 2 does not
+    assert ff._structure_tensor(46337, 2, [(3, 0)]).shape == (2, 4)
+    with pytest.raises(AssertionError, match="overflow"):
+        ff._structure_tensor(2**31 - 1, 2, [(3, 0)])
+
+
+def test_pow_digits_gives_each_lane_its_own_exponent(gf729):
+    rng = random.Random(3)
+    elems = [gf729.from_index(rng.randrange(gf729.q)) for _ in range(20)] + [gf729.zero]
+    exps = [rng.randrange(3 * gf729.q) for _ in elems[:-1]] + [0]
+    base = np.array([e.coeffs for e in elems]).T
+    got = gf729.pow_digits(base, exps)
+    assert got.T.tolist() == [list((e**k).coeffs) for e, k in zip(elems, exps)]
 
 
 # --- arithmetic -------------------------------------------------------------
@@ -194,6 +271,20 @@ def test_subfield_improper_and_prime(gf9):
     assert len({e.index for e in whole.elements}) == 9
     prime = fqdist.locate_subfield(gf9, 1)
     assert sorted(e.index for e in prime.elements) == [0, 1, 2]
+
+
+def test_subfield_above_the_bound_is_refused_before_any_work(monkeypatch):
+    f = fqdist.ExtField(2, 30)
+
+    def refuse(*args):
+        raise AssertionError("the subfield was computed")
+
+    for method in ("mul_digits", "pow_digits"):
+        monkeypatch.setattr(ff.ExtField, method, refuse)
+    with pytest.raises(BudgetExceeded):
+        fqdist.locate_subfield(f, 30)
+    # the family's subfields have q^(1/3) <= 1290 elements
+    assert 2**30 > ff.MAX_SUBFIELD_ORDER >= 1290
 
 
 def test_subfield_not_a_divisor(gf729):
