@@ -9,6 +9,7 @@ is available through the subspace structure.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
@@ -16,7 +17,8 @@ import numpy as np
 
 from . import ff, setalg
 from .errors import BudgetExceeded, DependentBasis, InvalidInput, WrongSubfieldDegree
-from .setalg import Point, add_indices
+from .ff import add_indices
+from .setalg import Point
 
 # largest point count enumerate_E will materialize by default
 DEFAULT_ENUM_BUDGET = 2**26
@@ -49,19 +51,23 @@ class Subspace:
 
 
 def _span_indices(subF, e1, e2):
-    """Sorted indices of {a*e1 + b*e2 : a, b in F}, or None on a dependent pair.
+    """Sorted indices of {a*e1 + b*e2 : a, b in F}; DependentBasis on a dependent pair.
 
     The pair is F-independent exactly when all |F|^2 combinations are
-    distinct, so the enumeration doubles as the independence check.
+    distinct, so the enumeration doubles as the independence check.  The
+    sums are taken in row blocks of at most _CACHE_BLOCK.
     """
-    f = e1.field
-    F = np.array([a.coeffs for a in subF.elements]).T[:, :, None]
-    basis = np.array([e1.coeffs, e2.coeffs]).T[:, None]
+    f, F = e1.field, subF.indices
     # column k of parts holds the indices of F times basis element k
-    parts = ff.digits_to_index(f.mul_digits(F, basis), f.p)
-    span = np.unique(add_indices(parts[:, :1], parts[:, 1], f.p, f.n))
-    if len(span) < subF.order**2:
-        return None
+    parts = f.mul(F[:, None], [e1.index, e2.index])
+    span = np.empty((len(F), len(F)), dtype=np.int64)
+    block = max(1, setalg._CACHE_BLOCK // len(F))
+    for a in range(0, len(F), block):
+        span[a : a + block] = add_indices(parts[a : a + block, :1], parts[:, 1], f.p, f.n)
+    span = span.ravel()
+    span.sort()
+    if (span[1:] == span[:-1]).any():
+        raise DependentBasis(e1.index, e2.index)
     span.flags.writeable = False
     return span
 
@@ -69,25 +75,19 @@ def _span_indices(subF, e1, e2):
 def build_subspace(field: ff.ExtField, subF: ff.SubfieldHandle, basis="auto") -> Subspace:
     """Span two F-independent elements of F_q, enumerating all members.
 
-    basis is either "auto" (the pair (1, x) with x the modulus root) or an
-    explicit pair of canonical indices.
+    basis is either "auto", the indices (1, p) of 1 and the modulus root x,
+    or an explicit pair of canonical indices; anything else raises
+    InvalidInput.  x has degree n = 3m over Z_p, so it lies outside F and
+    (1, x) is always F-independent.
     """
     if field.n % 3 != 0 or subF.m != field.n // 3:
         raise WrongSubfieldDegree(subF.m, field.n)
-    if basis == "auto":
-        # x has degree n = 3m over Z_p, so it lies outside F and (1, x) is
-        # always F-independent
-        e1, e2 = field.one, field.root
-        span = _span_indices(subF, e1, e2)
-        if span is None:
-            raise AssertionError("the pair (1, x) is F-dependent")
-    else:
-        i1, i2 = basis
-        e1, e2 = field.from_index(i1), field.from_index(i2)
-        span = _span_indices(subF, e1, e2)
-        if span is None:
-            raise DependentBasis(i1, i2)
-    return Subspace(field=field, subfield=subF, basis=(e1, e2), indices=span)
+    try:
+        i1, i2 = (1, field.p) if basis == "auto" else (operator.index(i) for i in basis)
+    except (TypeError, ValueError):
+        raise InvalidInput(f"basis must be two element indices, not {basis!r}") from None
+    e1, e2 = field.from_index(i1), field.from_index(i2)
+    return Subspace(field=field, subfield=subF, basis=(e1, e2), indices=_span_indices(subF, e1, e2))
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ class Construction:
         if i * i != -field.one:
             raise InvalidInput("i_index does not square to -1")
         subF = ff.locate_subfield(field, d["subfield_m"])
-        V = build_subspace(field, subF, tuple(d["basis"]))
+        V = build_subspace(field, subF, d["basis"])
         return cls(p=p, r=r, field=field, subF=subF, i=i, V=V)
 
 

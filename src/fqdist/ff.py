@@ -8,18 +8,18 @@ full multiplicative order, and the canonical index of an element is the
 base-p value of its coefficient vector.  That index addresses the bitsets
 used throughout the package.
 
-FieldElem is the scalar API.  Bulk work takes base-p digit planes, one
-plane per coefficient, and multiplies them with one exact kernel
-(ExtField.mul_digits): the field's structure tensor times the outer
-products of the digits, in float64 through BLAS, where every sum is an
-integer below 2^53.  Powers with one exponent per lane (pow_digits) drive
-the field set-up: the generator search, the subfield and the square root
-of -1.
+FieldElem is the scalar API.  Bulk work takes int64 arrays of canonical
+indices: add_indices and sub_indices carry base-p digits, and ExtField.mul
+converts blocks of indices to digit planes for one exact kernel, the
+field's structure tensor times the outer products of the digits in float64
+through BLAS, where every sum is an integer below 2^53.  Only this module
+multiplies digit planes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,9 +36,14 @@ from .errors import (
 
 MAX_FIELD_ORDER = 2**31
 
-# lanes per float64 block of the multiply kernel: its n^2 outer products
-# take n^2 * 4 KB, 590 KB at n = 12, so only one block is converted at a time
+# lanes per call of the multiply kernel, for two reasons: its n^2 float64
+# outer products take n^2 * 4 KB, 590 KB at n = 12, and stay in cache; and
+# with OpenBLAS 0.3.31, T @ outer at n = 12 took about 6 ns per multiply-add
+# at 768 or 1024 lanes, against 0.05 ns at 512
 _LANES = 512
+
+# lanes ExtField.mul converts to digit planes at once, _LANES per kernel call
+_DIGIT_BLOCK = 8 * _LANES
 
 # the generator search tests candidates in blocks that start at 16 and
 # double up to this many
@@ -201,13 +206,53 @@ def _digits_of(idx, p: int, n: int):
     """The base-p digits of canonical indices, least significant first."""
     rest = np.asarray(idx, dtype=np.int64)
     for _ in range(n):
-        rest, d = np.divmod(rest, p)
-        yield d
+        # a floor division and a multiply-subtract take about half the time of np.divmod
+        high = rest // p
+        yield rest - high * p
+        rest = high
 
 
 def index_digits(idx, p: int, n: int) -> np.ndarray:
     """Base-p digit planes of canonical indices; the inverse of digits_to_index."""
     return np.stack(list(_digits_of(idx, p, n)))
+
+
+def _carries(a, b, p: int, n: int, borrow: bool):
+    """Sum of p^(k+1) over the digit positions k where a + b carries (a - b borrows).
+
+    Digits are taken one position at a time, so the temporaries have the
+    broadcast shape of a and b, never n times it.
+    """
+    out = 0
+    for k, (da, db) in enumerate(zip(_digits_of(a, p, n), _digits_of(b, p, n))):
+        out = out + p ** (k + 1) * (da < db if borrow else da + db >= p)
+    return out
+
+
+def add_indices(a, b, p: int, n: int) -> np.ndarray:
+    """Canonical indices of the sums a + b in GF(p^n); a and b broadcast.
+
+    Digit k of the sum is da_k + db_k, less p where that reaches p, so the
+    index is the integer a + b less p^(k+1) for each such k.
+    """
+    return np.add(a, b) - _carries(a, b, p, n, borrow=False)
+
+
+def sub_indices(a, b, p: int, n: int) -> np.ndarray:
+    """Canonical indices of the differences a - b in GF(p^n); a and b broadcast.
+
+    Digit k of the difference is da_k - db_k, plus p where that is negative.
+    """
+    return np.subtract(a, b) + _carries(a, b, p, n, borrow=True)
+
+
+def _scale_digits(idx, s, p: int, n: int) -> np.ndarray:
+    """The indices whose n base-p digits are those of idx times s mod p.
+
+    For idx the canonical indices of elements of GF(p^n) and s in Z_p,
+    these are the indices of s times those elements.  idx and s broadcast.
+    """
+    return digits_to_index([d * s % p for d in _digits_of(idx, p, n)], p)
 
 
 def find_irreducible(p: int, n: int) -> list[int]:
@@ -296,59 +341,76 @@ class ExtField:
             rows.append(tuple(r))
         return rows
 
-    # -- digit-plane arithmetic (bulk)
+    # -- bulk arithmetic on canonical indices
 
-    def mul_digits(self, a, b) -> np.ndarray:
-        """Digit planes of the products of the elements with digit planes a and b.
+    def mul(self, a, b) -> np.ndarray:
+        """Canonical indices of the products a*b; a and b are index arrays that broadcast.
 
-        a and b have shape (n,) + s and broadcast over s; the result is
-        int64 of shape (n,) + s.  For n > 1 each block of _LANES lanes takes
-        the n^2 products a_i*b_j in float64 and multiplies them by the
-        structure tensor: every sum is at most n^2 (p-1)^3 < 2^53, so it is
-        exact, and is reduced mod p in int64.  For n = 1 the one product is
-        below (p-1)^2 < 2^62 and is taken in int64.
+        _DIGIT_BLOCK lanes at a time are converted to digit planes and
+        multiplied (_mul_digits).  A broadcast operand is read per block,
+        never materialized; when b is a, each block is converted once.
         """
         p, n = self.p, self.n
+        square = b is a
         a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        if n == 1:
-            return a * b % p
-        shape = a.shape[1:] if a.shape == b.shape else np.broadcast(a[0], b[0]).shape
-        a, b = _lanes(a, shape), _lanes(b, shape)
-        out = np.empty(a.shape, dtype=np.int64)
-        for s in range(0, out.shape[1], _LANES):
-            fa = a[:, s : s + _LANES].astype(np.float64)
-            fb = b[:, s : s + _LANES].astype(np.float64)
-            outer = (fa[:, None] * fb[None, :]).reshape(n * n, -1)
-            out[:, s : s + _LANES] = self._T @ outer
-        out %= p
-        return out.reshape((n,) + shape)
+        ops = [a, None] if square else [a, np.asarray(b, dtype=np.int64), None]
+        it = np.nditer(ops, flags=["external_loop", "buffered", "zerosize_ok"],
+                       op_flags=[["readonly"]] * (len(ops) - 1) + [["writeonly", "allocate"]],
+                       op_dtypes=[np.int64] * len(ops), order="C", buffersize=_DIGIT_BLOCK)
+        with it:
+            for *xs, out in it:
+                ds = [index_digits(x, p, n) for x in xs]
+                out[...] = digits_to_index(self._mul_digits(ds[0], ds[-1]), p)
+            return it.operands[-1]
 
-    def pow_digits(self, a, e) -> np.ndarray:
-        """Digit planes of a^e by square and multiply, each lane with its own e >= 0.
+    def _mul_digits(self, a, b) -> np.ndarray:
+        """Digit planes of the products of the digit planes a and b, both (n, lanes).
 
-        a has shape (n,) + s and e a shape that broadcasts with s; the base
-        is squared at its own shape, so lanes that share a base share its
-        squares.
+        For n > 1 each block of _LANES lanes takes the n^2 products a_i*b_j
+        in float64 and multiplies them by the structure tensor: every sum is
+        at most n^2 (p-1)^3 < 2^53, so it is exact, and is reduced mod p in
+        int64.  For n = 1 the one product is below (p-1)^2 < 2^62 and is
+        taken in int64.
         """
-        e = np.asarray(e, dtype=np.int64)
-        base = np.asarray(a, dtype=np.int64)
-        out = np.zeros((self.n,) + np.broadcast(base[0], e).shape, dtype=np.int64)
-        out[0] = 1
-        started = False  # until a lane's lowest set bit, every lane holds 1
-        for k in range(int(e.max(initial=0)).bit_length()):
-            if k:
-                base = self.mul_digits(base, base)
-            bit = (e >> k) & 1 == 1
-            if bit.any():
-                out = np.where(bit, self.mul_digits(out, base) if started else base, out)
-                started = True
+        n = self.n
+        if n == 1:
+            return a * b % self.p
+        fa = a.astype(np.float64)
+        fb = fa if b is a else b.astype(np.float64)
+        out = np.empty(a.shape, dtype=np.int64)
+        for s in range(0, a.shape[1], _LANES):
+            outer = fa[:, None, s : s + _LANES] * fb[None, :, s : s + _LANES]
+            out[:, s : s + _LANES] = self._T @ outer.reshape(n * n, -1)
+        out %= self.p
         return out
 
+    def _pow(self, a, e) -> np.ndarray:
+        """Canonical indices of a^e by square and multiply, each lane with its own e >= 0.
+
+        a and e broadcast.  The field set-up takes few lanes, so they are
+        converted to digit planes once, and lanes that share a base share
+        its squares.
+        """
+        n = self.n
+        a = np.asarray(a, dtype=np.int64)
+        shape = np.broadcast_shapes(a.shape, np.shape(e))
+        e = np.broadcast_to(np.asarray(e, dtype=np.int64), shape).ravel()
+        # lane j of the result raises base lane pick[j]
+        pick = np.broadcast_to(np.arange(a.size).reshape(a.shape), shape).ravel()
+        base = index_digits(a.ravel(), self.p, n)
+        out = np.zeros((n, e.size), dtype=np.int64)
+        out[0] = 1
+        for k in range(int(e.max(initial=0)).bit_length()):
+            if k:
+                base = self._mul_digits(base, base)
+            bit = (e >> k) & 1 == 1
+            if bit.any():
+                out = np.where(bit, self._mul_digits(out, base[:, pick]), out)
+        return digits_to_index(out, self.p).reshape(shape)
+
     def generator_power(self, e) -> np.ndarray:
-        """Digit planes of g^e for the generator g, one column per exponent in e."""
-        e = np.atleast_1d(e)
-        return self.pow_digits(np.reshape(self._gen_coeffs, (self.n, 1)), e)
+        """Canonical indices of g^e for the generator g, one per exponent in e."""
+        return self._pow(self.generator.index, np.atleast_1d(e))
 
     # -- element constructors
 
@@ -464,15 +526,6 @@ class ExtField:
 
     def __repr__(self):
         return f"ExtField(p={self.p}, n={self.n}, q={self.q})"
-
-
-def _lanes(x: np.ndarray, shape) -> np.ndarray:
-    """The planes x broadcast to (n,) + shape, flattened to (n, lanes)."""
-    if x.shape[1:] != shape:
-        full = np.empty(x.shape[:1] + shape, dtype=x.dtype)
-        full[...] = x
-        x = full
-    return x.reshape(len(x), -1)
 
 
 def _structure_tensor(p: int, n: int, red) -> np.ndarray:
@@ -591,27 +644,14 @@ def make_prime_field(p: int) -> ExtField:
     return ExtField(p, 1)
 
 
-def _cofactors(q: int) -> np.ndarray:
-    """(q-1)/l for the distinct primes l dividing q - 1."""
-    return np.array([(q - 1) // l for l in prime_factors(q - 1)], dtype=np.int64)
-
-
-def _full_order(field: ExtField, idx, cofactors) -> np.ndarray:
-    """Whether each nonzero element idx has order q - 1: no a^((q-1)/l) is 1.
-
-    One lane per element and cofactor, all raised in one pow_digits call.
-    """
-    digits = index_digits(idx, field.p, field.n)
-    powers = field.pow_digits(digits[..., None], cofactors)
-    is_one = (powers[0] == 1) & ~powers[1:].any(axis=0)
-    return ~is_one.any(axis=-1)
+def _full_order(field: ExtField, idx) -> np.ndarray:
+    """Whether each nonzero element idx has order q - 1: no a^((q-1)/l), l | q - 1 prime, is 1."""
+    cofactors = [(field.q - 1) // l for l in prime_factors(field.q - 1)]
+    return ~(field._pow(np.asarray(idx)[:, None], cofactors) == 1).any(axis=-1)
 
 
 def _has_full_order(e: FieldElem) -> bool:
-    if not e:
-        return False
-    f = e.field
-    return bool(_full_order(f, [e.index], _cofactors(f.q))[0])
+    return bool(e) and bool(_full_order(e.field, [e.index])[0])
 
 
 def find_generator(field: ExtField) -> FieldElem:
@@ -622,11 +662,10 @@ def find_generator(field: ExtField) -> FieldElem:
     they are Z_p, whose orders divide p - 1 < q - 1.
     """
     p, q = field.p, field.q
-    cofactors = _cofactors(q)
     start, size = (p if field.n > 1 else 1), 16
     while start < q:
         idx = np.arange(start, min(start + size, q))
-        full = _full_order(field, idx, cofactors)
+        full = _full_order(field, idx)
         if full.any():
             return field.from_index(int(idx[np.argmax(full)]))
         start += size
@@ -638,21 +677,29 @@ def find_generator(field: ExtField) -> FieldElem:
 class SubfieldHandle:
     """The subfield of order p^m located inside GF(p^n), m | n.
 
-    elements = {0} union {g^(k*step)}, as a tuple sorted by canonical index.
+    indices holds {0} union {g^(k*step)} as sorted, read-only canonical
+    indices; it is a function of (field, m), so equality ignores it.
+    elements is the same members as FieldElems, built on first use.
     """
 
+    field: ExtField
     m: int
     order: int
     step: int
-    elements: tuple
+    indices: np.ndarray = dc_field(compare=False, repr=False)
+
+    @cached_property
+    def elements(self) -> tuple:
+        return tuple(self.field.from_index(i) for i in self.indices.tolist())
 
 
 def locate_subfield(field: ExtField, m: int) -> SubfieldHandle:
     """Locate the order-p^m subfield as generator powers of stride step.
 
-    The powers of gamma = g^step are taken by doubling: the first k
-    powers times gamma^k are the next k.  Raises BudgetExceeded, before
-    anything is computed, for a subfield above MAX_SUBFIELD_ORDER elements.
+    The powers of gamma = g^step are taken by doubling on digit planes:
+    the first k powers times gamma^k are the next k.  Raises
+    BudgetExceeded, before anything is computed, for a subfield above
+    MAX_SUBFIELD_ORDER elements.
     """
     if m < 1 or field.n % m != 0:
         raise NotADivisor(m, field.n)
@@ -660,19 +707,18 @@ def locate_subfield(field: ExtField, m: int) -> SubfieldHandle:
     if order > MAX_SUBFIELD_ORDER:
         raise BudgetExceeded("subfield elements", order, MAX_SUBFIELD_ORDER)
     step = (field.q - 1) // (order - 1)
-    gamma_k = field.generator_power(step)
+    gamma_k = index_digits(field.generator_power(step), field.p, field.n)
     powers = np.eye(field.n, 1, dtype=np.int64)
     while powers.shape[1] < order - 1:
-        powers = np.concatenate([powers, field.mul_digits(powers, gamma_k)], axis=1)
-        gamma_k = field.mul_digits(gamma_k, gamma_k)
-    powers = powers[:, : order - 1]
-    idx = digits_to_index(powers, field.p)
-    rank = np.argsort(idx)
-    if (np.diff(idx[rank]) == 0).any():
+        powers = np.hstack([powers, field._mul_digits(powers, gamma_k.repeat(powers.shape[1], 1))])
+        gamma_k = field._mul_digits(gamma_k, gamma_k)
+    powers = np.sort(digits_to_index(powers[:, : order - 1], field.p))
+    if (np.diff(powers) == 0).any():
         raise AssertionError("subfield enumeration produced duplicates")
     # zero has the lowest index, and no power of gamma is zero
-    nonzero = tuple(FieldElem(field, tuple(c)) for c in powers[:, rank].T.tolist())
-    return SubfieldHandle(m=m, order=order, step=step, elements=(field.zero,) + nonzero)
+    indices = np.concatenate([[0], powers])
+    indices.flags.writeable = False
+    return SubfieldHandle(field=field, m=m, order=order, step=step, indices=indices)
 
 
 def frobenius(a: FieldElem, m: int) -> FieldElem:
@@ -691,8 +737,8 @@ def sqrt_minus_one(field: ExtField) -> FieldElem:
     q = field.q
     if (q - 1) % 4 != 0:
         raise NoSqrtMinusOne(q)
-    c = field.generator_power((q - 1) // 4)
-    i = field.from_index(int(digits_to_index(np.hstack([c, -c % field.p]), field.p).min()))
+    c = field.from_index(int(field.generator_power((q - 1) // 4)[0]))
+    i = min(c, -c, key=lambda e: e.index)
     if i * i != -field.one:
         raise AssertionError("generator order is inconsistent")
     return i

@@ -13,6 +13,7 @@ _PAIR_TABLE_MAX_Q it reads q x q difference tables (FieldTables.pair_tables)
 into a bitset of difference vectors and takes their norms in one pass over
 that bitset; above that it subtracts and adds base-p digits per pair
 (add_indices, sub_indices) and reads the squares table FieldTables.sq.
+Every product, squares included, goes through ExtField.mul on indices.
 Budgets are hard limits: an oversized request raises instead of sampling.
 """
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, ClaimViolation, FieldMismatch, WrongSubfieldDegree
-from .ff import _digits_of, digits_to_index, index_digits
+from .ff import _DIGIT_BLOCK, _scale_digits, add_indices, digits_to_index, index_digits, sub_indices
 
 DEFAULT_PAIR_BUDGET = 10**9
 
@@ -133,44 +134,11 @@ def distance(a: Point, b: Point):
     return dx * dx + dy * dy
 
 
-# ---------------------------------------------------------------------------
-# vectorized index-space arithmetic
-
-
-def _carries(a, b, p: int, n: int, borrow: bool):
-    """Sum of p^(k+1) over the digit positions k where a + b carries (a - b borrows).
-
-    Digits are taken one position at a time, so the temporaries have the
-    broadcast shape of a and b, never n times it.
-    """
-    out = 0
-    for k, (da, db) in enumerate(zip(_digits_of(a, p, n), _digits_of(b, p, n))):
-        out = out + p ** (k + 1) * (da < db if borrow else da + db >= p)
-    return out
-
-
-def add_indices(a, b, p: int, n: int) -> np.ndarray:
-    """Canonical indices of the sums a + b in GF(p^n); a and b broadcast.
-
-    Digit k of the sum is da_k + db_k, less p where that reaches p, so the
-    index is the integer a + b less p^(k+1) for each such k.
-    """
-    return np.add(a, b) - _carries(a, b, p, n, borrow=False)
-
-
-def sub_indices(a, b, p: int, n: int) -> np.ndarray:
-    """Canonical indices of the differences a - b in GF(p^n); a and b broadcast.
-
-    Digit k of the difference is da_k - db_k, plus p where that is negative.
-    """
-    return np.subtract(a, b) + _carries(a, b, p, n, borrow=True)
-
-
 class FieldTables:
     """Per-field tables for the brute-force pass, addressed by canonical index.
 
-    sq holds the square of every element, computed by the field's multiply
-    kernel in blocks; brute force reads it to take norms.
+    sq holds the square of every element, from one ExtField.mul call;
+    brute force reads it to take norms.
     pair_tables() adds q x q difference tables for small q.  The structured
     sets do not use these tables: they name cosets through CosetNames.
     """
@@ -178,15 +146,9 @@ class FieldTables:
     __slots__ = ("q", "p", "n", "sq", "_pair")
 
     def __init__(self, field):
-        q, p, n = field.q, field.p, field.n
-        self.q = q
-        self.p = p
-        self.n = n
-        self.sq = sq = np.empty(q, dtype=np.int64)
-        chunk = max(1, _CACHE_BLOCK // n)
-        for a in range(0, q, chunk):
-            d = index_digits(np.arange(a, min(a + chunk, q)), p, n)
-            sq[a : a + chunk] = digits_to_index(field.mul_digits(d, d), p)
+        self.q, self.p, self.n = field.q, field.p, field.n
+        idx = np.arange(field.q)
+        self.sq = field.mul(idx, idx)
         self._pair = None
 
     def pair_tables(self):
@@ -212,9 +174,7 @@ class FieldTables:
 
 def square_indices(V) -> np.ndarray:
     """S = {v^2 : v in V} as sorted distinct canonical indices."""
-    f = V.field
-    d = index_digits(V.indices, f.p, f.n)
-    return np.unique(digits_to_index(f.mul_digits(d, d), f.p))
+    return np.unique(V.field.mul(V.indices, V.indices))
 
 
 def _inverse_mod(rows, p: int) -> list:
@@ -233,15 +193,6 @@ def _inverse_mod(rows, p: int) -> list:
             if i != col and f:
                 m[i] = [(v - f * w) % p for v, w in zip(m[i], m[col])]
     return [r[n:] for r in m]
-
-
-def _scale_digits(idx, s, p: int, n: int) -> np.ndarray:
-    """The indices whose n base-p digits are those of idx times s mod p.
-
-    For idx the canonical indices of elements of GF(p^n) and s in Z_p,
-    these are the indices of s times those elements.  idx and s broadcast.
-    """
-    return digits_to_index([d * s % p for d in _digits_of(idx, p, n)], p)
 
 
 class CosetNames:
@@ -286,10 +237,11 @@ class CosetNames:
         self.step = step = (q - 1) // (Q - 1)
         self.zero = 2 * step
         dtype = np.min_scalar_type(self.zero)
-        # prods[:, j, i] is gamma^i x^j for i <= m; x^j is the unit digit plane j
-        prods = field.mul_digits(np.eye(n, 3, dtype=np.int64)[:, :, None],
-                                 field.generator_power(step * np.arange(m + 1))[:, None, :])
-        inv = np.array(_inverse_mod(prods[:, :, :m].reshape(n, 3 * m).tolist(), p),
+        # gamma^k for k < Q - 1, and the basis: basis[j, i] is gamma^i x^j,
+        # where x^j has the index p^j; column j*m + i of the matrix holds its digits
+        gamma = field.generator_power(step * np.arange(Q - 1))
+        basis = field.mul(p ** np.arange(3)[:, None], gamma[:m])
+        inv = np.array(_inverse_mod(index_digits(basis.ravel(), p, n).tolist(), p),
                        dtype=np.int64)
 
         def codes(k, cols):
@@ -303,18 +255,12 @@ class CosetNames:
         self._lo = codes(h, slice(0, h))
         self._hi_q = [t * Q for t in codes(n - h, slice(h, n))]
 
-        # F arithmetic on codes: digit sums, and powers of gamma, whose
-        # coordinates shift up one place at each step, with gamma^m folded
-        # back through its own coordinates
+        # F arithmetic on codes: digit sums, and the powers of gamma, which
+        # lie in F, so their codes are their t0
         fq = np.arange(Q)
         self._add = add_indices(fq[:, None], fq, p, m).ravel()
         self._sub = sub_indices(fq[:, None], fq, p, m).ravel()
-        top = inv @ prods[:, 0, m] % p
-        exp, v = [], [1] + [0] * (m - 1)
-        for _ in range(Q - 1):
-            exp.append(sum(c * p**i for i, c in enumerate(v)))
-            v = [(a + v[-1] * int(t)) % p for a, t in zip([0] + v[:-1], top[:m])]
-        exp = np.array(exp, dtype=np.int64)
+        exp = self.coords(gamma)[0]
         log = np.zeros(Q, dtype=np.int64)
         log[exp] = np.arange(Q - 1)
         # ratio[a, b] = a/b for b != 0; the name tables for t_l = b
@@ -585,21 +531,23 @@ def product_set(V, budget: int = DEFAULT_PAIR_BUDGET, threads: int = 1) -> ElemS
 
     F*.V = V, so V minus 0 is a union of |F|+1 cosets of F*, and VV minus 0
     is the union of the F*-cosets of the products of one member of each.
-    Raises ClaimViolation if V is not F*-closed, BudgetExceeded if |V|^2
-    exceeds the budget.  threads has no effect; callers may still pass it.
+    Products commute, so row blocks of about _DIGIT_BLOCK products take
+    the columns from their own first row on (_blocks): 9 340 products at
+    (11, 1), not (|F|+1)^2 = 14 884.  Raises ClaimViolation if V is not
+    F*-closed, BudgetExceeded if |V|^2 exceeds the budget.  threads has no
+    effect; callers may still pass it.
     """
     idx = V.indices
     m = len(idx)
     if m * m > budget:
         raise BudgetExceeded("ordered product pairs", m * m, budget)
-    f = V.field
-    cn = coset_names(f)
+    cn = coset_names(V.field)
     nonzero = idx[idx != 0]
     runs = _coset_runs(cn.name(*cn.coords(nonzero)) % cn.step, cn.Q - 1, "V")
-    reps = index_digits(nonzero[runs[:: cn.Q - 1]], f.p, f.n)
-    products = digits_to_index(f.mul_digits(reps[:, :, None], reps[:, None, :]), f.p)
+    reps = nonzero[runs[:: cn.Q - 1]]
     named = np.zeros(cn.step, dtype=bool)
-    named[cn.name(*cn.coords(products)) % cn.step] = True
+    for blk, c0 in _blocks(np.arange(len(reps)), max(1, _DIGIT_BLOCK // len(reps))):
+        named[cn.name(*cn.coords(V.field.mul(reps[blk], reps[c0:]))) % cn.step] = True
     # an F*-coset is the union of its two H-cosets, step apart
     return cn.union(np.concatenate([named, named, [0 in idx]]))
 

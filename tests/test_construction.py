@@ -188,10 +188,14 @@ def test_corrupted_construction_records_raise_invalid_input(c31):
         dict(rec, field=dict(field, modulus=[2, 1, 1])),  # degree 2, not 6
         dict(rec, field=dict(field, generator_index=1)),  # 1 has order 1
         dict(rec, field=dict(field, n=3)),  # a degree-6 modulus
+        dict(rec, basis=[1, 2, 3]),  # not a pair
+        dict(rec, basis=[1, 2.5]),  # not an index
     ]
     for d in bad:
         with pytest.raises(InvalidInput):
             Construction.from_json(d)
+    with pytest.raises(InvalidInput):
+        fqdist.verify_counterexample(3, 1, basis=(1, 2, 3))
     with pytest.raises(DependentBasis):
         Construction.from_json(dict(rec, basis=[1, 2]))  # 2 = -1 lies in F
 

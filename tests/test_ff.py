@@ -157,10 +157,20 @@ def test_multiply_kernel_matches_scalar_products(p, n):
         (tuple(rng.randrange(p) for _ in range(n)), tuple(rng.randrange(p) for _ in range(n)))
         for _ in range(300)
     ]
-    a, b = (np.array(col).T for col in zip(*pairs))
-    assert f.mul_digits(a, b).T.tolist() == [list(f._mul(x, y)) for x, y in pairs]
-    # one operand broadcast against all lanes
-    assert f.mul_digits(a[:, :1], b).T.tolist() == [list(f._mul(top, y)) for _, y in pairs]
+    if n > 1:
+        a, b = (np.array(col).T for col in zip(*pairs))
+        assert f._mul_digits(a, b).T.tolist() == [list(f._mul(x, y)) for x, y in pairs]
+    # ExtField.mul on canonical indices: lane by lane, squared, and a column
+    # against a row, whose 301 x 17 lanes span more than one digit block and
+    # are a multiple of neither block size
+    ea, eb = ([f.element(x) for x in col] for col in zip(*pairs))
+    ia, ib = (np.array([e.index for e in col]) for col in (ea, eb))
+    assert f.mul(ia, ib).tolist() == [(x * y).index for x, y in zip(ea, eb)]
+    assert f.mul(ia, ia).tolist() == [(x * x).index for x in ea]
+    lanes = len(ia) * 17
+    assert lanes > ff._DIGIT_BLOCK and lanes % ff._DIGIT_BLOCK and lanes % ff._LANES
+    got = f.mul(ia[:, None], ib[:17])
+    assert got.tolist() == [[(x * y).index for y in eb[:17]] for x in ea]
 
 
 def test_multiply_kernel_refuses_sums_beyond_float64():
@@ -170,13 +180,12 @@ def test_multiply_kernel_refuses_sums_beyond_float64():
         ff._structure_tensor(2**31 - 1, 2, [(3, 0)])
 
 
-def test_pow_digits_gives_each_lane_its_own_exponent(gf729):
+def test_pow_gives_each_lane_its_own_exponent(gf729):
     rng = random.Random(3)
     elems = [gf729.from_index(rng.randrange(gf729.q)) for _ in range(20)] + [gf729.zero]
     exps = [rng.randrange(3 * gf729.q) for _ in elems[:-1]] + [0]
-    base = np.array([e.coeffs for e in elems]).T
-    got = gf729.pow_digits(base, exps)
-    assert got.T.tolist() == [list((e**k).coeffs) for e, k in zip(elems, exps)]
+    got = gf729._pow(np.array([e.index for e in elems]), exps)
+    assert got.tolist() == [(e**k).index for e, k in zip(elems, exps)]
 
 
 # --- arithmetic -------------------------------------------------------------
@@ -279,7 +288,7 @@ def test_subfield_above_the_bound_is_refused_before_any_work(monkeypatch):
     def refuse(*args):
         raise AssertionError("the subfield was computed")
 
-    for method in ("mul_digits", "pow_digits"):
+    for method in ("mul", "_mul_digits"):
         monkeypatch.setattr(ff.ExtField, method, refuse)
     with pytest.raises(BudgetExceeded):
         fqdist.locate_subfield(f, 30)

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import os
 import random
+import tracemalloc
 import types
 
 import numpy as np
@@ -203,6 +204,29 @@ def test_coset_names_refuse_a_degree_not_divisible_by_three(monkeypatch, pn):
     with pytest.raises(WrongSubfieldDegree):
         setalg.coset_names(fld)
     assert fld._cosets is None
+
+
+def test_squaring_and_vv_products_are_blocked():
+    # at (5, 2), |V| = 390 625 and n = 12: digit planes of every lane would
+    # take n * 8 bytes each, 37.5 MB for V, so the peaks show whether
+    # ExtField.mul converts one block at a time
+    c = fqdist.build_construction(5, 2)
+    f, V = c.field, c.V
+    # one member per F*-coset of V: e1 and a*e1 + e2 for every a in F
+    e1, e2 = (b.index for b in V.basis)
+    reps = np.append(setalg.add_indices(f.mul(c.subF.indices, e1), e2, f.p, f.n), e1)
+    assert len(np.unique(reps)) == c.subF.order + 1 == 626
+    runs = [(lambda: setalg.square_indices(V), (len(V.indices) + 1) // 2),
+            (lambda: f.mul(reps[:, None], reps), 626 * 626)]
+    for run, size in runs:
+        tracemalloc.start()
+        try:
+            out = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.size == size
+        assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_structured_path_builds_no_field_tables(monkeypatch):
