@@ -678,8 +678,10 @@ class SubfieldHandle:
     """The subfield of order p^m located inside GF(p^n), m | n.
 
     indices holds {0} union {g^(k*step)} as sorted, read-only canonical
-    indices; it is a function of (field, m), so equality ignores it.
-    elements is the same members as FieldElems, built on first use.
+    indices, and powers the same nonzero members gamma^k = g^(k*step),
+    k < order - 1, in exponent order; both are functions of (field, m), so
+    equality ignores them.  elements is the members of indices as
+    FieldElems, built on first use.
     """
 
     field: ExtField
@@ -687,6 +689,7 @@ class SubfieldHandle:
     order: int
     step: int
     indices: np.ndarray = dc_field(compare=False, repr=False)
+    powers: np.ndarray = dc_field(compare=False, repr=False)
 
     @cached_property
     def elements(self) -> tuple:
@@ -712,13 +715,15 @@ def locate_subfield(field: ExtField, m: int) -> SubfieldHandle:
     while powers.shape[1] < order - 1:
         powers = np.hstack([powers, field._mul_digits(powers, gamma_k.repeat(powers.shape[1], 1))])
         gamma_k = field._mul_digits(gamma_k, gamma_k)
-    powers = np.sort(digits_to_index(powers[:, : order - 1], field.p))
-    if (np.diff(powers) == 0).any():
+    powers = digits_to_index(powers[:, : order - 1], field.p)
+    ranked = np.sort(powers)
+    if (np.diff(ranked) == 0).any():
         raise AssertionError("subfield enumeration produced duplicates")
     # zero has the lowest index, and no power of gamma is zero
-    indices = np.concatenate([[0], powers])
+    indices = np.concatenate([[0], ranked])
     indices.flags.writeable = False
-    return SubfieldHandle(field=field, m=m, order=order, step=step, indices=indices)
+    powers.flags.writeable = False
+    return SubfieldHandle(field=field, m=m, order=order, step=step, indices=indices, powers=powers)
 
 
 def frobenius(a: FieldElem, m: int) -> FieldElem:

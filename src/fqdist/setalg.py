@@ -5,14 +5,15 @@ The structured sets are unions of cosets of F* and H = (F*)^2 for the
 subfield F, and those cosets are named as points of the projective plane
 PG(2, F) (CosetNames): one change of basis mod p, computed exactly in
 int64, gives the F-coordinates of an element, and every later step reads
-tables of |F| or |F|^2 entries.  Δ pairs each H-coset with the cosets
-from its own on (distance_set_structured).  Only brute force loops over
-point pairs, and since the distance is symmetric it takes each unordered
-pair once.  For q <=
-_PAIR_TABLE_MAX_Q it reads q x q difference tables (FieldTables.pair_tables)
-into a bitset of difference vectors and takes their norms in one pass over
-that bitset; above that it subtracts and adds base-p digits per pair
-(add_indices, sub_indices) and reads the squares table FieldTables.sq.
+tables of |F| or |F|^2 entries.  Δ pairs H-cosets, VV pairs F*-coset
+representatives and brute force pairs points, each row with the rows from
+its own on, and one walker takes that triangle for all three
+(_walk_triangle): in blocks, over worker chunks, with an exact count of
+the pairs taken.  For q <= _PAIR_TABLE_MAX_Q brute force reads q x q
+difference tables (FieldTables.pair_tables) into a bitset of difference
+vectors and takes their norms in one pass over that bitset; above that it
+subtracts and adds base-p digits per pair (add_indices, sub_indices) and
+reads the squares table FieldTables.sq.
 Every product, squares included, goes through ExtField.mul on indices.
 Budgets are hard limits: an oversized request raises instead of sampling.
 """
@@ -198,17 +199,18 @@ def _inverse_mod(rows, p: int) -> list:
 class CosetNames:
     """Names of the cosets of F* and H = (F*)^2 in F_q*, read off PG(2, F).
 
-    F is the subfield of order Q = p^m, m = n/3, and gamma = g^step with
-    step = (q-1)/(Q-1) = Q^2 + Q + 1 generates F*.  x has degree 3 over F,
-    so {gamma^i x^j : i < m, j < 3} is a basis of F_q over Z_p, and one
-    change of basis gives every z its F-coordinates (t0, t1, t2).  F is
-    coded in [0, Q) by its digits over {gamma^i}.  The F*-coset of z != 0
-    is the projective point of (t0, t1, t2): the coordinates divided by the
-    last nonzero one, t_l.  Those points get the names [0, step): (a, b, 1)
-    is a + Q*b, (a, 1, 0) is Q^2 + a and (1, 0, 0) is Q^2 + Q.  H has index
-    2 in F*, so the H-name adds step * (log_gamma(t_l) mod 2).  Zero gets
-    the name 2*step.  All of this reads only Q- and Q x Q-sized tables.
-    Raises WrongSubfieldDegree unless 3 divides n.
+    F is the subfield subF of order Q = p^m, m = n/3, and gamma = g^step
+    with step = (q-1)/(Q-1) = Q^2 + Q + 1 generates F*; subF.powers holds
+    its powers.  x has degree 3 over F, so {gamma^i x^j : i < m, j < 3} is
+    a basis of F_q over Z_p, and one change of basis gives every z its
+    F-coordinates (t0, t1, t2).  F is coded in [0, Q) by its digits over
+    {gamma^i}.  The F*-coset of z != 0 is the projective point of (t0, t1,
+    t2): the coordinates divided by the last nonzero one, t_l.  Those
+    points get the names [0, step): (a, b, 1) is a + Q*b, (a, 1, 0) is Q^2
+    + a and (1, 0, 0) is Q^2 + Q.  H has index 2 in F*, so the H-name adds
+    step * (log_gamma(t_l) mod 2).  Zero gets the name 2*step.  All of
+    this reads only Q- and Q x Q-sized tables.  Raises WrongSubfieldDegree,
+    before any table is built, unless 3m = n.
 
     names holds the H-names of all of [0, q) in index order, as a
     (p^(n-h), p^h) array of rows hi and columns lo, h = n//2: the element
@@ -228,18 +230,18 @@ class CosetNames:
     __slots__ = ("Q", "step", "zero", "_split", "_lo", "_hi_q", "_add", "_sub",
                  "_n0", "_n1", "names")
 
-    def __init__(self, field):
+    def __init__(self, subF):
+        field, m = subF.field, subF.m
         p, n, q = field.p, field.n, field.q
-        if n % 3:
-            raise WrongSubfieldDegree(n // 3, n)
-        m = n // 3
-        Q = self.Q = p**m
-        self.step = step = (q - 1) // (Q - 1)
+        if 3 * m != n:
+            raise WrongSubfieldDegree(m, n)
+        Q = self.Q = subF.order
+        self.step = step = subF.step
         self.zero = 2 * step
         dtype = np.min_scalar_type(self.zero)
-        # gamma^k for k < Q - 1, and the basis: basis[j, i] is gamma^i x^j,
-        # where x^j has the index p^j; column j*m + i of the matrix holds its digits
-        gamma = field.generator_power(step * np.arange(Q - 1))
+        # the basis: basis[j, i] is gamma^i x^j, where x^j has the index p^j;
+        # column j*m + i of the matrix holds its digits
+        gamma = subF.powers
         basis = field.mul(p ** np.arange(3)[:, None], gamma[:m])
         inv = np.array(_inverse_mod(index_digits(basis.ravel(), p, n).tolist(), p),
                        dtype=np.int64)
@@ -323,12 +325,16 @@ class CosetNames:
         return out
 
 
-def coset_names(field) -> CosetNames:
-    """The field's CosetNames, built on first use and kept with the field."""
-    c = field._cosets
-    if c is None:
-        c = CosetNames(field)
-        field._cosets = c
+def coset_names(subF) -> CosetNames:
+    """The CosetNames over the subfield subF, built on first use and kept with its field.
+
+    A handle of another order is refused as on first use, even once the
+    field keeps its names.
+    """
+    c = subF.field._cosets
+    if c is None or c.Q != subF.order:
+        c = CosetNames(subF)
+        subF.field._cosets = c
     return c
 
 
@@ -354,20 +360,15 @@ def _chunk_count(nrows: int, threads: int) -> int:
 def _row_chunks(nrows: int, threads: int) -> list:
     """_chunk_count(nrows, threads) strided row sets, none empty.
 
-    Each chunk gets its own OS thread and private bitset (q bytes on the
-    digit route, q^2 on the table route), so chunks beyond the CPUs this
-    process may run on would only cost memory.
+    Each chunk gets its own OS thread and private bitset in _walk_triangle,
+    so chunks beyond the CPUs this process may run on would only cost memory.
     """
     k = _chunk_count(nrows, threads)
     return [np.arange(w, nrows, k) for w in range(k)]
 
 
 def _blocks(rows, block: int):
-    """The row blocks of a chunk, as a column, each with its first column.
-
-    A block takes the columns from its own first row onward, so every row
-    a it holds meets every column b >= a.
-    """
+    """The row blocks of a chunk, each as a column with its first row."""
     for j0 in range(0, len(rows), block):
         blk = rows[j0 : j0 + block]
         yield blk[:, None], int(blk[0])
@@ -390,36 +391,53 @@ def _triangle_pairs(nrows: int, chunks: int, block: int) -> int:
     return total
 
 
-def _accumulate(size: int, threads: int, nrows: int, fill) -> tuple[ElemSet, int]:
-    """Run fill(rows, bits) once per row chunk, OR-merging bitsets over [0, size).
+def _walk_triangle(what: str, size: int, nrows: int, block: int, threads: int, pairs,
+                   per_pair: int = 1) -> ElemSet:
+    """The bitset over [0, size) of the positions pairs(blk, c0) returns over the row triangle.
 
-    fill returns the number of pairs it evaluated; the merged set comes
-    back with the sum of these counts, so the caller can check that no
-    pair was left out.
+    The rows [0, nrows) are split into _row_chunks, each with one worker
+    thread and a private size-byte bitset (q bytes for brute force's digit
+    route, q^2 on its table route), OR-merged at the end, so the result is
+    bit-identical for any worker count.  A worker walks its chunk in
+    _blocks of block rows, reusing the block temporaries.  A block pairs
+    its rows with the rows (or their members) from its own first row c0
+    on, so row a meets every row b >= a once, which suffices wherever a, b
+    gives what b, a gives.  pairs(blk, c0) gets the rows as a column and
+    returns the positions to set, per_pair of them per pair.
 
-    fill walks its chunk in blocks itself, so the large block temporaries
-    stay alive from one block to the next and their memory is reused
-    instead of being returned and faulted in again.  Each worker owns one
-    chunk and a private size-byte bitset: q bytes on the digit route, q^2
-    on the table route.  The merge is associative, commutative and
-    idempotent, so the result is bit-identical for any worker count,
-    including sequential execution.
+    A pass that skips a row can still give the right set, so the number of
+    positions must equal per_pair * _triangle_pairs(nrows,
+    _chunk_count(nrows, threads), block), or AssertionError is raised with
+    the message what.format(done=..., want=...).
     """
     out = ElemSet(size)
+
+    def fill(rows, bits):
+        done = 0
+        for blk, c0 in _blocks(rows, block):
+            k = pairs(blk, c0)
+            bits[k] = True
+            done += k.size
+        return done
+
     chunks = _row_chunks(nrows, threads)
     if len(chunks) <= 1:
-        return out, sum(fill(ch, out.bits) for ch in chunks)
+        done = sum(fill(ch, out.bits) for ch in chunks)
+    else:
 
-    def run(ch):
-        bits = np.zeros(size, dtype=bool)
-        return bits, fill(ch, bits)
+        def run(ch):
+            bits = np.zeros(size, dtype=bool)
+            return bits, fill(ch, bits)
 
-    done = 0
-    with ThreadPoolExecutor(max_workers=len(chunks)) as ex:
-        for bits, pairs in ex.map(run, chunks):
-            out.bits |= bits
-            done += pairs
-    return out, done
+        done = 0
+        with ThreadPoolExecutor(max_workers=len(chunks)) as ex:
+            for bits, taken in ex.map(run, chunks):
+                out.bits |= bits
+                done += taken
+    want = per_pair * _triangle_pairs(nrows, _chunk_count(nrows, threads), block)
+    if done != want:
+        raise AssertionError(what.format(done=done, want=want))
+    return out
 
 
 def _vector_norms(vectors: ElemSet, tabs: FieldTables) -> ElemSet:
@@ -445,16 +463,14 @@ def distance_set_bruteforce(points, budget: int = DEFAULT_PAIR_BUDGET, threads: 
 
     Refuses (rather than samples) when len(points)^2 exceeds the budget, and
     raises FieldMismatch when the coordinates do not share one field.  The
-    distance is symmetric, so pairing each row a with the columns b >= a
-    gives the same set from about half the pairs: rows are walked in blocks
-    of about _CACHE_BLOCK pairs, each taking the columns from its own first
-    row on (_blocks).  For q <= _PAIR_TABLE_MAX_Q a pair costs two gathers
-    from the difference tables (FieldTables.pair_tables), one add and one
-    scatter into a q^2-entry bitset of difference vectors, and one pass
-    over that bitset then takes the norms (_vector_norms).  Above that a
-    pair subtracts and adds base-p digits and reads the squares table.
-    Raises AssertionError unless the blocks evaluated exactly the number
-    of pairs _triangle_pairs gives.
+    distance is symmetric, so _walk_triangle pairs each point with those
+    from its own on, in blocks of about _CACHE_BLOCK pairs and up to
+    threads chunks, and checks the count.  For q <= _PAIR_TABLE_MAX_Q a
+    pair costs two gathers from the difference tables
+    (FieldTables.pair_tables), one add and one scatter into a q^2-entry
+    bitset of difference vectors, and one pass over that bitset then takes
+    the norms (_vector_norms).  Above that a pair subtracts and adds
+    base-p digits and reads the squares table.
     """
     npts = len(points)
     if npts == 0:
@@ -472,39 +488,26 @@ def distance_set_bruteforce(points, budget: int = DEFAULT_PAIR_BUDGET, threads: 
     q = fld.q
     xs = np.fromiter((pt.x.index for pt in points), dtype=np.int64, count=npts)
     ys = np.fromiter((pt.y.index for pt in points), dtype=np.int64, count=npts)
-    block = max(1, _CACHE_BLOCK // npts)
-    want = _triangle_pairs(npts, _chunk_count(npts, threads), block)
 
     tables = q <= _PAIR_TABLE_MAX_Q
     if tables:
         subq, sub = tabs.pair_tables()
         xq, yq = xs * q, ys * q
 
-        def fill(rows, bits):
-            done = 0
-            for blk, c0 in _blocks(rows, block):
-                # an int64 sum, so the scatter casts no index array
-                k = np.add(subq[xq[blk] + xs[c0:]], sub[yq[blk] + ys[c0:]], dtype=np.int64)
-                bits[k] = True
-                done += k.size
-            return done
+        def pairs(blk, c0):
+            # an int64 sum, so the scatter casts no index array
+            return np.add(subq[xq[blk] + xs[c0:]], sub[yq[blk] + ys[c0:]], dtype=np.int64)
 
     else:
         sq, p, n = tabs.sq, fld.p, fld.n
 
-        def fill(rows, bits):
-            done = 0
-            for blk, c0 in _blocks(rows, block):
-                dx2 = sq[sub_indices(xs[blk], xs[c0:], p, n)]
-                dy2 = sq[sub_indices(ys[blk], ys[c0:], p, n)]
-                k = add_indices(dx2, dy2, p, n)
-                bits[k] = True
-                done += k.size
-            return done
+        def pairs(blk, c0):
+            dx2 = sq[sub_indices(xs[blk], xs[c0:], p, n)]
+            dy2 = sq[sub_indices(ys[blk], ys[c0:], p, n)]
+            return add_indices(dx2, dy2, p, n)
 
-    found, done = _accumulate(q * q if tables else q, threads, npts, fill)
-    if done != want:
-        raise AssertionError(f"brute force evaluated {done} of {want} pairs")
+    found = _walk_triangle("brute force evaluated {done} of {want} pairs", q * q if tables else q,
+                           npts, max(1, _CACHE_BLOCK // npts), threads, pairs)
     return _vector_norms(found, tabs) if tables else found
 
 
@@ -531,23 +534,27 @@ def product_set(V, budget: int = DEFAULT_PAIR_BUDGET, threads: int = 1) -> ElemS
 
     F*.V = V, so V minus 0 is a union of |F|+1 cosets of F*, and VV minus 0
     is the union of the F*-cosets of the products of one member of each.
-    Products commute, so row blocks of about _DIGIT_BLOCK products take
-    the columns from their own first row on (_blocks): 9 340 products at
-    (11, 1), not (|F|+1)^2 = 14 884.  Raises ClaimViolation if V is not
-    F*-closed, BudgetExceeded if |V|^2 exceeds the budget.  threads has no
-    effect; callers may still pass it.
+    Products commute, so _walk_triangle takes each representative against
+    those from its own on, in blocks of about _DIGIT_BLOCK products: 9 340
+    at (11, 1), not (|F|+1)^2 = 14 884.  Raises ClaimViolation if V is not
+    F*-closed, BudgetExceeded if |V|^2 exceeds the budget, and
+    AssertionError if the walk missed a product.  The walk takes one chunk,
+    so threads has no effect; callers may still pass it.
     """
     idx = V.indices
     m = len(idx)
     if m * m > budget:
         raise BudgetExceeded("ordered product pairs", m * m, budget)
-    cn = coset_names(V.field)
+    cn = coset_names(V.subfield)
     nonzero = idx[idx != 0]
     runs = _coset_runs(cn.name(*cn.coords(nonzero)) % cn.step, cn.Q - 1, "V")
     reps = nonzero[runs[:: cn.Q - 1]]
-    named = np.zeros(cn.step, dtype=bool)
-    for blk, c0 in _blocks(np.arange(len(reps)), max(1, _DIGIT_BLOCK // len(reps))):
-        named[cn.name(*cn.coords(V.field.mul(reps[blk], reps[c0:]))) % cn.step] = True
+
+    def pairs(blk, c0):
+        return cn.name(*cn.coords(V.field.mul(reps[blk], reps[c0:]))) % cn.step
+
+    named = _walk_triangle("product set took {done} of {want} products", cn.step, len(reps),
+                           max(1, _DIGIT_BLOCK // len(reps)), 1, pairs).bits
     # an F*-coset is the union of its two H-cosets, step apart
     return cn.union(np.concatenate([named, named, [0 in idx]]))
 
@@ -562,18 +569,18 @@ def distance_set_structured(c, threads: int = 1) -> ElemSet:
     r_a/h, so coset a against the members of coset b names the same cosets
     as coset b against those of coset a, and only b >= a is taken.  The
     nonzero squares are sorted by H-name, so each coset is a run
-    (_coset_runs), and the rows are walked in blocks of about _CACHE_BLOCK
-    differences, each taking the columns from its own first coset on
-    (_blocks).  When 0 is in S the names of S itself stand for the zero
+    (_coset_runs), and _walk_triangle takes each coset against the members
+    of the cosets from its own on, in blocks of about _CACHE_BLOCK
+    differences.  When 0 is in S the names of S itself stand for the zero
     row and column: s - 0 = s and 0 - t = -t.  That is about
     (|F|+1)*|S|/2 differences, taken in F-coordinates: 475 440 at (11, 1),
     against (|F|+2)*|S| = 900 483 for every row against all of S and
-    |S|^2 = 5.4e7 for all pairs.  Raises ClaimViolation if S is
-    not H-closed, and AssertionError if -1 is not in H or the blocks did
-    not take exactly the differences _triangle_pairs gives.  threads has
-    no effect; callers may still pass it.
+    |S|^2 = 5.4e7 for all pairs.  Raises ClaimViolation if S is not
+    H-closed, and AssertionError if -1 is not in H or the walk missed a
+    difference.  The walk takes one chunk, so threads has no effect;
+    callers may still pass it.
     """
-    cn = coset_names(c.field)
+    cn = coset_names(c.subF)
     Q, size = cn.Q, (cn.Q - 1) // 2
     if (Q - 1) % 4:
         raise AssertionError(f"-1 is not a square in the subfield of order {Q}")
@@ -583,18 +590,14 @@ def distance_set_structured(c, threads: int = 1) -> ElemSet:
     names = cn.name(*t)
     order = _coset_runs(names, size, "the squares of V")
     t = [u[order] for u in t]
-    named = np.zeros(cn.zero + 1, dtype=bool)
+
+    def pairs(blk, c0):
+        return cn.name(*(cn._sub[u[blk * size] * Q + u[c0 * size :]] for u in t))
+
+    named = _walk_triangle("structured distance set took {done} of {want} differences",
+                           cn.zero + 1, len(nonzero) // size, max(1, _CACHE_BLOCK // len(squares)),
+                           1, pairs, per_pair=size).bits
     if squares[0] == 0:
         named[names] = True
         named[cn.zero] = True
-    cosets = np.arange(len(nonzero) // size)
-    block = max(1, _CACHE_BLOCK // len(squares))
-    done = 0
-    for blk, c0 in _blocks(cosets, block):
-        d = cn.name(*(cn._sub[u[blk * size] * Q + u[c0 * size :]] for u in t))
-        named[d] = True
-        done += d.size
-    want = size * _triangle_pairs(len(cosets), 1, block)
-    if done != want:
-        raise AssertionError(f"structured distance set took {done} of {want} differences")
     return cn.union(named)

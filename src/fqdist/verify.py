@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from fractions import Fraction
 
 import numpy as np
@@ -61,29 +61,9 @@ class VerificationReport:
     vv_set: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "p": self.p,
-            "r": self.r,
-            "q": self.q,
-            "size_E": self.size_E,
-            "size_delta": self.size_delta,
-            "size_VV": self.size_VV,
-            "ratio": {
-                "num": self.ratio.numerator,
-                "den": self.ratio.denominator,
-                "decimal": _ratio_decimal(self.ratio),
-            },
-            "delta_equals_VV": self.delta_equals_VV,
-            "delta_ne_Fq": self.delta_ne_Fq,
-            "missing_distance": self.missing_distance,
-            "oracle_mode": self.oracle_mode,
-            "ir_applicable": self.ir_applicable,
-            "construction": self.construction,
-            "delta_set": self.delta_set,
-            "vv_set": self.vv_set,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
+        ratio = {"num": self.ratio.numerator, "den": self.ratio.denominator,
+                 "decimal": _ratio_decimal(self.ratio)}
+        return {**asdict(self), "schema_version": SCHEMA_VERSION, "ratio": ratio}
 
 
 def report_digest(report_dict: dict) -> str:

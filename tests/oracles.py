@@ -59,20 +59,25 @@ def element_order(e) -> int:
     return k
 
 
-def scalar_subfield(field, m) -> list:
-    """Sorted indices of the order-p^m subfield: 0 and the powers of g^step.
+def scalar_subfield_powers(field, m) -> list:
+    """Indices of gamma^k, gamma = g^step, for k < p^m - 1, in exponent order.
 
     The powers are stepped one scalar product at a time, until they return to 1.
     """
     order = field.p**m
     gamma = field.generator ** ((field.q - 1) // (order - 1))
-    out, cur = [0], field.one
+    out, cur = [], field.one
     for _ in range(order - 1):
         out.append(cur.index)
         cur = cur * gamma
     if cur != field.one:
         raise AssertionError("g^step does not have order p^m - 1")
-    return sorted(out)
+    return out
+
+
+def scalar_subfield(field, m) -> list:
+    """Sorted indices of the order-p^m subfield: 0 and the powers of g^step."""
+    return sorted([0] + scalar_subfield_powers(field, m))
 
 
 def scalar_span(sub_elements, e1, e2) -> list:

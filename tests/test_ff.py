@@ -143,6 +143,9 @@ def test_subfield_matches_scalar_powers(p, n, m):
     f = fqdist.ExtField(p, n)
     sub = fqdist.locate_subfield(f, m)
     assert [e.index for e in sub.elements] == oracles.scalar_subfield(f, m)
+    # the powers of gamma in exponent order, which CosetNames reads as its exp table
+    assert sub.powers.tolist() == oracles.scalar_subfield_powers(f, m)
+    assert not sub.powers.flags.writeable
 
 
 # GF(46337^2) has the largest sums the float64 kernel takes under the size

@@ -155,7 +155,8 @@ def test_tables_agree_with_scalar_ops_on_random_fields(pn, data):
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_coset_names_partition_the_field(p):
     fld = fqdist.ExtField(p, 6)
-    cn = setalg.coset_names(fld)
+    sub = fqdist.locate_subfield(fld, 2)
+    cn = setalg.coset_names(sub)
     Q, step = cn.Q, cn.step
     assert Q == p**2 and step == Q * Q + Q + 1 == (fld.q - 1) // (Q - 1)
     names = cn.names
@@ -165,7 +166,6 @@ def test_coset_names_partition_the_field(p):
     assert sizes[cn.zero] == 1 and (sizes[: cn.zero] == (Q - 1) // 2).all()
     # ... and is closed under H, so the names are exactly the H-cosets;
     # scaling by F* keeps the name mod step
-    sub = fqdist.locate_subfield(fld, 2)
     lams = [lam for lam in sub.elements if lam]
     rng = random.Random(p)
     for z in [fld.one, fld.root] + [fld.from_index(rng.randrange(1, fld.q)) for _ in range(25)]:
@@ -175,6 +175,10 @@ def test_coset_names_partition_the_field(p):
     # coords() and name() of arbitrary indices agree with the expansion
     idx = np.array(rng.sample(range(fld.q), 500))
     assert (cn.name(*cn.coords(idx)) == names[idx]).all()
+    # the kept names are no reason to accept a subfield of the wrong degree
+    with pytest.raises(WrongSubfieldDegree):
+        setalg.coset_names(fqdist.locate_subfield(fld, 1))
+    assert fld._cosets is cn and setalg.coset_names(sub) is cn
 
 
 # odd m with p = 3, 7, 13 and 3^9 take the non-residue rule, the rest m even
@@ -185,7 +189,7 @@ def test_coset_names_name_every_element_directly(pn):
     # CosetNames names a 1/(p-1) share of the rows and copies the rest by
     # scaling with Z_p*; the direct naming of every index must agree
     fld = _small_field(*pn)
-    cn = setalg.coset_names(fld)
+    cn = setalg.coset_names(fqdist.locate_subfield(fld, fld.n // 3))
     assert len(cn.names) == fld.q
     for a in range(0, fld.q, 2**18):
         idx = np.arange(a, min(a + 2**18, fld.q))
@@ -195,6 +199,8 @@ def test_coset_names_name_every_element_directly(pn):
 @pytest.mark.parametrize("pn", [(3, 4), (3, 5), (3, 2), (5, 1)], ids=lambda pn: f"{pn[0]}^{pn[1]}")
 def test_coset_names_refuse_a_degree_not_divisible_by_three(monkeypatch, pn):
     fld = _small_field(*pn)
+    # Z_p is a subfield of every field, and never the index-3 one here
+    sub = fqdist.locate_subfield(fld, 1)
 
     def refuse(*args):
         raise AssertionError("a table was built")
@@ -202,7 +208,7 @@ def test_coset_names_refuse_a_degree_not_divisible_by_three(monkeypatch, pn):
     for table in ("_inverse_mod", "index_digits", "add_indices"):
         monkeypatch.setattr(setalg, table, refuse)
     with pytest.raises(WrongSubfieldDegree):
-        setalg.coset_names(fld)
+        setalg.coset_names(sub)
     assert fld._cosets is None
 
 
@@ -458,7 +464,7 @@ def test_structured_matches_naive_square_differences():
 @pytest.mark.parametrize("pr", [(3, 1), (5, 1), (7, 1), (3, 2)])
 def test_coset_runs_start_at_multiples_of_the_coset_size(pr):
     c = _construction(*pr)
-    cn = setalg.coset_names(c.field)
+    cn = setalg.coset_names(c.subF)
     size = (cn.Q - 1) // 2
     squares = c.V.squares
     names = cn.name(*cn.coords(squares[squares != 0]))
@@ -475,7 +481,8 @@ def test_coset_runs_start_at_multiples_of_the_coset_size(pr):
 
 @pytest.mark.parametrize("pr", [(3, 1), (3, 2)])
 def test_structured_refuses_columns_that_start_one_coset_late(monkeypatch, pr):
-    # at (3, 1) one block holds every coset; at (3, 2) 82 cosets take 5 blocks
+    # at (3, 1) one block holds every coset; at (3, 2) 82 cosets take 5 blocks.
+    # VV's representatives are walked the same way and must be refused too
     c = _construction(*pr)
     blocks = setalg._blocks
 
@@ -486,11 +493,13 @@ def test_structured_refuses_columns_that_start_one_coset_late(monkeypatch, pr):
     monkeypatch.setattr(setalg, "_blocks", one_coset_late)
     with pytest.raises(AssertionError, match="differences"):
         fqdist.distance_set_structured(c)
+    with pytest.raises(AssertionError, match="products"):
+        fqdist.product_set(c.V)
 
 
 def test_structured_requires_minus_one_in_h():
     # GF(3^3) over GF(3): -1 is not a square in F, so the triangle is unsound
-    c = types.SimpleNamespace(field=fqdist.ExtField(3, 3))
+    c = types.SimpleNamespace(subF=fqdist.locate_subfield(fqdist.ExtField(3, 3), 1))
     with pytest.raises(AssertionError, match="-1 is not a square"):
         fqdist.distance_set_structured(c)
 
@@ -558,16 +567,19 @@ def test_row_chunks_bounded_by_rows():
     assert len(setalg._row_chunks(10, 1)) == 1
     assert setalg._row_chunks(0, 4) == []
 
-    def fill(rows, bits):
-        raise AssertionError("fill called without rows")
+    def pairs(blk, c0):
+        raise AssertionError("pairs called without rows")
 
-    assert setalg._accumulate(7, 4, 0, fill) == (ElemSet(7), 0)
+    assert setalg._walk_triangle("{done} of {want}", 7, 0, 1, 4, pairs) == ElemSet(7)
 
 
 def _skip_counts(threads):
     # 40 points fit one block per chunk: one chunk of rows 0..39 from column
-    # 0, or rows 0, 2, .., 38 from column 0 and 1, 3, .., 39 from column 1
-    return {1: (1600, 1521, 1560), 2: (1580, 1502, 1540)}[min(threads, len(os.sched_getaffinity(0)))]
+    # 0, or rows 0, 2, .., 38 from column 0 and 1, 3, .., 39 from column 1.
+    # The counts are those of the whole pass, of one without row 0, of one
+    # whose columns start one late, and of one without the last chunk
+    return {1: (1600, 1521, 1560, 0), 2: (1580, 1502, 1540, 800)}[
+        min(threads, len(os.sched_getaffinity(0)))]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -575,22 +587,32 @@ def _skip_counts(threads):
 def test_bruteforce_refuses_a_pass_that_skips_a_row(monkeypatch, pn, threads):
     # the distance is symmetric, so the set of a pass that skips one row
     # can still be right; only the count of evaluated pairs shows the gap.
-    # GF(3^8) is above _PAIR_TABLE_MAX_Q, so both routes are covered
+    # GF(3^8) is above _PAIR_TABLE_MAX_Q, so both routes are covered.  Δ
+    # and VV share the walk, and must refuse the same skips
     fld = _small_field(*pn)
     rng = random.Random(f"{pn}")
     pts = [Point(fld.from_index(rng.randrange(fld.q)), fld.from_index(rng.randrange(fld.q)))
            for _ in range(40)]
+    c = _construction(3, 1)
     row_chunks = setalg._row_chunks
-    want, got, _ = _skip_counts(threads)
+    want, got, _, got_chunk = _skip_counts(threads)
 
     def drop_one_row(nrows, threads):
         chunks = row_chunks(nrows, threads)
         chunks[0] = chunks[0][1:]
         return chunks
 
-    monkeypatch.setattr(setalg, "_row_chunks", drop_one_row)
-    with pytest.raises(AssertionError, match=f"evaluated {got} of {want} pairs"):
-        fqdist.distance_set_bruteforce(pts, threads=threads)
+    def drop_last_chunk(nrows, threads):
+        return row_chunks(nrows, threads)[:-1]
+
+    for skip, taken in ((drop_one_row, got), (drop_last_chunk, got_chunk)):
+        monkeypatch.setattr(setalg, "_row_chunks", skip)
+        with pytest.raises(AssertionError, match=f"evaluated {taken} of {want} pairs"):
+            fqdist.distance_set_bruteforce(pts, threads=threads)
+        with pytest.raises(AssertionError, match="differences"):
+            fqdist.distance_set_structured(c, threads=threads)
+        with pytest.raises(AssertionError, match="products"):
+            fqdist.product_set(c.V, threads=threads)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -603,7 +625,7 @@ def test_bruteforce_refuses_columns_that_start_past_the_block(monkeypatch, pn, t
     pts = [Point(fld.from_index(rng.randrange(fld.q)), fld.from_index(rng.randrange(fld.q)))
            for _ in range(40)]
     blocks = setalg._blocks
-    want, _, got = _skip_counts(threads)
+    want, _, got, _ = _skip_counts(threads)
 
     def one_column_late(rows, block):
         for blk, c0 in blocks(rows, block):
