@@ -3,8 +3,9 @@
 For an odd prime p and r >= 1 the field F_q = GF(p^(6r)) contains the
 index-3 subfield F of order p^(2r) and a square root i of -1.  V is a
 2-dimensional F-subspace of F_q and E = {(u, i*v) : u, v in V} has exactly
-q^(4/3) points.  E itself is only materialized on demand; its distance set
-is available through the subspace structure.
+q^(4/3) points.  E_indices gives E as two index arrays, and enumerate_E
+wraps them in Points on demand; its distance set is available through the
+subspace structure.
 """
 
 from __future__ import annotations
@@ -152,14 +153,29 @@ def build_construction(p: int, r: int, basis="auto") -> Construction:
     return Construction(p=p, r=r, field=field, subF=subF, i=i, V=V)
 
 
-def enumerate_E(c: Construction, budget: int = DEFAULT_ENUM_BUDGET) -> list[Point]:
-    """All |V|^2 points (u, i*v) in (index of u, index of v) order.
+def E_indices(c: Construction, budget: int = DEFAULT_ENUM_BUDGET) -> tuple:
+    """The |V|^2 points (u, i*v) of E as two int64 index arrays (xs, ys).
 
-    Oversized requests raise; callers should use the structured distance
-    path instead of materializing E.
+    Point k is (xs[k], ys[k]), in (index of u, index of v) order: xs
+    repeats each member of V |V| times and ys cycles through i*V.  More
+    than budget points raise BudgetExceeded before any array is built.
     """
-    m = len(c.V.indices)
+    V = c.V.indices
+    m = len(V)
     if m * m > budget:
         raise BudgetExceeded("E points", m * m, budget)
-    iv = [c.i * v for v in c.V.elements]
-    return [Point(u, w) for u in c.V.elements for w in iv]
+    return np.repeat(V, m), np.tile(c.field.mul(c.i.index, V), m)
+
+
+def enumerate_E(c: Construction, budget: int = DEFAULT_ENUM_BUDGET) -> list[Point]:
+    """The points of E_indices as Points, sharing one FieldElem per coordinate value.
+
+    Oversized requests raise; callers should use the structured distance
+    path, or E_indices for brute force, instead of materializing E.
+    """
+    xs, ys = E_indices(c, budget)
+    m = len(c.V.indices)
+    f = c.field
+    us = [f.from_index(u) for u in xs[::m].tolist()]
+    ws = [f.from_index(w) for w in ys[:m].tolist()]
+    return [Point(u, w) for u in us for w in ws]

@@ -9,11 +9,14 @@ tables of |F| or |F|^2 entries.  Δ pairs H-cosets, VV pairs F*-coset
 representatives and brute force pairs points, each row with the rows from
 its own on, and one walker takes that triangle for all three
 (_walk_triangle): in blocks, over worker chunks, with an exact count of
-the pairs taken.  For q <= _PAIR_TABLE_MAX_Q brute force reads q x q
-difference tables (FieldTables.pair_tables) into a bitset of difference
-vectors and takes their norms in one pass over that bitset; above that it
-subtracts and adds base-p digits per pair (add_indices, sub_indices) and
-reads the squares table FieldTables.sq.
+the pairs taken.  Brute force has one kernel, distance_set_of_indices,
+on the points' coordinates as two index arrays; distance_set_bruteforce
+hands it the indices of Points.  For q <= _PAIR_TABLE_MAX_Q a block
+copies the rows its points select from the q x q difference tables
+(FieldTables.pair_tables, built from two half tables), gathers its
+columns from those copies into a bitset of difference vectors, and one
+pass over that bitset takes their norms; above that it subtracts and adds base-p digits per pair
+(add_indices, sub_indices) and reads the squares table FieldTables.sq.
 Every product, squares included, goes through ExtField.mul on indices.
 Budgets are hard limits: an oversized request raises instead of sampling.
 """
@@ -27,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, ClaimViolation, FieldMismatch, WrongSubfieldDegree
+from .errors import (BudgetExceeded, ClaimViolation, FieldMismatch, InvalidInput,
+                     WrongSubfieldDegree)
 from .ff import _DIGIT_BLOCK, _scale_digits, add_indices, digits_to_index, index_digits, sub_indices
 
 DEFAULT_PAIR_BUDGET = 10**9
@@ -153,24 +157,43 @@ class FieldTables:
         self._pair = None
 
     def pair_tables(self):
-        """(subq, sub): flat q x q difference tables, built in row blocks; only for small q.
+        """(subq, sub): flat q x q difference tables, built from half tables; only for small q.
 
         sub[a*q + b] is the index of a - b, as uint16; subq is q*sub, as
         int32.  So subq[xa*q + xb] + sub[ya*q + yb] is dx*q + dy, the
         position of the difference vector (dx, dy) = (xa - xb, ya - yb) in
-        a q^2-entry bitset.  Together they take 6*q^2 bytes.
+        a q^2-entry bitset.  Together they take 6*q^2 bytes.  Digits
+        subtract independently, so with h = n//2, a = a_hi*p^h + a_lo and
+        b likewise, a - b is (a_hi - b_hi)*p^h + (a_lo - b_lo) for the
+        differences in GF(p^(n-h)) and GF(p^h) (_sub_table).  sub is one
+        broadcast sum of those two half tables, written in place as a
+        (p^(n-h), p^h, p^(n-h), p^h) array, and subq one multiply of sub.
         """
         if self._pair is None:
             q, p, n = self.q, self.p, self.n
-            idx = np.arange(q, dtype=np.int64)
-            sub = np.empty((q, q), dtype=np.uint16)
-            block = max(1, _CACHE_BLOCK // q)
-            for a in range(0, q, block):
-                sub[a : a + block] = sub_indices(idx[a : a + block, None], idx, p, n)
-            subq = sub.astype(np.int32)
-            subq *= q
-            self._pair = (subq.ravel(), sub.ravel())
+            h = n // 2
+            hi, lo = _sub_table(p, n - h), _sub_table(p, h)
+            hi *= p**h
+            sub = np.empty(q * q, dtype=np.uint16)
+            np.add(hi[:, None, :, None], lo[None, :, None, :],
+                   out=sub.reshape(len(hi), len(lo), len(hi), len(lo)))
+            self._pair = (np.multiply(sub, q, dtype=np.int32), sub)
         return self._pair
+
+
+def _sub_table(p: int, k: int) -> np.ndarray:
+    """The p^k x p^k uint16 table of the indices of a - b in GF(p^k), for p^k <= 2^16.
+
+    It is built in row blocks of at most _CACHE_BLOCK differences, so the
+    digit temporaries of sub_indices stay small even when k = n.
+    """
+    size = p**k
+    idx = np.arange(size, dtype=np.int64)
+    out = np.empty((size, size), dtype=np.uint16)
+    block = max(1, _CACHE_BLOCK // size)
+    for a in range(0, size, block):
+        out[a : a + block] = sub_indices(idx[a : a + block, None], idx, p, k)
+    return out
 
 
 def square_indices(V) -> np.ndarray:
@@ -459,47 +482,85 @@ def _vector_norms(vectors: ElemSet, tabs: FieldTables) -> ElemSet:
 
 
 def distance_set_bruteforce(points, budget: int = DEFAULT_PAIR_BUDGET, threads: int = 1) -> ElemSet:
-    """Exact distance set over all ordered pairs of the given points.
+    """Exact distance set over all ordered pairs of the given Points.
 
-    Refuses (rather than samples) when len(points)^2 exceeds the budget, and
-    raises FieldMismatch when the coordinates do not share one field.  The
-    distance is symmetric, so _walk_triangle pairs each point with those
-    from its own on, in blocks of about _CACHE_BLOCK pairs and up to
-    threads chunks, and checks the count.  For q <= _PAIR_TABLE_MAX_Q a
-    pair costs two gathers from the difference tables
-    (FieldTables.pair_tables), one add and one scatter into a q^2-entry
-    bitset of difference vectors, and one pass over that bitset then takes
-    the norms (_vector_norms).  Above that a pair subtracts and adds
-    base-p digits and reads the squares table.
+    Raises FieldMismatch, before any table is built, when the coordinates
+    do not share one field; their indices then go to
+    distance_set_of_indices, which refuses (rather than samples) when
+    len(points)^2 exceeds the budget.
     """
     npts = len(points)
     if npts == 0:
         raise ValueError("empty point list carries no field context")
-    if npts * npts > budget:
-        raise BudgetExceeded("ordered distance pairs", npts * npts, budget)
     fld = points[0].x.field
     for pt in points:
         for e in (pt.x, pt.y):
-            # identity first, then key, as distance() compares fields; every
-            # index is then below q, which the flat pair tables rely on
+            # identity first, then key, as distance() compares fields
             if e.field is not fld and e.field.key != fld.key:
                 raise FieldMismatch(fld, e.field)
-    tabs = get_tables(fld)
-    q = fld.q
     xs = np.fromiter((pt.x.index for pt in points), dtype=np.int64, count=npts)
     ys = np.fromiter((pt.y.index for pt in points), dtype=np.int64, count=npts)
+    return distance_set_of_indices(fld, xs, ys, budget, threads)
+
+
+def _index_array(a, q: int, what: str) -> np.ndarray:
+    """a as an int64 array, or InvalidInput unless it is a 1-D integer array in [0, q).
+
+    A negative index would wrap in the gathers, and one from q on would
+    read another row of a flat table, so either would give a wrong set.
+    """
+    a = np.asarray(a)
+    if a.ndim != 1 or a.dtype.kind not in "iu":
+        raise InvalidInput(f"{what} must be a 1-D integer array, not {a.dtype} of shape {a.shape}")
+    if len(a) and (a.min() < 0 or a.max() >= q):
+        raise InvalidInput(f"{what} holds an index outside [0, {q})")
+    return a.astype(np.int64, copy=False)
+
+
+def distance_set_of_indices(field, xs, ys, budget: int = DEFAULT_PAIR_BUDGET,
+                            threads: int = 1) -> ElemSet:
+    """Exact distance set over all ordered pairs of the points (xs[k], ys[k]) of field.
+
+    xs and ys are 1-D integer arrays of one length with every canonical
+    index in [0, q), or InvalidInput is raised; more than budget ordered
+    pairs raise BudgetExceeded.  Both are checked before any table is
+    built.  The distance is symmetric, so _walk_triangle pairs each point
+    with those from its own on, in blocks of about _CACHE_BLOCK pairs and
+    up to threads chunks, and checks the count.
+
+    For q <= _PAIR_TABLE_MAX_Q a block copies the rows its points r
+    select from the q x q difference tables (FieldTables.pair_tables),
+    subq[xs[r]] and sub[ys[r]], and takes the columns xs[c0:] and ys[c0:]
+    from those copies.  A pair then costs two gathers from the copies, one add into
+    int64, dx*q + dy, and one scatter into a q^2-entry bitset of
+    difference vectors; one pass over that bitset takes the norms
+    (_vector_norms).  A block has at most min(len(xs), _CACHE_BLOCK //
+    len(xs)) <= 256 rows, so its copies hold at most 6*256*q bytes, 3 MB
+    at q = 2048.  Above that a pair subtracts and adds base-p digits and
+    reads the squares table.
+    """
+    q = field.q
+    xs, ys = _index_array(xs, q, "xs"), _index_array(ys, q, "ys")
+    npts = len(xs)
+    if len(ys) != npts:
+        raise InvalidInput(f"xs has {npts} indices but ys has {len(ys)}")
+    if npts * npts > budget:
+        raise BudgetExceeded("ordered distance pairs", npts * npts, budget)
+    tabs = get_tables(field)
 
     tables = q <= _PAIR_TABLE_MAX_Q
     if tables:
-        subq, sub = tabs.pair_tables()
-        xq, yq = xs * q, ys * q
+        subq, sub = (t.reshape(q, q) for t in tabs.pair_tables())
 
         def pairs(blk, c0):
+            rows = blk[:, 0]
+            dx = np.take(subq[xs[rows]], xs[c0:], axis=1)
+            dy = np.take(sub[ys[rows]], ys[c0:], axis=1)
             # an int64 sum, so the scatter casts no index array
-            return np.add(subq[xq[blk] + xs[c0:]], sub[yq[blk] + ys[c0:]], dtype=np.int64)
+            return np.add(dx, dy, dtype=np.int64)
 
     else:
-        sq, p, n = tabs.sq, fld.p, fld.n
+        sq, p, n = tabs.sq, field.p, field.n
 
         def pairs(blk, c0):
             dx2 = sq[sub_indices(xs[blk], xs[c0:], p, n)]
@@ -507,7 +568,7 @@ def distance_set_bruteforce(points, budget: int = DEFAULT_PAIR_BUDGET, threads: 
             return add_indices(dx2, dy2, p, n)
 
     found = _walk_triangle("brute force evaluated {done} of {want} pairs", q * q if tables else q,
-                           npts, max(1, _CACHE_BLOCK // npts), threads, pairs)
+                           npts, max(1, _CACHE_BLOCK // max(npts, 1)), threads, pairs)
     return _vector_norms(found, tabs) if tables else found
 
 

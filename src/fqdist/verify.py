@@ -106,7 +106,8 @@ def verify_counterexample(
     set whenever that oracle runs, and misses a rechecked concrete element
     of F_q.  Raises ClaimViolation if anything fails.
 
-    Brute force takes each unordered pair of the |E| materialized points
+    Brute force runs on the index arrays of E (construction.E_indices),
+    with no Point built, and takes each unordered pair of its |E| points
     once, about |E|^2/2 pairs, but its budget is still checked on the |E|^2
     ordered pairs.  "auto" runs it when those fit pair_budget and the
     points fit construction.DEFAULT_ENUM_BUDGET; "both" raises
@@ -140,8 +141,9 @@ def verify_counterexample(
         raise ClaimViolation("distance set differs from VV although q is odd")
 
     if run_bruteforce:
-        points = cx.enumerate_E(c)
-        brute = setalg.distance_set_bruteforce(points, budget=pair_budget, threads=threads)
+        xs, ys = cx.E_indices(c)
+        brute = setalg.distance_set_of_indices(c.field, xs, ys, budget=pair_budget,
+                                               threads=threads)
         if brute != delta:
             raise ClaimViolation("brute-force distance set disagrees with structured path")
 

@@ -2,6 +2,7 @@
 
 import gc
 
+import numpy as np
 import pytest
 
 import fqdist
@@ -141,6 +142,18 @@ def test_enumerate_order_is_deterministic(c31):
 def test_enumerate_budget(c31):
     with pytest.raises(BudgetExceeded):
         fqdist.enumerate_E(c31, budget=100)
+
+
+def test_E_indices_match_the_points(c31):
+    xs, ys = fqdist.E_indices(c31)
+    assert xs.dtype == ys.dtype == np.int64 and len(xs) == len(ys) == c31.size_E
+    pairs = list(zip(xs.tolist(), ys.tolist()))
+    assert pairs == [(pt.x.index, pt.y.index) for pt in fqdist.enumerate_E(c31)]
+    # (u, i*v) over the scalar elements of V, u in the outer loop
+    V = c31.V.elements
+    assert pairs == [(u.index, (c31.i * v).index) for u in V for v in V]
+    with pytest.raises(BudgetExceeded, match="E points"):
+        fqdist.E_indices(c31, budget=6560)
 
 
 def test_point_set_symmetric_under_negation(c31):

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import fqdist
 from fqdist import setalg
-from fqdist.errors import BudgetExceeded, ClaimViolation, FieldMismatch, WrongSubfieldDegree
+from fqdist.errors import (BudgetExceeded, ClaimViolation, FieldMismatch, InvalidInput,
+                           WrongSubfieldDegree)
 from fqdist.setalg import ElemSet, Point
 
 import oracles
@@ -96,14 +97,21 @@ def test_tables_match_scalar_ops(gf9, gf729):
 
 
 def test_pair_tables_match_index_arithmetic(gf729):
-    # the tables are built in 89-row blocks, the last of them partial (729 = 8*89 + 17)
-    tabs = setalg.get_tables(gf729)
-    subq, sub = tabs.pair_tables()
-    assert (subq.dtype, sub.dtype) == (np.int32, np.uint16)
-    idx = np.arange(gf729.q)
-    diff = setalg.sub_indices(idx[:, None], idx[None, :], 3, 6).ravel()
-    assert np.array_equal(sub, diff)
-    assert np.array_equal(subq, gf729.q * diff)
+    # the tables are sums of two half tables over the low h = n//2 and high
+    # n - h digits, so every one of the q^2 pairs is checked: at GF(2039)
+    # h = 0 and the high half is the whole table, GF(11^3) has odd n, and
+    # GF(2^11) is the largest order on the table route
+    for fld in (_small_field(2039, 1), _small_field(11, 3), _small_field(2, 11), gf729):
+        q, p, n = fld.q, fld.p, fld.n
+        subq, sub = setalg.get_tables(fld).pair_tables()
+        assert (subq.dtype, sub.dtype) == (np.int32, np.uint16)
+        assert subq.shape == sub.shape == (q * q,)
+        idx = np.arange(q)
+        for a in range(0, q, 256):
+            rows = slice(a * q, min(a + 256, q) * q)
+            diff = setalg.sub_indices(idx[a : a + 256, None], idx[None, :], p, n).ravel()
+            assert np.array_equal(sub[rows], diff)
+            assert np.array_equal(subq[rows], q * diff)
 
 
 @pytest.mark.parametrize("p, n", [(3, 6), (2, 11)])
@@ -345,6 +353,57 @@ def test_bruteforce_rejects_mixed_fields(gf9):
     f3 = fqdist.ExtField(3, 2, modulus=(1, 0, 1))
     got = fqdist.distance_set_bruteforce([Point(f1.one, f1.root), Point(f3.zero, f3.one)])
     assert got.count == 2
+
+
+def test_index_entry_refuses_bad_arrays_before_any_table():
+    fld = fqdist.ExtField(3, 6)
+    q = fld.q
+    three = np.arange(3)
+    cases = [
+        (np.array([0, -1, 2]), three, r"xs holds an index outside \[0, 729\)"),
+        (three, np.array([0, q, 2]), r"ys holds an index outside \[0, 729\)"),
+        (three, np.arange(4), "xs has 3 indices but ys has 4"),
+        (np.arange(4), three, "xs has 4 indices but ys has 3"),
+        (three.astype(float), three, "integer"),
+        (three.astype(bool), three, "integer"),
+        (three, np.arange(4).reshape(2, 2), "1-D"),
+    ]
+    for xs, ys, match in cases:
+        with pytest.raises(InvalidInput, match=match):
+            setalg.distance_set_of_indices(fld, xs, ys)
+    with pytest.raises(BudgetExceeded, match="ordered distance pairs"):
+        setalg.distance_set_of_indices(fld, np.arange(9), np.arange(9), budget=80)
+    assert fld._tables is None
+    # an empty set has an empty distance set; unsigned and narrow arrays are indices too
+    assert setalg.distance_set_of_indices(fld, three[:0], three[:0]) == ElemSet(q)
+    got = setalg.distance_set_of_indices(fld, np.array([0, q - 1], np.uint16),
+                                         np.array([5, 0], np.int32))
+    assert got == setalg.distance_set_of_indices(fld, [0, q - 1], [5, 0])
+
+
+def test_index_entry_matches_the_point_entry_on_E(c31):
+    xs, ys = fqdist.E_indices(c31)
+    want = fqdist.distance_set_bruteforce(fqdist.enumerate_E(c31))
+    assert want == fqdist.distance_set_structured(c31)
+    for t in (1, 2, 3):
+        got = fqdist.distance_set_of_indices(c31.field, xs, ys, threads=t)
+        assert got == want and got.sha256() == want.sha256()
+
+
+@pytest.mark.parametrize("pn", [(3, 6), (3, 8)])
+def test_index_entry_matches_the_point_entry_on_random_points(pn):
+    # GF(3^6) is on the table route, GF(3^8) above it
+    fld = _small_field(*pn)
+    rng = np.random.default_rng(sum(pn))
+    xs, ys = rng.integers(0, fld.q, size=(2, 400))
+    pts = [Point(fld.from_index(x), fld.from_index(y)) for x, y in zip(xs.tolist(), ys.tolist())]
+    want = fqdist.distance_set_bruteforce(pts)
+    for t in (1, 2, 3):
+        got = fqdist.distance_set_of_indices(fld, xs, ys, threads=t)
+        assert got == want and got.sha256() == want.sha256()
+    few = pts[:50]
+    got = fqdist.distance_set_of_indices(fld, xs[:50], ys[:50])
+    assert set(np.flatnonzero(got.bits).tolist()) == oracles.scalar_distance_set(few)
 
 
 def test_monotonicity_random_subsets():

@@ -106,6 +106,8 @@ def test_verify_oracle_both_requires_budget(monkeypatch):
     monkeypatch.setattr(setalg, "distance_set_structured", refuse)
     monkeypatch.setattr(setalg, "product_set", refuse)
     monkeypatch.setattr(construction, "enumerate_E", refuse)
+    monkeypatch.setattr(construction, "E_indices", refuse)
+    monkeypatch.setattr(setalg, "distance_set_of_indices", refuse)
     # structured fits but the forced brute-force pass does not
     with pytest.raises(BudgetExceeded, match="ordered distance pairs"):
         fqdist.verify_counterexample(3, 1, oracle="both", pair_budget=10**7)
@@ -124,6 +126,19 @@ def test_report_json_schema():
     assert len(d["delta_set"]["sha256_of_bitset"]) == 64
     assert d["construction"]["basis"] == [1, 3]
     assert "elapsed_seconds" in d
+
+
+def test_verify_both_builds_no_point(monkeypatch):
+    # brute force runs on the index arrays of E, so no Point is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify built a Point")
+
+    monkeypatch.setattr(construction, "enumerate_E", refuse)
+    monkeypatch.setattr(setalg, "distance_set_bruteforce", refuse)
+    monkeypatch.setattr(setalg.Point, "__init__", refuse)
+    rep = fqdist.verify_counterexample(3, 1, oracle="both", threads=2)
+    assert rep.oracle_mode == "bruteforce+structured"
+    assert fqdist.report_digest(rep.to_json_dict()) == _FROZEN[0][-1]
 
 
 # Outputs frozen since the seed implementation: Δ = VV, so one bitset hash,
