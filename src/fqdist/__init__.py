@@ -9,6 +9,7 @@ realizes as a distance.
 
 from .construction import (
     Construction,
+    E_axes,
     E_indices,
     Subspace,
     build_construction,
@@ -48,6 +49,7 @@ from .setalg import (
     Point,
     distance,
     distance_set_bruteforce,
+    distance_set_of_grid,
     distance_set_of_indices,
     distance_set_structured,
     product_set,

@@ -294,6 +294,13 @@ def run_selftest(args) -> int:
     i729 = ff.sqrt_minus_one(gf729)
     checks.append(("i^2 = -1 in GF(729)", i729 * i729 == -gf729.one))
 
+    # verify runs brute force on E's axes; the point-list kernel is its reference
+    c31 = cx.build_construction(3, 1)
+    grid = setalg.distance_set_of_grid(c31.field, *cx.E_axes(c31))
+    points = setalg.distance_set_of_indices(c31.field, *cx.E_indices(c31))
+    checks.append(("grid brute force = point-list brute force on E at (3,1)",
+                   grid == points))
+
     rep = verify.verify_counterexample(3, 1, oracle="structured")
     checks.append(("structured oracle = VV at (p=3, r=1)", rep.delta_equals_VV))
     checks.append(("missing distance exists at (p=3, r=1)", rep.delta_ne_Fq))

@@ -3,9 +3,10 @@
 For an odd prime p and r >= 1 the field F_q = GF(p^(6r)) contains the
 index-3 subfield F of order p^(2r) and a square root i of -1.  V is a
 2-dimensional F-subspace of F_q and E = {(u, i*v) : u, v in V} has exactly
-q^(4/3) points.  E_indices gives E as two index arrays, and enumerate_E
-wraps them in Points on demand; its distance set is available through the
-subspace structure.
+q^(4/3) points.  E_axes gives the two axes of that grid as index arrays,
+E_indices its points as two index arrays, and enumerate_E wraps them in
+Points on demand; its distance set is available through the subspace
+structure.
 """
 
 from __future__ import annotations
@@ -153,18 +154,28 @@ def build_construction(p: int, r: int, basis="auto") -> Construction:
     return Construction(p=p, r=r, field=field, subF=subF, i=i, V=V)
 
 
+def E_axes(c: Construction) -> tuple:
+    """The two axes of the grid E = V x iV as int64 index arrays (V, i*V).
+
+    E is defined as this grid; E_indices lists its points, and brute
+    force (setalg.distance_set_of_grid) reads the axes alone.
+    """
+    V = c.V.indices
+    return V, c.field.mul(c.i.index, V)
+
+
 def E_indices(c: Construction, budget: int = DEFAULT_ENUM_BUDGET) -> tuple:
-    """The |V|^2 points (u, i*v) of E as two int64 index arrays (xs, ys).
+    """The |V|^2 points (u, i*v) of the grid E_axes as two int64 index arrays (xs, ys).
 
     Point k is (xs[k], ys[k]), in (index of u, index of v) order: xs
     repeats each member of V |V| times and ys cycles through i*V.  More
     than budget points raise BudgetExceeded before any array is built.
     """
-    V = c.V.indices
-    m = len(V)
+    m = len(c.V.indices)
     if m * m > budget:
         raise BudgetExceeded("E points", m * m, budget)
-    return np.repeat(V, m), np.tile(c.field.mul(c.i.index, V), m)
+    xs, ys = E_axes(c)
+    return np.repeat(xs, m), np.tile(ys, m)
 
 
 def enumerate_E(c: Construction, budget: int = DEFAULT_ENUM_BUDGET) -> list[Point]:

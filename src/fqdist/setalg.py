@@ -6,17 +6,22 @@ subfield F, and those cosets are named as points of the projective plane
 PG(2, F) (CosetNames): one change of basis mod p, computed exactly in
 int64, gives the F-coordinates of an element, and every later step reads
 tables of |F| or |F|^2 entries.  Δ pairs H-cosets, VV pairs F*-coset
-representatives and brute force pairs points, each row with the rows from
-its own on, and one walker takes that triangle for all three
-(_walk_triangle): in blocks, over worker chunks, with an exact count of
-the pairs taken.  Brute force has one kernel, distance_set_of_indices,
-on the points' coordinates as two index arrays; distance_set_bruteforce
-hands it the indices of Points.  For q <= _PAIR_TABLE_MAX_Q a block
-copies the rows its points select from the q x q difference tables
-(FieldTables.pair_tables, built from two half tables), gathers its
-columns from those copies into a bitset of difference vectors, and one
-pass over that bitset takes their norms; above that it subtracts and adds base-p digits per pair
-(add_indices, sub_indices) and reads the squares table FieldTables.sq.
+representatives and brute force pairs points or grid coordinates, each
+row with the rows from its own on, and one walker takes that triangle for
+all of them (_walk_triangle): in blocks, over worker chunks, with an exact
+count of the pairs taken.  Brute force on a grid X x Y, such as E = V x
+iV, is distance_set_of_grid: one walk over the pairs of each axis gives
+{dx^2 : dx in X - X} and {dy^2 : dy in Y - Y}, and one sumset of the two
+gives the distance set.  Brute force on any point list is
+distance_set_of_indices, on the points' coordinates as two index arrays;
+distance_set_bruteforce hands it the indices of Points.  For q <=
+_PAIR_TABLE_MAX_Q each of its blocks copies the rows its points select
+from the q x q difference tables (FieldTables.pair_tables, built from two
+half tables), gathers its columns from those copies into a bitset of
+difference vectors, and one pass over that bitset takes their norms;
+above that it subtracts and adds base-p digits per pair (add_indices,
+sub_indices) and reads the squares table FieldTables.sq, as the grid's
+axis walks do at every q.
 Every product, squares included, goes through ExtField.mul on indices.
 Budgets are hard limits: an oversized request raises instead of sampling.
 """
@@ -62,8 +67,12 @@ class ElemSet:
 
     @classmethod
     def from_indices(cls, q: int, indices) -> "ElemSet":
+        """The set of the given indices; InvalidInput for one outside [0, q)."""
         s = cls(q)
-        s.add_array(np.fromiter(indices, dtype=np.int64))
+        idx = np.fromiter(indices, dtype=np.int64)
+        if len(idx) and (idx.min() < 0 or idx.max() >= q):
+            raise InvalidInput(f"an index outside [0, {q}) is not an element")
+        s.add_array(idx)
         return s
 
     @classmethod
@@ -73,10 +82,18 @@ class ElemSet:
         return s
 
     def add_array(self, indices) -> None:
+        """Set the given indices.
+
+        Unchecked: the callers pass the results of index arithmetic, which
+        lie in [0, q), and a negative index would wrap silently.
+        """
         if len(indices):
             self.bits[indices] = True
 
     def has(self, index: int) -> bool:
+        """Membership; InvalidInput for an index outside [0, q), which would wrap or overflow."""
+        if not 0 <= index < self.q:
+            raise InvalidInput(f"index {index} is outside [0, {self.q})")
         return bool(self.bits[index])
 
     def __contains__(self, index: int) -> bool:
@@ -419,10 +436,11 @@ def _walk_triangle(what: str, size: int, nrows: int, block: int, threads: int, p
     """The bitset over [0, size) of the positions pairs(blk, c0) returns over the row triangle.
 
     The rows [0, nrows) are split into _row_chunks, each with one worker
-    thread and a private size-byte bitset (q bytes for brute force's digit
-    route, q^2 on its table route), OR-merged at the end, so the result is
-    bit-identical for any worker count.  A worker walks its chunk in
-    _blocks of block rows, reusing the block temporaries.  A block pairs
+    thread and a private size-byte bitset (q bytes for the grid's axes and
+    the point-list digit route, q^2 on the table route), OR-merged at the
+    end, so the result is bit-identical for any worker count.  A worker
+    walks its chunk in _blocks of block rows, reusing the block
+    temporaries.  A block pairs
     its rows with the rows (or their members) from its own first row c0
     on, so row a meets every row b >= a once, which suffices wherever a, b
     gives what b, a gives.  pairs(blk, c0) gets the rows as a column and
@@ -570,6 +588,58 @@ def distance_set_of_indices(field, xs, ys, budget: int = DEFAULT_PAIR_BUDGET,
     found = _walk_triangle("brute force evaluated {done} of {want} pairs", q * q if tables else q,
                            npts, max(1, _CACHE_BLOCK // max(npts, 1)), threads, pairs)
     return _vector_norms(found, tabs) if tables else found
+
+
+def _axis_squares(field, a: np.ndarray, sq: np.ndarray, threads: int) -> ElemSet:
+    """{(u - v)^2 : u, v in a} as a q-bitset, from the unordered pairs of a.
+
+    (u - v)^2 = (v - u)^2, so _walk_triangle pairs each entry with those
+    from its own on, in blocks of about _CACHE_BLOCK pairs and up to
+    threads chunks, and checks the count.
+    """
+    p, n = field.p, field.n
+
+    def pairs(blk, c0):
+        return sq[sub_indices(a[blk], a[c0:], p, n)]
+
+    return _walk_triangle("grid brute force evaluated {done} of {want} axis pairs", field.q,
+                          len(a), max(1, _CACHE_BLOCK // max(len(a), 1)), threads, pairs)
+
+
+def _sumset(field, a: ElemSet, b: ElemSet) -> ElemSet:
+    """{s + t : s in a, t in b}, in row blocks of at most about _CACHE_BLOCK sums."""
+    s, t = np.flatnonzero(a.bits), np.flatnonzero(b.bits)
+    out = ElemSet(field.q)
+    block = max(1, _CACHE_BLOCK // max(len(t), 1))
+    for j in range(0, len(s), block):
+        out.add_array(add_indices(s[j : j + block, None], t, field.p, field.n).ravel())
+    return out
+
+
+def distance_set_of_grid(field, xs, ys, budget: int = DEFAULT_PAIR_BUDGET,
+                         threads: int = 1) -> ElemSet:
+    """Exact distance set over all ordered pairs of points of the grid xs x ys of field.
+
+    xs and ys are 1-D integer arrays with every canonical index in [0, q),
+    of any lengths, or InvalidInput is raised; more than budget ordered
+    pairs, (len(xs)*len(ys))^2, raise BudgetExceeded.  Both are checked
+    before any table is built.  Between two grid points dx ranges over
+    X - X and dy over Y - Y independently, so the distance set is the
+    sumset of {dx^2} and {dy^2}.  Each axis is one _walk_triangle over its
+    unordered pairs (_axis_squares), reading the squares table
+    FieldTables.sq, and one blocked add_indices pass takes the sumset.
+    That is about (len(xs)^2 + len(ys)^2)/2 pairs and at most q^2 sums,
+    where distance_set_of_indices on the same points takes about
+    (len(xs)*len(ys))^2/2 pairs.  Nothing but the grid shape is used.
+    """
+    q = field.q
+    xs, ys = _index_array(xs, q, "xs"), _index_array(ys, q, "ys")
+    npairs = (len(xs) * len(ys)) ** 2
+    if npairs > budget:
+        raise BudgetExceeded("ordered distance pairs", npairs, budget)
+    sq = get_tables(field).sq
+    return _sumset(field, _axis_squares(field, xs, sq, threads),
+                   _axis_squares(field, ys, sq, threads))
 
 
 def _coset_runs(names, size: int, what: str) -> np.ndarray:

@@ -106,13 +106,15 @@ def verify_counterexample(
     set whenever that oracle runs, and misses a rechecked concrete element
     of F_q.  Raises ClaimViolation if anything fails.
 
-    Brute force runs on the index arrays of E (construction.E_indices),
-    with no Point built, and takes each unordered pair of its |E| points
-    once, about |E|^2/2 pairs, but its budget is still checked on the |E|^2
-    ordered pairs.  "auto" runs it when those fit pair_budget and the
-    points fit construction.DEFAULT_ENUM_BUDGET; "both" raises
-    BudgetExceeded when they do not fit.  Either is decided before any set
-    is computed.
+    Brute force runs on E as the grid V x iV it is defined as
+    (construction.E_axes, setalg.distance_set_of_grid), with no point of E
+    built: it takes V - V and iV - iV pair by pair, about |V|^2/2 pairs
+    per axis, and the sumset of their squares.  It uses no property of V,
+    so it checks Δ(E) = S - S from outside.  Its budget is still checked
+    on the |E|^2 ordered pairs.  "auto" runs it when those fit pair_budget
+    and the points fit construction.DEFAULT_ENUM_BUDGET; "both" raises
+    BudgetExceeded when the pairs do not fit.  Either is decided before
+    any set is computed.
     """
     if oracle not in ("auto", "both", "structured"):
         raise ValueError(f"unknown oracle mode {oracle!r}")
@@ -141,9 +143,9 @@ def verify_counterexample(
         raise ClaimViolation("distance set differs from VV although q is odd")
 
     if run_bruteforce:
-        xs, ys = cx.E_indices(c)
-        brute = setalg.distance_set_of_indices(c.field, xs, ys, budget=pair_budget,
-                                               threads=threads)
+        xs, ys = cx.E_axes(c)
+        brute = setalg.distance_set_of_grid(c.field, xs, ys, budget=pair_budget,
+                                            threads=threads)
         if brute != delta:
             raise ClaimViolation("brute-force distance set disagrees with structured path")
 

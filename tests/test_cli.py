@@ -225,6 +225,7 @@ def test_selftest(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out and "PASS" in out
     assert "PASS  coset names = direct naming of every element, GF(3^6) and GF(7^3)" in out
+    assert "PASS  grid brute force = point-list brute force on E at (3,1)" in out
     assert ("PASS  batched multiply = scalar multiply, random pairs, GF(3^6), GF(7^3), "
             "GF(46337^2)") in out
 

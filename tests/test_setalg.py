@@ -66,6 +66,20 @@ def test_elemset_json_and_hash():
     assert s2.sha256() != s.sha256()
 
 
+def test_elemset_refuses_indices_outside_the_field():
+    # a negative index used to read bit q-1 and one from q on raised a bare IndexError
+    s = ElemSet.from_indices(9, [8])
+    assert s.has(8) and 8 in s and 0 not in s
+    for bad in (-1, -9, 9, 10**12):
+        with pytest.raises(InvalidInput, match=r"outside \[0, 9\)"):
+            s.has(bad)
+        with pytest.raises(InvalidInput, match=r"outside \[0, 9\)"):
+            bad in s
+        with pytest.raises(InvalidInput, match=r"outside \[0, 9\)"):
+            ElemSet.from_indices(9, [0, bad])
+    assert ElemSet.from_indices(9, []) == ElemSet(9)
+
+
 # --- bulk tables vs scalar arithmetic ----------------------------------------
 
 
@@ -406,6 +420,58 @@ def test_index_entry_matches_the_point_entry_on_random_points(pn):
     assert set(np.flatnonzero(got.bits).tolist()) == oracles.scalar_distance_set(few)
 
 
+def test_grid_entry_matches_the_point_entry_on_E(c31):
+    xs, ys = fqdist.E_indices(c31)
+    want = fqdist.distance_set_of_indices(c31.field, xs, ys)
+    for t in (1, 2, 3):
+        got = fqdist.distance_set_of_grid(c31.field, *fqdist.E_axes(c31), threads=t)
+        assert got == want and got.sha256() == want.sha256()
+
+
+@pytest.mark.parametrize("pn", [(3, 6), (2053, 1), (2, 11)])
+def test_grid_entry_matches_scalar_loops_on_random_grids(pn):
+    # unequal axes with repeated values, and a grid with an empty axis
+    fld = _small_field(*pn)
+    rng = np.random.default_rng(pn[0])
+    xs = rng.integers(0, fld.q, size=7)
+    xs = np.append(xs, xs[:2])
+    ys = np.append(rng.integers(0, fld.q, size=4), xs[0])
+    pts = [Point(fld.from_index(x), fld.from_index(y)) for x in xs.tolist() for y in ys.tolist()]
+    for t in (1, 2):
+        got = fqdist.distance_set_of_grid(fld, xs, ys, threads=t)
+        assert set(np.flatnonzero(got.bits).tolist()) == oracles.scalar_distance_set(pts)
+    assert fqdist.distance_set_of_grid(fld, xs, ys[:0]) == ElemSet(fld.q)
+    assert fqdist.distance_set_of_grid(fld, xs[:0], ys) == ElemSet(fld.q)
+
+
+def test_grid_entry_matches_the_structured_set_at_3_2():
+    # |E|^2 = 1.9e15 ordered pairs, out of reach of the point-list kernel
+    c = _construction(3, 2)
+    got = fqdist.distance_set_of_grid(c.field, *fqdist.E_axes(c), budget=c.size_E**2)
+    assert got == fqdist.distance_set_structured(c)
+
+
+def test_grid_entry_refuses_before_any_table(monkeypatch):
+    def refuse(field):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(setalg, "get_tables", refuse)
+    fld = _small_field(3, 6)
+    three = np.arange(3)
+    cases = [
+        (np.array([0, -1, 2]), three, r"xs holds an index outside \[0, 729\)"),
+        (three, np.array([0, 729]), r"ys holds an index outside \[0, 729\)"),
+        (three.astype(float), three, "integer"),
+        (three, np.arange(4).reshape(2, 2), "1-D"),
+    ]
+    for xs, ys, match in cases:
+        with pytest.raises(InvalidInput, match=match):
+            fqdist.distance_set_of_grid(fld, xs, ys)
+    # a 3 x 4 grid has 144 ordered pairs
+    with pytest.raises(BudgetExceeded, match="ordered distance pairs: 144 exceeds the budget of 143"):
+        fqdist.distance_set_of_grid(fld, three, np.arange(4), budget=143)
+
+
 def test_monotonicity_random_subsets():
     f5 = fqdist.make_prime_field(5)
     rng = random.Random(5)
@@ -652,6 +718,7 @@ def test_bruteforce_refuses_a_pass_that_skips_a_row(monkeypatch, pn, threads):
     rng = random.Random(f"{pn}")
     pts = [Point(fld.from_index(rng.randrange(fld.q)), fld.from_index(rng.randrange(fld.q)))
            for _ in range(40)]
+    xs = np.array([pt.x.index for pt in pts])
     c = _construction(3, 1)
     row_chunks = setalg._row_chunks
     want, got, _, got_chunk = _skip_counts(threads)
@@ -668,6 +735,8 @@ def test_bruteforce_refuses_a_pass_that_skips_a_row(monkeypatch, pn, threads):
         monkeypatch.setattr(setalg, "_row_chunks", skip)
         with pytest.raises(AssertionError, match=f"evaluated {taken} of {want} pairs"):
             fqdist.distance_set_bruteforce(pts, threads=threads)
+        with pytest.raises(AssertionError, match=f"evaluated {taken} of {want} axis pairs"):
+            fqdist.distance_set_of_grid(fld, xs, xs, threads=threads)
         with pytest.raises(AssertionError, match="differences"):
             fqdist.distance_set_structured(c, threads=threads)
         with pytest.raises(AssertionError, match="products"):

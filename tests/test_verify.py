@@ -129,14 +129,25 @@ def test_report_json_schema():
 
 
 def test_verify_both_builds_no_point(monkeypatch):
-    # brute force runs on the index arrays of E, so no Point is built
+    # brute force runs on the two axes of the grid E, so no point of E is
+    # built, neither as a Point nor as an entry of the index arrays
     def refuse(*args, **kwargs):
-        raise AssertionError("verify built a Point")
+        raise AssertionError("verify built a point of E")
+
+    point_list_calls = []
+    point_list = setalg.distance_set_of_indices
+
+    def record(field, xs, ys, *args, **kwargs):
+        point_list_calls.append((xs, ys))
+        return point_list(field, xs, ys, *args, **kwargs)
 
     monkeypatch.setattr(construction, "enumerate_E", refuse)
+    monkeypatch.setattr(construction, "E_indices", refuse)
     monkeypatch.setattr(setalg, "distance_set_bruteforce", refuse)
+    monkeypatch.setattr(setalg, "distance_set_of_indices", record)
     monkeypatch.setattr(setalg.Point, "__init__", refuse)
     rep = fqdist.verify_counterexample(3, 1, oracle="both", threads=2)
+    assert point_list_calls == []
     assert rep.oracle_mode == "bruteforce+structured"
     assert fqdist.report_digest(rep.to_json_dict()) == _FROZEN[0][-1]
 
