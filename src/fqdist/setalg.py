@@ -49,6 +49,14 @@ DEFAULT_PAIR_BUDGET = 10**9
 # against 47 MB over 1500 points of GF(3^8), 2 threads on a 2-vCPU guest).
 _CACHE_BLOCK = 2**16
 
+# a triangle walk of fewer positions takes its row chunks one after another
+# on the calling thread: starting and joining the workers cost more than
+# they saved below about 10^6 pairs, and their start-up delay varied from
+# call to call.  One axis of E at (3, 1), 3 321 pairs, took 0.25 ms on one
+# thread and 0.67 ms on two; 1.3e6 pairs of GF(3^12) took 71 and 46 ms
+# (medians of 15 calls, 2-vCPU KVM guest).
+_THREAD_MIN_PAIRS = 2**20
+
 # up to this order brute force reads q x q difference tables (6*q^2 bytes,
 # 25.2 MB at q = 2048) and a q^2-byte bitset per worker instead of adding
 # base-p digits.  The bound keeps every difference below 2^16 and q times one
@@ -214,8 +222,15 @@ def _sub_table(p: int, k: int) -> np.ndarray:
 
 
 def square_indices(V) -> np.ndarray:
-    """S = {v^2 : v in V} as sorted distinct canonical indices."""
-    return np.unique(V.field.mul(V.indices, V.indices))
+    """S = {v^2 : v in V} as sorted distinct canonical indices.
+
+    Sorted and deduplicated here rather than by np.unique, whose first call
+    imports numpy.ma: about 20 ms of a process's first verify call.
+    """
+    s = np.sort(V.field.mul(V.indices, V.indices))
+    keep = np.ones(len(s), dtype=bool)
+    keep[1:] = s[1:] != s[:-1]
+    return s[keep]
 
 
 def _inverse_mod(rows, p: int) -> list:
@@ -435,12 +450,14 @@ def _walk_triangle(what: str, size: int, nrows: int, block: int, threads: int, p
                    per_pair: int = 1) -> ElemSet:
     """The bitset over [0, size) of the positions pairs(blk, c0) returns over the row triangle.
 
-    The rows [0, nrows) are split into _row_chunks, each with one worker
-    thread and a private size-byte bitset (q bytes for the grid's axes and
-    the point-list digit route, q^2 on the table route), OR-merged at the
-    end, so the result is bit-identical for any worker count.  A worker
-    walks its chunk in _blocks of block rows, reusing the block
-    temporaries.  A block pairs
+    The rows [0, nrows) are split into _row_chunks.  A walk of at least
+    _THREAD_MIN_PAIRS positions gives each chunk one worker thread and a
+    private size-byte bitset (q bytes for the grid's axes and the
+    point-list digit route, q^2 on the table route), OR-merged at the end;
+    a smaller one takes the chunks one after another on the calling
+    thread, into the result.  Either way the result is bit-identical for
+    any worker count.  A chunk is walked in _blocks of block rows, reusing
+    the block temporaries.  A block pairs
     its rows with the rows (or their members) from its own first row c0
     on, so row a meets every row b >= a once, which suffices wherever a, b
     gives what b, a gives.  pairs(blk, c0) gets the rows as a column and
@@ -462,7 +479,8 @@ def _walk_triangle(what: str, size: int, nrows: int, block: int, threads: int, p
         return done
 
     chunks = _row_chunks(nrows, threads)
-    if len(chunks) <= 1:
+    want = per_pair * _triangle_pairs(nrows, _chunk_count(nrows, threads), block)
+    if len(chunks) <= 1 or want < _THREAD_MIN_PAIRS:
         done = sum(fill(ch, out.bits) for ch in chunks)
     else:
 
@@ -475,7 +493,6 @@ def _walk_triangle(what: str, size: int, nrows: int, block: int, threads: int, p
             for bits, taken in ex.map(run, chunks):
                 out.bits |= bits
                 done += taken
-    want = per_pair * _triangle_pairs(nrows, _chunk_count(nrows, threads), block)
     if done != want:
         raise AssertionError(what.format(done=done, want=want))
     return out

@@ -698,6 +698,28 @@ def test_row_chunks_bounded_by_rows():
     assert setalg._walk_triangle("{done} of {want}", 7, 0, 1, 4, pairs) == ElemSet(7)
 
 
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU gives one chunk")
+def test_walk_starts_workers_only_for_large_walks(monkeypatch):
+    pools = []
+
+    class CountingPool(setalg.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(setalg, "ThreadPoolExecutor", CountingPool)
+
+    def pairs(blk, c0):
+        return (blk + np.arange(c0, nrows)).ravel() % 7
+
+    nrows = 40
+    small = setalg._walk_triangle("{done} of {want}", 7, nrows, 8, 2, pairs)
+    assert pools == []
+    monkeypatch.setattr(setalg, "_THREAD_MIN_PAIRS", setalg._triangle_pairs(nrows, 2, 8))
+    assert setalg._walk_triangle("{done} of {want}", 7, nrows, 8, 2, pairs) == small
+    assert pools == [2]
+
+
 def _skip_counts(threads):
     # 40 points fit one block per chunk: one chunk of rows 0..39 from column
     # 0, or rows 0, 2, .., 38 from column 0 and 1, 3, .., 39 from column 1.
@@ -741,6 +763,15 @@ def test_bruteforce_refuses_a_pass_that_skips_a_row(monkeypatch, pn, threads):
             fqdist.distance_set_structured(c, threads=threads)
         with pytest.raises(AssertionError, match="products"):
             fqdist.product_set(c.V, threads=threads)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("pn", [(3, 2), (3, 8)])
+def test_pooled_walk_refuses_a_pass_that_skips_a_row(monkeypatch, pn, threads):
+    # those walks are below _THREAD_MIN_PAIRS and take their chunks on the
+    # calling thread; here every chunk gets a worker thread
+    monkeypatch.setattr(setalg, "_THREAD_MIN_PAIRS", 0)
+    test_bruteforce_refuses_a_pass_that_skips_a_row(monkeypatch, pn, threads)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
