@@ -14,14 +14,9 @@ iV, is distance_set_of_grid: one walk over the pairs of each axis gives
 {dx^2 : dx in X - X} and {dy^2 : dy in Y - Y}, and one sumset of the two
 gives the distance set.  Brute force on any point list is
 distance_set_of_indices, on the points' coordinates as two index arrays;
-distance_set_bruteforce hands it the indices of Points.  For q <=
-_PAIR_TABLE_MAX_Q each of its blocks copies the rows its points select
-from the q x q difference tables (FieldTables.pair_tables, built from two
-half tables), gathers its columns from those copies into a bitset of
-difference vectors, and one pass over that bitset takes their norms;
-above that it subtracts and adds base-p digits per pair (add_indices,
-sub_indices) and reads the squares table FieldTables.sq, as the grid's
-axis walks do at every q.
+distance_set_bruteforce hands it the indices of Points.  It subtracts
+and adds base-p digits per pair (sub_indices, add_indices) and reads the
+squares table FieldTables.sq, as the grid's axis walks do.
 Every product, squares included, goes through ExtField.mul on indices.
 Budgets are hard limits: an oversized request raises instead of sampling.
 """
@@ -43,10 +38,11 @@ DEFAULT_PAIR_BUDGET = 10**9
 
 # elements per block of the passes that stream many elements or pairs
 # through a few int64 temporaries: coset names, name-to-bitset gathers, the
-# squares and pair tables, and the brute-force pair loop.  The temporaries
-# then fit a 2 MB L2 cache.  2^18-element blocks measured 1.3-3x slower for
-# the names; in the pair loop they were no faster and raised peak RSS (83
-# against 47 MB over 1500 points of GF(3^8), 2 threads on a 2-vCPU guest).
+# structured Δ walk, the brute-force pair loops and the grid's sumset.  The
+# temporaries then fit a 2 MB L2 cache.  2^18-element blocks measured
+# 1.3-3x slower for the names; in the pair loop they were no faster and
+# raised peak RSS (83 against 47 MB over 1500 points of GF(3^8), 2 threads
+# on a 2-vCPU guest).
 _CACHE_BLOCK = 2**16
 
 # a triangle walk of fewer positions takes its row chunks one after another
@@ -56,12 +52,6 @@ _CACHE_BLOCK = 2**16
 # thread and 0.67 ms on two; 1.3e6 pairs of GF(3^12) took 71 and 46 ms
 # (medians of 15 calls, 2-vCPU KVM guest).
 _THREAD_MIN_PAIRS = 2**20
-
-# up to this order brute force reads q x q difference tables (6*q^2 bytes,
-# 25.2 MB at q = 2048) and a q^2-byte bitset per worker instead of adding
-# base-p digits.  The bound keeps every difference below 2^16 and q times one
-# below 2^31, as FieldTables.pair_tables stores them.
-_PAIR_TABLE_MAX_Q = 2048
 
 
 class ElemSet:
@@ -75,12 +65,11 @@ class ElemSet:
 
     @classmethod
     def from_indices(cls, q: int, indices) -> "ElemSet":
-        """The set of the given indices; InvalidInput for one outside [0, q)."""
+        """The set of the given indices; InvalidInput for a non-integer or one outside [0, q)."""
         s = cls(q)
-        idx = np.fromiter(indices, dtype=np.int64)
-        if len(idx) and (idx.min() < 0 or idx.max() >= q):
-            raise InvalidInput(f"an index outside [0, {q}) is not an element")
-        s.add_array(idx)
+        items = list(indices)
+        s.add_array(_index_array(np.array(items) if items else np.zeros(0, np.int64), q,
+                                 "indices"))
         return s
 
     @classmethod
@@ -99,7 +88,14 @@ class ElemSet:
             self.bits[indices] = True
 
     def has(self, index: int) -> bool:
-        """Membership; InvalidInput for an index outside [0, q), which would wrap or overflow."""
+        """Membership; InvalidInput for anything but an integer in [0, q).
+
+        Python and numpy integers are indices.  numpy would refuse or
+        truncate a float or a bool, wrap a negative index and overflow on
+        one from q on.
+        """
+        if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
+            raise InvalidInput(f"index {index!r} is not an integer")
         if not 0 <= index < self.q:
             raise InvalidInput(f"index {index} is outside [0, {self.q})")
         return bool(self.bits[index])
@@ -165,60 +161,19 @@ def distance(a: Point, b: Point):
 
 
 class FieldTables:
-    """Per-field tables for the brute-force pass, addressed by canonical index.
+    """The per-field squares table of brute force, addressed by canonical index.
 
     sq holds the square of every element, from one ExtField.mul call;
-    brute force reads it to take norms.
-    pair_tables() adds q x q difference tables for small q.  The structured
-    sets do not use these tables: they name cosets through CosetNames.
+    brute force reads it to take norms, 8*q bytes.  The structured sets do
+    not use it: they name cosets through CosetNames.
     """
 
-    __slots__ = ("q", "p", "n", "sq", "_pair")
+    __slots__ = ("q", "p", "n", "sq")
 
     def __init__(self, field):
         self.q, self.p, self.n = field.q, field.p, field.n
         idx = np.arange(field.q)
         self.sq = field.mul(idx, idx)
-        self._pair = None
-
-    def pair_tables(self):
-        """(subq, sub): flat q x q difference tables, built from half tables; only for small q.
-
-        sub[a*q + b] is the index of a - b, as uint16; subq is q*sub, as
-        int32.  So subq[xa*q + xb] + sub[ya*q + yb] is dx*q + dy, the
-        position of the difference vector (dx, dy) = (xa - xb, ya - yb) in
-        a q^2-entry bitset.  Together they take 6*q^2 bytes.  Digits
-        subtract independently, so with h = n//2, a = a_hi*p^h + a_lo and
-        b likewise, a - b is (a_hi - b_hi)*p^h + (a_lo - b_lo) for the
-        differences in GF(p^(n-h)) and GF(p^h) (_sub_table).  sub is one
-        broadcast sum of those two half tables, written in place as a
-        (p^(n-h), p^h, p^(n-h), p^h) array, and subq one multiply of sub.
-        """
-        if self._pair is None:
-            q, p, n = self.q, self.p, self.n
-            h = n // 2
-            hi, lo = _sub_table(p, n - h), _sub_table(p, h)
-            hi *= p**h
-            sub = np.empty(q * q, dtype=np.uint16)
-            np.add(hi[:, None, :, None], lo[None, :, None, :],
-                   out=sub.reshape(len(hi), len(lo), len(hi), len(lo)))
-            self._pair = (np.multiply(sub, q, dtype=np.int32), sub)
-        return self._pair
-
-
-def _sub_table(p: int, k: int) -> np.ndarray:
-    """The p^k x p^k uint16 table of the indices of a - b in GF(p^k), for p^k <= 2^16.
-
-    It is built in row blocks of at most _CACHE_BLOCK differences, so the
-    digit temporaries of sub_indices stay small even when k = n.
-    """
-    size = p**k
-    idx = np.arange(size, dtype=np.int64)
-    out = np.empty((size, size), dtype=np.uint16)
-    block = max(1, _CACHE_BLOCK // size)
-    for a in range(0, size, block):
-        out[a : a + block] = sub_indices(idx[a : a + block, None], idx, p, k)
-    return out
 
 
 def square_indices(V) -> np.ndarray:
@@ -452,16 +407,15 @@ def _walk_triangle(what: str, size: int, nrows: int, block: int, threads: int, p
 
     The rows [0, nrows) are split into _row_chunks.  A walk of at least
     _THREAD_MIN_PAIRS positions gives each chunk one worker thread and a
-    private size-byte bitset (q bytes for the grid's axes and the
-    point-list digit route, q^2 on the table route), OR-merged at the end;
-    a smaller one takes the chunks one after another on the calling
+    private size-byte bitset (q bytes for brute force), OR-merged at the
+    end; a smaller one takes the chunks one after another on the calling
     thread, into the result.  Either way the result is bit-identical for
     any worker count.  A chunk is walked in _blocks of block rows, reusing
-    the block temporaries.  A block pairs
-    its rows with the rows (or their members) from its own first row c0
-    on, so row a meets every row b >= a once, which suffices wherever a, b
-    gives what b, a gives.  pairs(blk, c0) gets the rows as a column and
-    returns the positions to set, per_pair of them per pair.
+    the block temporaries.  A block pairs its rows with the rows (or their
+    members) from its own first row c0 on, so row a meets every row b >= a
+    once, which suffices wherever a, b gives what b, a gives.  pairs(blk,
+    c0) gets the rows as a column and returns the positions to set,
+    per_pair of them per pair.
 
     A pass that skips a row can still give the right set, so the number of
     positions must equal per_pair * _triangle_pairs(nrows,
@@ -498,20 +452,6 @@ def _walk_triangle(what: str, size: int, nrows: int, block: int, threads: int, p
     return out
 
 
-def _vector_norms(vectors: ElemSet, tabs: FieldTables) -> ElemSet:
-    """The norms dx^2 + dy^2 of the difference vectors set in vectors.
-
-    vectors is a bitset over [0, q^2) in which dx*q + dy stands for the
-    vector (dx, dy).  It is read in blocks of _CACHE_BLOCK entries.
-    """
-    q, sq = tabs.q, tabs.sq
-    out = ElemSet(q)
-    for a in range(0, q * q, _CACHE_BLOCK):
-        dx, dy = np.divmod(np.flatnonzero(vectors.bits[a : a + _CACHE_BLOCK]) + a, q)
-        out.add_array(add_indices(sq[dx], sq[dy], tabs.p, tabs.n))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # distance sets and product sets
 
@@ -526,7 +466,7 @@ def distance_set_bruteforce(points, budget: int = DEFAULT_PAIR_BUDGET, threads: 
     """
     npts = len(points)
     if npts == 0:
-        raise ValueError("empty point list carries no field context")
+        raise InvalidInput("empty point list carries no field context")
     fld = points[0].x.field
     for pt in points:
         for e in (pt.x, pt.y):
@@ -563,16 +503,11 @@ def distance_set_of_indices(field, xs, ys, budget: int = DEFAULT_PAIR_BUDGET,
     with those from its own on, in blocks of about _CACHE_BLOCK pairs and
     up to threads chunks, and checks the count.
 
-    For q <= _PAIR_TABLE_MAX_Q a block copies the rows its points r
-    select from the q x q difference tables (FieldTables.pair_tables),
-    subq[xs[r]] and sub[ys[r]], and takes the columns xs[c0:] and ys[c0:]
-    from those copies.  A pair then costs two gathers from the copies, one add into
-    int64, dx*q + dy, and one scatter into a q^2-entry bitset of
-    difference vectors; one pass over that bitset takes the norms
-    (_vector_norms).  A block has at most min(len(xs), _CACHE_BLOCK //
-    len(xs)) <= 256 rows, so its copies hold at most 6*256*q bytes, 3 MB
-    at q = 2048.  Above that a pair subtracts and adds base-p digits and
-    reads the squares table.
+    A pair subtracts base-p digits on each coordinate (sub_indices), reads
+    both squares from FieldTables.sq and adds them (add_indices), into a
+    q-byte bitset per worker; nothing q^2-sized is built.  It takes a
+    norm per point pair, not a sumset of per-axis squares, so it checks
+    distance_set_of_grid from outside.
     """
     q = field.q
     xs, ys = _index_array(xs, q, "xs"), _index_array(ys, q, "ys")
@@ -581,30 +516,15 @@ def distance_set_of_indices(field, xs, ys, budget: int = DEFAULT_PAIR_BUDGET,
         raise InvalidInput(f"xs has {npts} indices but ys has {len(ys)}")
     if npts * npts > budget:
         raise BudgetExceeded("ordered distance pairs", npts * npts, budget)
-    tabs = get_tables(field)
+    sq, p, n = get_tables(field).sq, field.p, field.n
 
-    tables = q <= _PAIR_TABLE_MAX_Q
-    if tables:
-        subq, sub = (t.reshape(q, q) for t in tabs.pair_tables())
+    def pairs(blk, c0):
+        dx2 = sq[sub_indices(xs[blk], xs[c0:], p, n)]
+        dy2 = sq[sub_indices(ys[blk], ys[c0:], p, n)]
+        return add_indices(dx2, dy2, p, n)
 
-        def pairs(blk, c0):
-            rows = blk[:, 0]
-            dx = np.take(subq[xs[rows]], xs[c0:], axis=1)
-            dy = np.take(sub[ys[rows]], ys[c0:], axis=1)
-            # an int64 sum, so the scatter casts no index array
-            return np.add(dx, dy, dtype=np.int64)
-
-    else:
-        sq, p, n = tabs.sq, field.p, field.n
-
-        def pairs(blk, c0):
-            dx2 = sq[sub_indices(xs[blk], xs[c0:], p, n)]
-            dy2 = sq[sub_indices(ys[blk], ys[c0:], p, n)]
-            return add_indices(dx2, dy2, p, n)
-
-    found = _walk_triangle("brute force evaluated {done} of {want} pairs", q * q if tables else q,
-                           npts, max(1, _CACHE_BLOCK // max(npts, 1)), threads, pairs)
-    return _vector_norms(found, tabs) if tables else found
+    return _walk_triangle("brute force evaluated {done} of {want} pairs", q, npts,
+                          max(1, _CACHE_BLOCK // max(npts, 1)), threads, pairs)
 
 
 def _axis_squares(field, a: np.ndarray, sq: np.ndarray, threads: int) -> ElemSet:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import construction as cx
 from . import setalg
-from .errors import BudgetExceeded, ClaimViolation, UnsupportedSize
+from .errors import BudgetExceeded, ClaimViolation, InvalidInput, UnsupportedSize
 
 SCHEMA_VERSION = 1
 
@@ -111,13 +111,13 @@ def verify_counterexample(
     built: it takes V - V and iV - iV pair by pair, about |V|^2/2 pairs
     per axis, and the sumset of their squares.  It uses no property of V,
     so it checks Δ(E) = S - S from outside.  Its budget is still checked
-    on the |E|^2 ordered pairs.  "auto" runs it when those fit pair_budget
-    and the points fit construction.DEFAULT_ENUM_BUDGET; "both" raises
-    BudgetExceeded when the pairs do not fit.  Either is decided before
-    any set is computed.
+    on the |E|^2 ordered pairs.  "auto" runs it exactly when those fit
+    pair_budget; "both" raises BudgetExceeded when they do not.  Either
+    is decided before any set is computed.  Another oracle raises
+    InvalidInput.
     """
     if oracle not in ("auto", "both", "structured"):
-        raise ValueError(f"unknown oracle mode {oracle!r}")
+        raise InvalidInput(f"unknown oracle mode {oracle!r}")
     t0 = time.perf_counter()
     c = cx.build_construction(p, r, basis)
     q = c.q
@@ -127,9 +127,7 @@ def verify_counterexample(
     pairs = size_e * size_e
     if oracle == "both" and pairs > pair_budget:
         raise BudgetExceeded("ordered distance pairs", pairs, pair_budget)
-    run_bruteforce = oracle == "both" or (
-        oracle == "auto" and pairs <= pair_budget and size_e <= cx.DEFAULT_ENUM_BUDGET
-    )
+    run_bruteforce = oracle == "both" or (oracle == "auto" and pairs <= pair_budget)
 
     nv = len(c.V.indices)
     if nv * nv > pair_budget:

@@ -80,12 +80,29 @@ def test_elemset_refuses_indices_outside_the_field():
     assert ElemSet.from_indices(9, []) == ElemSet(9)
 
 
+def test_elemset_refuses_non_integer_indices():
+    # np.fromiter used to truncate 1.7 to #1, and numpy raised its own
+    # IndexError or ValueError for a float or bool membership query
+    s = ElemSet.from_indices(9, [1, np.int64(5), np.uint8(7)])
+    assert s.count == 3
+    assert s.has(np.int32(5)) and np.uint64(7) in s and np.int16(2) not in s
+    assert ElemSet.from_indices(9, np.array([1, 5, 7], dtype=np.uint16)) == s
+    for bad in ([1.7], [1.0], [1, 2.0], [True], np.array([0.5]), [np.float64(3)], ["1"]):
+        with pytest.raises(InvalidInput, match="integer"):
+            ElemSet.from_indices(9, bad)
+    for bad in (5.0, 1.7, True, False, np.float64(5), np.True_, "5", None):
+        with pytest.raises(InvalidInput, match="is not an integer"):
+            s.has(bad)
+        with pytest.raises(InvalidInput, match="is not an integer"):
+            bad in s
+
+
 # --- bulk tables vs scalar arithmetic ----------------------------------------
 
 
 def test_tables_match_scalar_ops(gf9, gf729):
-    # GF(2), GF(4) and GF(16) have characteristic 2; GF(4099) is a one-digit
-    # field above the pair-table bound
+    # GF(2), GF(4) and GF(16) have characteristic 2; GF(4099) is a prime
+    # field larger than the others, one digit per index
     fields = (
         fqdist.make_prime_field(7), gf9, gf729,
         fqdist.ExtField(2, 1), fqdist.ExtField(2, 2), fqdist.ExtField(2, 4),
@@ -108,41 +125,6 @@ def test_tables_match_scalar_ops(gf9, gf729):
             assert setalg.sub_indices(idx, bs, p, n).tolist() == [(e - eb).index for e in elems]
             # a scalar second operand broadcasts against the array
             assert setalg.sub_indices(idx, b, p, n).tolist() == [(e - eb).index for e in elems]
-
-
-def test_pair_tables_match_index_arithmetic(gf729):
-    # the tables are sums of two half tables over the low h = n//2 and high
-    # n - h digits, so every one of the q^2 pairs is checked: at GF(2039)
-    # h = 0 and the high half is the whole table, GF(11^3) has odd n, and
-    # GF(2^11) is the largest order on the table route
-    for fld in (_small_field(2039, 1), _small_field(11, 3), _small_field(2, 11), gf729):
-        q, p, n = fld.q, fld.p, fld.n
-        subq, sub = setalg.get_tables(fld).pair_tables()
-        assert (subq.dtype, sub.dtype) == (np.int32, np.uint16)
-        assert subq.shape == sub.shape == (q * q,)
-        idx = np.arange(q)
-        for a in range(0, q, 256):
-            rows = slice(a * q, min(a + 256, q) * q)
-            diff = setalg.sub_indices(idx[a : a + 256, None], idx[None, :], p, n).ravel()
-            assert np.array_equal(sub[rows], diff)
-            assert np.array_equal(subq[rows], q * diff)
-
-
-@pytest.mark.parametrize("p, n", [(3, 6), (2, 11)])
-def test_pair_tables_fit_the_memory_bound(p, n):
-    fld = fqdist.ExtField(p, n)
-    q = fld.q
-    tabs = setalg.get_tables(fld)
-    subq, sub = tabs.pair_tables()
-    assert sum(a.nbytes for a in (subq, sub)) <= 6 * q * q
-    # at q = 2048, the largest order on the table route, the narrow types
-    # still hold every value: sub up to q - 1 and subq up to q*(q - 1)
-    assert int(sub.max()) == q - 1 and int(subq.max()) == q * (q - 1)
-    assert np.array_equal(subq, q * sub.astype(np.int64))
-    idx = np.arange(q)
-    for a in (0, 1, q - 1):
-        row = slice(a * q, (a + 1) * q)
-        assert np.array_equal(sub[row], setalg.sub_indices(a, idx, p, n))
 
 
 _SMALL_FIELDS = [
@@ -306,13 +288,14 @@ def test_singleton_distance_set(gf9):
 
 
 def test_empty_point_list_rejected():
-    with pytest.raises(ValueError):
+    # InvalidInput is a ValueError
+    with pytest.raises(InvalidInput, match="empty point list"):
         fqdist.distance_set_bruteforce([])
 
 
 def test_bruteforce_matches_scalar_oracle(gf9, gf729):
     rng = random.Random(99)
-    # GF(3^8) has q = 6561 > _PAIR_TABLE_MAX_Q, so it adds base-p digits
+    # GF(3^8), q = 6561, has eight base-p digits per index
     for fld in (gf9, fqdist.make_prime_field(7), gf729, fqdist.ExtField(3, 8)):
         for _ in range(8):
             pts = [
@@ -331,10 +314,7 @@ def test_bruteforce_over_many_blocks_matches_scalar_oracle(pn, spread):
     # from the 36 points of a random 6 x 6 grid, whose distance set misses
     # part of F_q.  At 600 points a block is 109 rows, so the rows of every
     # thread count below span two or more blocks, the last one partial.
-    # GF(2039) is the largest prime field on the table route, GF(2053) the
-    # smallest above it.
     fld = _small_field(*pn)
-    assert (fld.q <= setalg._PAIR_TABLE_MAX_Q) == (fld.q != 2053)
     rng = random.Random(f"{pn}-{spread}")
     elems = [fld.from_index(i) for i in rng.sample(range(fld.q), 240 if spread else 12)]
     if spread:
@@ -395,6 +375,25 @@ def test_index_entry_refuses_bad_arrays_before_any_table():
     assert got == setalg.distance_set_of_indices(fld, [0, q - 1], [5, 0])
 
 
+def test_index_entry_builds_nothing_q_squared():
+    # 40 points of GF(2039) need the 8*q-byte squares table, a q-byte
+    # bitset per worker and block temporaries of 40 x 40 pairs: far below
+    # q^2 = 4.2 MB, so nothing indexed by pairs of elements is built
+    fld = fqdist.make_prime_field(2039)
+    q = fld.q
+    rng = np.random.default_rng(2039)
+    xs, ys = rng.integers(0, q, size=(2, 40))
+    tracemalloc.start()
+    try:
+        got = setalg.distance_set_of_indices(fld, xs, ys, threads=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < q * q, f"peak {peak / 2**20:.2f} MB"
+    pts = [Point(fld.from_index(x), fld.from_index(y)) for x, y in zip(xs.tolist(), ys.tolist())]
+    assert set(np.flatnonzero(got.bits).tolist()) == oracles.scalar_distance_set(pts)
+
+
 def test_index_entry_matches_the_point_entry_on_E(c31):
     xs, ys = fqdist.E_indices(c31)
     want = fqdist.distance_set_bruteforce(fqdist.enumerate_E(c31))
@@ -406,7 +405,7 @@ def test_index_entry_matches_the_point_entry_on_E(c31):
 
 @pytest.mark.parametrize("pn", [(3, 6), (3, 8)])
 def test_index_entry_matches_the_point_entry_on_random_points(pn):
-    # GF(3^6) is on the table route, GF(3^8) above it
+    # GF(3^6) and GF(3^8): six and eight base-p digits per index
     fld = _small_field(*pn)
     rng = np.random.default_rng(sum(pn))
     xs, ys = rng.integers(0, fld.q, size=(2, 400))
@@ -734,8 +733,9 @@ def _skip_counts(threads):
 def test_bruteforce_refuses_a_pass_that_skips_a_row(monkeypatch, pn, threads):
     # the distance is symmetric, so the set of a pass that skips one row
     # can still be right; only the count of evaluated pairs shows the gap.
-    # GF(3^8) is above _PAIR_TABLE_MAX_Q, so both routes are covered.  Δ
-    # and VV share the walk, and must refuse the same skips
+    # Point-list and grid brute force are checked on GF(3^2) and GF(3^8),
+    # of two and eight digits.  Δ and VV share the walk, and must refuse
+    # the same skips
     fld = _small_field(*pn)
     rng = random.Random(f"{pn}")
     pts = [Point(fld.from_index(rng.randrange(fld.q)), fld.from_index(rng.randrange(fld.q)))
@@ -808,35 +808,6 @@ def test_triangle_pairs_counts_the_blocks(nrows, chunks, block):
     assert len(set(taken)) == len(taken)
     assert {(min(a, b), max(a, b)) for a, b in taken} == {
         (a, b) for a in range(nrows) for b in range(a, nrows)}
-
-
-# --- the vector-to-norm pass ----------------------------------------------------
-
-
-@pytest.mark.parametrize("pn", [(2, 11), (2039, 1)])
-def test_vector_norms_of_all_vectors_cover_the_field(pn):
-    fld = _small_field(*pn)
-    tabs = setalg.get_tables(fld)
-    assert setalg._vector_norms(ElemSet.full_set(fld.q**2), tabs) == ElemSet.full_set(fld.q)
-
-
-@pytest.mark.parametrize("pn", [(3, 6), (2, 11), (2039, 1), (7, 3)])
-def test_vector_norms_match_scalar_norms(pn):
-    fld = _small_field(*pn)
-    q = fld.q
-    tabs = setalg.get_tables(fld)
-    rng = random.Random(f"norms-{pn}")
-    # a sparse set with both ends of [0, q^2) and both ends of a 2^16 block
-    picks = {0, q * q - 1, setalg._CACHE_BLOCK - 1, setalg._CACHE_BLOCK}
-    picks |= set(rng.sample(range(q * q), 300))
-    vectors = ElemSet.from_indices(q * q, picks)
-    want = set()
-    for v in picks:
-        dx, dy = fld.from_index(v // q), fld.from_index(v % q)
-        want.add((dx * dx + dy * dy).index)
-    got = setalg._vector_norms(vectors, tabs)
-    assert set(np.flatnonzero(got.bits).tolist()) == want
-    assert setalg._vector_norms(ElemSet(q * q), tabs) == ElemSet(q)
 
 
 @pytest.mark.parametrize("pn", [(3, 6), (2, 11), (2039, 1), (3, 8)])

@@ -6,7 +6,7 @@ import pytest
 
 import fqdist
 from fqdist import construction, setalg, verify
-from fqdist.errors import BudgetExceeded, ClaimViolation, UnsupportedSize
+from fqdist.errors import BudgetExceeded, ClaimViolation, InvalidInput, UnsupportedSize
 
 import oracles
 
@@ -89,8 +89,20 @@ def test_verify_auto_downgrades_when_bruteforce_oversized():
 
 
 def test_verify_unknown_oracle_mode():
-    with pytest.raises(ValueError):
-        fqdist.verify_counterexample(3, 1, oracle="sampled")
+    # InvalidInput is a ValueError
+    for oracle in ("sampled", "x"):
+        with pytest.raises(InvalidInput, match=f"unknown oracle mode '{oracle}'"):
+            fqdist.verify_counterexample(3, 1, oracle=oracle)
+
+
+def test_verify_auto_is_not_held_to_the_enumeration_budget(monkeypatch):
+    # brute force builds no point of E, so only the |E|^2 ordered pairs
+    # decide whether auto runs it
+    monkeypatch.setattr(construction, "DEFAULT_ENUM_BUDGET", 100)
+    rep = fqdist.verify_counterexample(3, 1)
+    assert rep.oracle_mode == "bruteforce+structured"
+    assert fqdist.verify_counterexample(3, 1, pair_budget=6561**2 - 1).oracle_mode == \
+        "structured-only"
 
 
 def test_verify_budget_exceeded_is_loud():
