@@ -287,9 +287,11 @@ def run_selftest(args) -> int:
     # non-residues 3, 5 and 6 move them
     named = True
     for fld in (gf729, gf343):
-        cn = setalg.coset_names(ff.locate_subfield(fld, fld.n // 3))
-        named = named and np.array_equal(cn.names, cn.name(*cn.coords(np.arange(fld.q))))
-    checks.append(("coset names = direct naming of every element, GF(3^6) and GF(7^3)", named))
+        cn = setalg.CosetNames(ff.locate_subfield(fld, fld.n // 3))
+        mask = np.array([rng.random() < 0.5 for _ in range(cn.zero + 1)])
+        direct = mask[cn.name(*cn.coords(np.arange(fld.q)))]
+        named = named and np.array_equal(cn.union(mask).bits, direct)
+    checks.append(("union of random name masks = direct naming, GF(3^6) and GF(7^3)", named))
 
     i729 = ff.sqrt_minus_one(gf729)
     checks.append(("i^2 = -1 in GF(729)", i729 * i729 == -gf729.one))

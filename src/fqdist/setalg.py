@@ -5,11 +5,12 @@ The structured sets are unions of cosets of F* and H = (F*)^2 for the
 subfield F, and those cosets are named as points of the projective plane
 PG(2, F) (CosetNames): one change of basis mod p, computed exactly in
 int64, gives the F-coordinates of an element, and every later step reads
-tables of |F| or |F|^2 entries.  Δ pairs H-cosets, VV pairs F*-coset
-representatives and brute force pairs points or grid coordinates, each
-row with the rows from its own on, and one walker takes that triangle for
-all of them (_walk_triangle): in blocks, over worker chunks, with an exact
-count of the pairs taken.  Brute force on a grid X x Y, such as E = V x
+tables of |F| or |F|^2 entries.  Δ and VV are computed as masks over those
+names, and one naming pass expands a mask to a bitset (CosetNames.union).
+Δ pairs H-cosets, VV pairs F*-coset representatives and brute force
+pairs points or grid coordinates, each row with the rows from its own on,
+and one walker takes that triangle for all of them (_walk_triangle): in
+blocks, over worker chunks, with an exact count of the pairs taken.  Brute force on a grid X x Y, such as E = V x
 iV, is distance_set_of_grid: one walk over the pairs of each axis gives
 {dx^2 : dx in X - X} and {dy^2 : dy in Y - Y}, and one sumset of the two
 gives the distance set.  Brute force on any point list is
@@ -37,7 +38,7 @@ from .ff import _DIGIT_BLOCK, _scale_digits, add_indices, digits_to_index, index
 DEFAULT_PAIR_BUDGET = 10**9
 
 # elements per block of the passes that stream many elements or pairs
-# through a few int64 temporaries: coset names, name-to-bitset gathers, the
+# through a few int64 temporaries: the naming pass of CosetNames.union, the
 # structured Δ walk, the brute-force pair loops and the grid's sumset.  The
 # temporaries then fit a 2 MB L2 cache.  2^18-element blocks measured
 # 1.3-3x slower for the names; in the pair loop they were no faster and
@@ -218,36 +219,24 @@ class CosetNames:
     t2): the coordinates divided by the last nonzero one, t_l.  Those
     points get the names [0, step): (a, b, 1) is a + Q*b, (a, 1, 0) is Q^2
     + a and (1, 0, 0) is Q^2 + Q.  H has index 2 in F*, so the H-name adds
-    step * (log_gamma(t_l) mod 2).  Zero gets the name 2*step.  All of
-    this reads only Q- and Q x Q-sized tables.  Raises WrongSubfieldDegree,
-    before any table is built, unless 3m = n.
-
-    names holds the H-names of all of [0, q) in index order, as a
-    (p^(n-h), p^h) array of rows hi and columns lo, h = n//2: the element
-    hi*p^h + lo has the low digits lo and the high digits hi.  Scaling by
-    s in Z_p* multiplies every digit by s, so row s.hi is row hi with its
-    columns permuted by lo -> lo/s.  s fixes the F*-name, and it fixes the
-    H-name too exactly when s is a square in F: always when m is even,
-    otherwise when s is a residue mod p; a non-residue moves a nonzero
-    H-name by step.  So only row 0 and the rows whose leading nonzero digit
-    is 1, a 1/(p-1) share, are named: from the coordinates of their halves,
-    added in F through the Q x Q table, in blocks of at most _CACHE_BLOCK
-    elements.  Each block is copied to its p - 2 multiples right after it
-    is named.  That is about 1/(p-1) of a naming per element, plus one
-    gather.
+    step * (log_gamma(t_l) mod 2).  Zero gets the name 2*step.  Naming
+    reads only Q- and Q x Q-sized tables.  A union of H-cosets and {0} is
+    kept as the mask of its names, which union() expands.  Raises
+    WrongSubfieldDegree, before any table is built, unless 3m = n.
     """
 
-    __slots__ = ("Q", "step", "zero", "_split", "_lo", "_hi_q", "_add", "_sub",
-                 "_n0", "_n1", "names")
+    __slots__ = ("Q", "step", "zero", "_p", "_n", "_split", "_lo", "_hi_q", "_add", "_sub",
+                 "_n0", "_n1")
 
     def __init__(self, subF):
         field, m = subF.field, subF.m
-        p, n, q = field.p, field.n, field.q
+        p, n = field.p, field.n
         if 3 * m != n:
             raise WrongSubfieldDegree(m, n)
         Q = self.Q = subF.order
         self.step = step = subF.step
         self.zero = 2 * step
+        self._p, self._n = p, n
         dtype = np.min_scalar_type(self.zero)
         # the basis: basis[j, i] is gamma^i x^j, where x^j has the index p^j;
         # column j*m + i of the matrix holds its digits
@@ -263,7 +252,7 @@ class CosetNames:
             return [digits_to_index(c[j * m : (j + 1) * m], p) for j in range(3)]
 
         h = n // 2
-        self._split = split = p**h
+        self._split = p**h
         self._lo = codes(h, slice(0, h))
         self._hi_q = [t * Q for t in codes(n - h, slice(h, n))]
 
@@ -280,31 +269,6 @@ class CosetNames:
         ratio[0] = 0
         self._n0 = (ratio + step * (log % 2)[None, :]).astype(dtype).ravel()
         self._n1 = (Q * ratio).astype(dtype).ravel()
-
-        self.names = out = np.empty(q, dtype=dtype)
-        rows = out.reshape(-1, split)
-        block = max(1, _CACHE_BLOCK // split)
-        lo = [t[None, :] for t in self._lo]
-        # the scalars s = 2 .. p-1, the columns lo/s of each, and whether s
-        # moves the H-name
-        scales = np.arange(2, p).reshape(-1, 1)
-        inverses = np.array([pow(s, -1, p) for s in range(2, p)], dtype=np.int64).reshape(-1, 1)
-        perms = _scale_digits(np.arange(split), inverses, p, h)
-        moves = [m % 2 and pow(s, (p - 1) // 2, p) != 1 for s in range(2, p)]
-        # row 0, then the rows [p^k, 2p^k) with leading digit 1 in position k
-        for a0, a1 in [(0, 1)] + [(p**k, 2 * p**k) for k in range(n - h)]:
-            for a in range(a0, a1, block):
-                b = min(a + block, a1)
-                hi = [t[a:b, None] for t in self._hi_q]
-                named = rows[a:b] = self.name(*(self._add[u + v] for u, v in zip(hi, lo)))
-                if not a:
-                    continue  # every s fixes row 0
-                targets = _scale_digits(np.arange(a, b), scales, p, n - h)
-                for perm, move, target in zip(perms, moves, targets):
-                    copy = named[:, perm]
-                    if move:
-                        copy = np.where(copy < step, copy + step, copy - step)
-                    rows[target] = copy
 
     def coords(self, idx):
         """The F-codes (t0, t1, t2) of the elements with canonical indices idx."""
@@ -327,25 +291,43 @@ class CosetNames:
         return out
 
     def union(self, mask) -> ElemSet:
-        """The elements whose names are set in mask, which has 2*step + 1 entries."""
-        out = ElemSet(len(self.names))
-        for a in range(0, out.q, _CACHE_BLOCK):
-            b = a + _CACHE_BLOCK
-            np.take(mask, self.names[a:b], out=out.bits[a:b])
+        """The elements whose H-names are set in mask, a bool array of 2*step + 1 entries.
+
+        F_q is walked as a (p^(n-h), p^h) array, h = n//2: the element
+        hi*p^h + lo sits in row hi, column lo.  Scaling by s in Z_p*
+        multiplies every digit by s, so row s.hi is row hi with its columns
+        permuted by lo -> lo/s.  s fixes
+        the F*-name, and the H-name too exactly when s is a square in F:
+        always when m is even, otherwise when s is a residue mod p; a
+        non-residue moves a nonzero H-name by step, so it reads the mask
+        with its step-long halves swapped.  So only row 0 and the rows with
+        leading digit 1 are named, from their halves' coordinates, in
+        blocks of at most _CACHE_BLOCK elements, and each block's bits are
+        copied to its p - 2 multiples at once.
+        """
+        p, n, step, split = self._p, self._n, self.step, self._split
+        swapped = np.concatenate([mask[step : 2 * step], mask[:step], mask[2 * step :]])
+        out = ElemSet(p**n)
+        rows = out.bits.reshape(-1, split)
+        h = n // 2
+        block = max(1, _CACHE_BLOCK // split)
+        lo = [t[None, :] for t in self._lo]
+        # the scalars s = 2 .. p-1, the columns lo/s of each (the inverse of
+        # lo -> s.lo), and whether s moves the H-name
+        scales = np.arange(2, p).reshape(-1, 1)
+        perms = np.argsort(_scale_digits(np.arange(split), scales, p, h), axis=1)
+        moves = [n // 3 % 2 and pow(s, (p - 1) // 2, p) != 1 for s in range(2, p)]
+        # row 0, then the rows [p^k, 2p^k) with leading digit 1 in position k
+        for a0, a1 in [(0, 1)] + [(p**k, 2 * p**k) for k in range(n - h)]:
+            for a in range(a0, a1, block):
+                b = min(a + block, a1)
+                named = self.name(*(self._add[u[a:b, None] + v] for u, v in zip(self._hi_q, lo)))
+                bits = rows[a:b] = mask[named]
+                moved = swapped[named] if any(moves) else None
+                targets = _scale_digits(np.arange(a, b), scales, p, n - h)
+                for perm, move, target in zip(perms, moves, targets):
+                    rows[target] = (moved if move else bits)[:, perm]
         return out
-
-
-def coset_names(subF) -> CosetNames:
-    """The CosetNames over the subfield subF, built on first use and kept with its field.
-
-    A handle of another order is refused as on first use, even once the
-    field keeps its names.
-    """
-    c = subF.field._cosets
-    if c is None or c.Q != subF.order:
-        c = CosetNames(subF)
-        subF.field._cosets = c
-    return c
 
 
 def get_tables(field) -> FieldTables:
@@ -597,23 +579,20 @@ def _coset_runs(names, size: int, what: str) -> np.ndarray:
     raise ClaimViolation(f"{what} is not a union of cosets of a subgroup of order {size}")
 
 
-def product_set(V, budget: int = DEFAULT_PAIR_BUDGET, threads: int = 1) -> ElemSet:
-    """Exact VV = {u*v : u, v in V} for a subspace V over the subfield F.
+def _product_mask(V, cn: CosetNames, budget: int) -> np.ndarray:
+    """The H-name mask over cn of VV for a subspace V over the subfield F.
 
     F*.V = V, so V minus 0 is a union of |F|+1 cosets of F*, and VV minus 0
     is the union of the F*-cosets of the products of one member of each.
     Products commute, so _walk_triangle takes each representative against
     those from its own on, in blocks of about _DIGIT_BLOCK products: 9 340
-    at (11, 1), not (|F|+1)^2 = 14 884.  Raises ClaimViolation if V is not
-    F*-closed, BudgetExceeded if |V|^2 exceeds the budget, and
-    AssertionError if the walk missed a product.  The walk takes one chunk,
-    so threads has no effect; callers may still pass it.
+    at (11, 1), not (|F|+1)^2 = 14 884.  Raises BudgetExceeded if |V|^2
+    exceeds the budget, before anything else, ClaimViolation if V is not
+    F*-closed, and AssertionError if the walk missed a product.
     """
     idx = V.indices
-    m = len(idx)
-    if m * m > budget:
-        raise BudgetExceeded("ordered product pairs", m * m, budget)
-    cn = coset_names(V.subfield)
+    if len(idx) ** 2 > budget:
+        raise BudgetExceeded("ordered product pairs", len(idx) ** 2, budget)
     nonzero = idx[idx != 0]
     runs = _coset_runs(cn.name(*cn.coords(nonzero)) % cn.step, cn.Q - 1, "V")
     reps = nonzero[runs[:: cn.Q - 1]]
@@ -624,11 +603,17 @@ def product_set(V, budget: int = DEFAULT_PAIR_BUDGET, threads: int = 1) -> ElemS
     named = _walk_triangle("product set took {done} of {want} products", cn.step, len(reps),
                            max(1, _DIGIT_BLOCK // len(reps)), 1, pairs).bits
     # an F*-coset is the union of its two H-cosets, step apart
-    return cn.union(np.concatenate([named, named, [0 in idx]]))
+    return np.concatenate([named, named, [0 in idx]])
 
 
-def distance_set_structured(c, threads: int = 1) -> ElemSet:
-    """Distance set of the constructed point set, S - S for S = {v^2 : v in V}.
+def product_set(V, budget: int = DEFAULT_PAIR_BUDGET, threads: int = 1) -> ElemSet:
+    """Exact VV = {u*v : u, v in V}, expanded from _product_mask; threads has no effect."""
+    cn = CosetNames(V.subfield)
+    return cn.union(_product_mask(V, cn, budget))
+
+
+def _distance_mask(c, cn: CosetNames) -> np.ndarray:
+    """The H-name mask over cn of the distance set S - S of c, S = {v^2 : v in V}.
 
     F*.V = V gives H.S = S for H = (F*)^2, so S minus 0 is a union of
     H-cosets, and S - S is H times the differences r_a - t of one member
@@ -642,13 +627,9 @@ def distance_set_structured(c, threads: int = 1) -> ElemSet:
     differences.  When 0 is in S the names of S itself stand for the zero
     row and column: s - 0 = s and 0 - t = -t.  That is about
     (|F|+1)*|S|/2 differences, taken in F-coordinates: 475 440 at (11, 1),
-    against (|F|+2)*|S| = 900 483 for every row against all of S and
-    |S|^2 = 5.4e7 for all pairs.  Raises ClaimViolation if S is not
-    H-closed, and AssertionError if -1 is not in H or the walk missed a
-    difference.  The walk takes one chunk, so threads has no effect;
-    callers may still pass it.
+    not |S|^2 = 5.4e7.  Raises ClaimViolation if S is not H-closed, and
+    AssertionError if -1 is not in H or the walk missed a difference.
     """
-    cn = coset_names(c.subF)
     Q, size = cn.Q, (cn.Q - 1) // 2
     if (Q - 1) % 4:
         raise AssertionError(f"-1 is not a square in the subfield of order {Q}")
@@ -668,4 +649,10 @@ def distance_set_structured(c, threads: int = 1) -> ElemSet:
     if squares[0] == 0:
         named[names] = True
         named[cn.zero] = True
-    return cn.union(named)
+    return named
+
+
+def distance_set_structured(c, threads: int = 1) -> ElemSet:
+    """Distance set S - S of the construction, expanded from _distance_mask; threads has no effect."""
+    cn = CosetNames(c.subF)
+    return cn.union(_distance_mask(c, cn))

@@ -102,9 +102,13 @@ def verify_counterexample(
     """Build the (p, r) point set and check every claim about it.
 
     Asserts the full identity chain: the structured distance set is
-    contained in VV, equals VV for odd q, equals the brute-force distance
+    contained in VV, equals VV (q is odd), equals the brute-force distance
     set whenever that oracle runs, and misses a rechecked concrete element
-    of F_q.  Raises ClaimViolation if anything fails.
+    of F_q.  Raises ClaimViolation if anything fails.  Δ and VV are
+    compared as masks of H-coset names over one CosetNames, VV's first so
+    that its budget refusal precedes any set; every name is a nonempty
+    coset, so the masks compare as the sets do.  Δ alone is expanded, and
+    reported for VV too.
 
     Brute force runs on E as the grid V x iV it is defined as
     (construction.E_axes, setalg.distance_set_of_grid), with no point of E
@@ -129,16 +133,14 @@ def verify_counterexample(
         raise BudgetExceeded("ordered distance pairs", pairs, pair_budget)
     run_bruteforce = oracle == "both" or (oracle == "auto" and pairs <= pair_budget)
 
-    nv = len(c.V.indices)
-    if nv * nv > pair_budget:
-        raise BudgetExceeded("subspace pairs", nv * nv, pair_budget)
-    delta = setalg.distance_set_structured(c)
-    vv = setalg.product_set(c.V, budget=pair_budget)
-    if not delta.issubset(vv):
+    cn = setalg.CosetNames(c.subF)
+    vv_mask = setalg._product_mask(c.V, cn, pair_budget)
+    delta_mask = setalg._distance_mask(c, cn)
+    if (delta_mask & ~vv_mask).any():
         raise ClaimViolation("structured distance set is not contained in VV")
-    delta_equals_vv = delta == vv
-    if q % 2 == 1 and not delta_equals_vv:
+    if not np.array_equal(delta_mask, vv_mask):
         raise ClaimViolation("distance set differs from VV although q is odd")
+    delta = cn.union(delta_mask)
 
     if run_bruteforce:
         xs, ys = cx.E_axes(c)
@@ -157,23 +159,24 @@ def verify_counterexample(
         raise ClaimViolation("constructed set sits above the completeness threshold")
 
     elapsed = time.perf_counter() - t0
+    delta_json = delta.to_json(include_bits=dump_bits)
     return VerificationReport(
         p=p,
         r=r,
         q=q,
         size_E=size_e,
-        size_delta=delta.count,
-        size_VV=vv.count,
-        ratio=Fraction(delta.count, q),
-        delta_equals_VV=delta_equals_vv,
+        size_delta=delta_json["count"],
+        size_VV=delta_json["count"],
+        ratio=Fraction(delta_json["count"], q),
+        delta_equals_VV=True,
         delta_ne_Fq=True,
         missing_distance=missing,
         oracle_mode="bruteforce+structured" if run_bruteforce else "structured-only",
         ir_applicable=ir,
         elapsed_seconds=elapsed,
         construction=c.to_json(),
-        delta_set=delta.to_json(include_bits=dump_bits),
-        vv_set=vv.to_json(include_bits=dump_bits),
+        delta_set=delta_json,
+        vv_set=dict(delta_json),
     )
 
 

@@ -224,7 +224,7 @@ def test_selftest(capsys):
     assert run(["selftest", "--seed", "1", "--triples", "300"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out and "PASS" in out
-    assert "PASS  coset names = direct naming of every element, GF(3^6) and GF(7^3)" in out
+    assert "PASS  union of random name masks = direct naming, GF(3^6) and GF(7^3)" in out
     assert "PASS  grid brute force = point-list brute force on E at (3,1)" in out
     assert ("PASS  batched multiply = scalar multiply, random pairs, GF(3^6), GF(7^3), "
             "GF(46337^2)") in out

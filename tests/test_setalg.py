@@ -160,10 +160,10 @@ def test_tables_agree_with_scalar_ops_on_random_fields(pn, data):
 def test_coset_names_partition_the_field(p):
     fld = fqdist.ExtField(p, 6)
     sub = fqdist.locate_subfield(fld, 2)
-    cn = setalg.coset_names(sub)
+    cn = setalg.CosetNames(sub)
     Q, step = cn.Q, cn.step
     assert Q == p**2 and step == Q * Q + Q + 1 == (fld.q - 1) // (Q - 1)
-    names = cn.names
+    names = cn.name(*cn.coords(np.arange(fld.q)))
     assert names.dtype.itemsize <= 4 and names[0] == cn.zero == 2 * step
     # every H-name has |H| = (Q-1)/2 members ...
     sizes = np.bincount(names, minlength=cn.zero + 1)
@@ -176,13 +176,11 @@ def test_coset_names_partition_the_field(p):
         for lam in lams:
             assert names[(lam * z).index] % step == names[z.index] % step
             assert names[(lam * lam * z).index] == names[z.index]
-    # coords() and name() of arbitrary indices agree with the expansion
+    # coords() and name() of arbitrary indices agree with the full naming
     idx = np.array(rng.sample(range(fld.q), 500))
     assert (cn.name(*cn.coords(idx)) == names[idx]).all()
-    # the kept names are no reason to accept a subfield of the wrong degree
     with pytest.raises(WrongSubfieldDegree):
-        setalg.coset_names(fqdist.locate_subfield(fld, 1))
-    assert fld._cosets is cn and setalg.coset_names(sub) is cn
+        setalg.CosetNames(fqdist.locate_subfield(fld, 1))
 
 
 # odd m with p = 3, 7, 13 and 3^9 take the non-residue rule, the rest m even
@@ -190,14 +188,25 @@ def test_coset_names_partition_the_field(p):
 @pytest.mark.parametrize("pn", [(3, 3), (7, 3), (13, 3), (3, 9), (3, 6), (5, 6), (7, 6),
                                 (11, 6), (2, 6)], ids=lambda pn: f"{pn[0]}^{pn[1]}")
 def test_coset_names_name_every_element_directly(pn):
-    # CosetNames names a 1/(p-1) share of the rows and copies the rest by
+    # union() names a 1/(p-1) share of the rows and copies the rest by
     # scaling with Z_p*; the direct naming of every index must agree
     fld = _small_field(*pn)
-    cn = setalg.coset_names(fqdist.locate_subfield(fld, fld.n // 3))
-    assert len(cn.names) == fld.q
-    for a in range(0, fld.q, 2**18):
-        idx = np.arange(a, min(a + 2**18, fld.q))
-        assert np.array_equal(cn.names[idx], cn.name(*cn.coords(idx)))
+    cn = setalg.CosetNames(fqdist.locate_subfield(fld, fld.n // 3))
+    direct = cn.name(*cn.coords(np.arange(fld.q)))
+    rng = np.random.default_rng(fld.q)
+    for density in (0.5, 0.1, 0.9):
+        mask = rng.random(cn.zero + 1) < density
+        assert np.array_equal(cn.union(mask).bits, mask[direct])
+
+
+def test_coset_names_hold_nothing_q_sized():
+    # the names of F_q exist only inside union's pass, one block at a time
+    fld = _small_field(3, 6)
+    cn = setalg.CosetNames(fqdist.locate_subfield(fld, 2))
+    for slot in type(cn).__slots__:
+        value = getattr(cn, slot)
+        for a in value if isinstance(value, list) else [value]:
+            assert np.size(a) < fld.q, slot
 
 
 @pytest.mark.parametrize("pn", [(3, 4), (3, 5), (3, 2), (5, 1)], ids=lambda pn: f"{pn[0]}^{pn[1]}")
@@ -212,8 +221,7 @@ def test_coset_names_refuse_a_degree_not_divisible_by_three(monkeypatch, pn):
     for table in ("_inverse_mod", "index_digits", "add_indices"):
         monkeypatch.setattr(setalg, table, refuse)
     with pytest.raises(WrongSubfieldDegree):
-        setalg.coset_names(sub)
-    assert fld._cosets is None
+        setalg.CosetNames(sub)
 
 
 def test_squaring_and_vv_products_are_blocked():
@@ -243,7 +251,7 @@ def test_structured_path_builds_no_field_tables(monkeypatch):
     c = fqdist.build_construction(3, 1)
     fqdist.distance_set_structured(c)
     fqdist.product_set(c.V)
-    assert c.field._tables is None and c.field._cosets is not None
+    assert c.field._tables is None
 
     def refuse(field):
         raise AssertionError("FieldTables built on the structured path")
@@ -588,7 +596,7 @@ def test_structured_matches_naive_square_differences():
 @pytest.mark.parametrize("pr", [(3, 1), (5, 1), (7, 1), (3, 2)])
 def test_coset_runs_start_at_multiples_of_the_coset_size(pr):
     c = _construction(*pr)
-    cn = setalg.coset_names(c.subF)
+    cn = setalg.CosetNames(c.subF)
     size = (cn.Q - 1) // 2
     squares = c.V.squares
     names = cn.name(*cn.coords(squares[squares != 0]))

@@ -2,10 +2,11 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import fqdist
-from fqdist import construction, setalg, verify
+from fqdist import cli, construction, setalg, verify
 from fqdist.errors import BudgetExceeded, ClaimViolation, InvalidInput, UnsupportedSize
 
 import oracles
@@ -63,22 +64,64 @@ def test_verify_structured_only_mode():
 
 
 def test_missing_distance_recheck_catches_a_cleared_distance(monkeypatch):
-    # clear the true distance 1 = 1^2 - 0^2 in both Δ and VV: they still
-    # agree, the witness becomes 1, and only the recheck can object
-    real_delta, real_vv = setalg.distance_set_structured, setalg.product_set
+    # clear the true distance 1 = 1^2 - 0^2 in the one set verify expands,
+    # after Δ and VV agreed: the witness becomes 1, and only the recheck can
+    # object
+    real_union = setalg.CosetNames.union
 
-    def cleared(real):
-        def run(*args, **kwargs):
-            s = real(*args, **kwargs)
-            assert s.has(1) and s.complement_witness() == 28
-            s.bits[1] = False
-            return s
-        return run
+    def cleared(cn, mask):
+        s = real_union(cn, mask)
+        assert s.has(1) and s.complement_witness() == 28
+        s.bits[1] = False
+        return s
 
-    monkeypatch.setattr(setalg, "distance_set_structured", cleared(real_delta))
-    monkeypatch.setattr(setalg, "product_set", cleared(real_vv))
+    monkeypatch.setattr(setalg.CosetNames, "union", cleared)
     with pytest.raises(ClaimViolation, match="#1 is a distance"):
         fqdist.verify_counterexample(3, 1, oracle="structured")
+
+
+def _altered_vv_mask(monkeypatch, name_set: bool):
+    """Make verify see VV's name mask with its first name that is name_set flipped.
+
+    Δ's mask equals VV's, so a dropped name leaves Δ outside VV and an
+    added one makes VV larger than Δ.
+    """
+    real = setalg._product_mask
+
+    def altered(*args):
+        mask = real(*args)
+        mask[np.flatnonzero(mask == name_set)[0]] = not name_set
+        return mask
+
+    monkeypatch.setattr(setalg, "_product_mask", altered)
+
+
+def test_verify_refuses_a_delta_outside_vv(monkeypatch, capsys):
+    _altered_vv_mask(monkeypatch, True)
+    with pytest.raises(ClaimViolation, match="not contained in VV"):
+        fqdist.verify_counterexample(3, 1, oracle="structured")
+    assert cli.main(["verify", "--p", "3", "--r", "1", "--oracle", "structured"]) == 1
+    assert "not contained in VV" in capsys.readouterr().err
+
+
+def test_verify_refuses_a_vv_larger_than_delta(monkeypatch):
+    _altered_vv_mask(monkeypatch, False)
+    with pytest.raises(ClaimViolation, match="differs from VV"):
+        fqdist.verify_counterexample(3, 1, oracle="structured")
+
+
+def test_verify_expands_one_set(monkeypatch):
+    real_union = setalg.CosetNames.union
+    calls = []
+
+    def counted(cn, mask):
+        calls.append(len(mask))
+        return real_union(cn, mask)
+
+    monkeypatch.setattr(setalg.CosetNames, "union", counted)
+    rep = fqdist.verify_counterexample(3, 2, oracle="structured")
+    assert calls == [2 * (81 * 81 + 81 + 1) + 1]
+    assert rep.delta_set == rep.vv_set and rep.size_VV == rep.size_delta == 272241
 
 
 def test_verify_auto_downgrades_when_bruteforce_oversized():
@@ -115,8 +158,9 @@ def test_verify_oracle_both_requires_budget(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a set was computed although brute force does not fit")
 
-    monkeypatch.setattr(setalg, "distance_set_structured", refuse)
-    monkeypatch.setattr(setalg, "product_set", refuse)
+    monkeypatch.setattr(setalg, "CosetNames", refuse)
+    monkeypatch.setattr(setalg, "_distance_mask", refuse)
+    monkeypatch.setattr(setalg, "_product_mask", refuse)
     monkeypatch.setattr(construction, "enumerate_E", refuse)
     monkeypatch.setattr(construction, "E_indices", refuse)
     monkeypatch.setattr(setalg, "distance_set_of_indices", refuse)
