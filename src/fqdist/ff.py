@@ -36,14 +36,22 @@ from .errors import (
 
 MAX_FIELD_ORDER = 2**31
 
-# lanes per call of the multiply kernel, for two reasons: its n^2 float64
-# outer products take n^2 * 4 KB, 590 KB at n = 12, and stay in cache; and
-# with OpenBLAS 0.3.31, T @ outer at n = 12 took about 6 ns per multiply-add
-# at 768 or 1024 lanes, against 0.05 ns at 512
-_LANES = 512
 
-# lanes ExtField.mul converts to digit planes at once, _LANES per kernel call
-_DIGIT_BLOCK = 8 * _LANES
+def _lanes(n: int) -> int:
+    """Lanes per call of the multiply kernel in GF(p^n): its n^2 float64 outer products fit 256 KB.
+
+    That is 512 lanes for n <= 8 and fewer above, 227 at n = 12, where 512
+    lanes took 590 KB.  With OpenBLAS 0.3.31, T @ outer at n = 12 took
+    about 6 ns per multiply-add at 768 or 1024 lanes, against 0.05 ns at
+    512, so no n gets more than 512.
+    """
+    return min(512, 2**15 // (n * n))
+
+
+def _digit_block(n: int) -> int:
+    """Lanes ExtField.mul converts to digit planes at once: 8 kernel calls."""
+    return 8 * _lanes(n)
+
 
 # the generator search tests candidates in blocks that start at 16 and
 # double up to this many
@@ -344,7 +352,7 @@ class ExtField:
     def mul(self, a, b) -> np.ndarray:
         """Canonical indices of the products a*b; a and b are index arrays that broadcast.
 
-        _DIGIT_BLOCK lanes at a time are converted to digit planes and
+        _digit_block(n) lanes at a time are converted to digit planes and
         multiplied (_mul_digits).  A broadcast operand is read per block,
         never materialized; when b is a, each block is converted once.
         """
@@ -354,7 +362,7 @@ class ExtField:
         ops = [a, None] if square else [a, np.asarray(b, dtype=np.int64), None]
         it = np.nditer(ops, flags=["external_loop", "buffered", "zerosize_ok"],
                        op_flags=[["readonly"]] * (len(ops) - 1) + [["writeonly", "allocate"]],
-                       op_dtypes=[np.int64] * len(ops), order="C", buffersize=_DIGIT_BLOCK)
+                       op_dtypes=[np.int64] * len(ops), order="C", buffersize=_digit_block(n))
         with it:
             for *xs, out in it:
                 ds = [index_digits(x, p, n) for x in xs]
@@ -364,22 +372,26 @@ class ExtField:
     def _mul_digits(self, a, b) -> np.ndarray:
         """Digit planes of the products of the digit planes a and b, both (n, lanes).
 
-        For n > 1 each block of _LANES lanes takes the n^2 products a_i*b_j
-        in float64 and multiplies them by the structure tensor: every sum is
-        at most n^2 (p-1)^3 < 2^53, so it is exact, and is reduced mod p in
-        int64.  For n = 1 the one product is below (p-1)^2 < 2^62 and is
-        taken in int64.
+        For n > 1 each block of _lanes(n) lanes takes the n^2 products
+        a_i*b_j in float64 and multiplies them by the structure tensor: every
+        sum is at most n^2 (p-1)^3 < 2^53, so it is exact, and is reduced mod
+        p in int64.  For n = 1 the one product is below (p-1)^2 < 2^62 and is
+        taken in int64.  The reduction subtracts p times the floor quotient:
+        on a 12 x 4096 block int64 % took 218 us against 119 us for that
+        (numpy 2.4).
         """
-        n = self.n
+        n, p = self.n, self.p
         if n == 1:
-            return a * b % self.p
-        fa = a.astype(np.float64)
-        fb = fa if b is a else b.astype(np.float64)
-        out = np.empty(a.shape, dtype=np.int64)
-        for s in range(0, a.shape[1], _LANES):
-            outer = fa[:, None, s : s + _LANES] * fb[None, :, s : s + _LANES]
-            out[:, s : s + _LANES] = self._T @ outer.reshape(n * n, -1)
-        out %= self.p
+            out = a * b
+        else:
+            fa = a.astype(np.float64)
+            fb = fa if b is a else b.astype(np.float64)
+            out = np.empty(a.shape, dtype=np.int64)
+            lanes = _lanes(n)
+            for s in range(0, a.shape[1], lanes):
+                outer = fa[:, None, s : s + lanes] * fb[None, :, s : s + lanes]
+                out[:, s : s + lanes] = self._T @ outer.reshape(n * n, -1)
+        out -= out // p * p
         return out
 
     def _pow(self, a, e) -> np.ndarray:
@@ -740,8 +752,32 @@ def sqrt_minus_one(field: ExtField) -> FieldElem:
     q = field.q
     if (q - 1) % 4 != 0:
         raise NoSqrtMinusOne(q)
-    c = field.from_index(int(field.generator_power((q - 1) // 4)[0]))
+    return _lower_root_of_minus_one(field, int(field.generator_power((q - 1) // 4)[0]))
+
+
+def _lower_root_of_minus_one(field: ExtField, index: int) -> FieldElem:
+    """c = the element #index, or -c if that has the lower index.
+
+    AssertionError unless the root squares to -1.
+    """
+    c = field.from_index(index)
     i = min(c, -c, key=lambda e: e.index)
     if i * i != -field.one:
         raise AssertionError("generator order is inconsistent")
     return i
+
+
+def _subfield_sqrt_minus_one(subF: SubfieldHandle) -> FieldElem:
+    """sqrt_minus_one(subF.field), read off subF.powers instead of taken as a power.
+
+    gamma = g^step with step = (q-1)/(Q-1), so gamma^((Q-1)/4) =
+    g^((q-1)/4) when 4 divides Q - 1; the tie-break and the check are
+    sqrt_minus_one's.  Raises NoSqrtMinusOne when 4 does not divide q - 1.
+    4 then divides Q - 1 for an index-3 subfield (q = Q^3 = Q mod 4 for odd
+    Q); for another subfield it may not, and the check raises
+    AssertionError.
+    """
+    q, Q = subF.field.q, subF.order
+    if (q - 1) % 4 != 0:
+        raise NoSqrtMinusOne(q)
+    return _lower_root_of_minus_one(subF.field, int(subF.powers[(Q - 1) // 4]))

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import (BudgetExceeded, ClaimViolation, FieldMismatch, InvalidInput,
                      WrongSubfieldDegree)
-from .ff import _DIGIT_BLOCK, _scale_digits, add_indices, digits_to_index, index_digits, sub_indices
+from .ff import _digit_block, _scale_digits, add_indices, digits_to_index, index_digits, sub_indices
 
 DEFAULT_PAIR_BUDGET = 10**9
 
@@ -180,13 +180,22 @@ class FieldTables:
 def square_indices(V) -> np.ndarray:
     """S = {v^2 : v in V} as sorted distinct canonical indices.
 
-    Sorted and deduplicated here rather than by np.unique, whose first call
-    imports numpy.ma: about 20 ms of a process's first verify call.
+    V = -V and (-v)^2 = v^2, so only the member of each pair {v, -v} with
+    the smaller index is squared, (|V| + 1)/2 products; the negations are
+    taken in blocks of _CACHE_BLOCK.  v^2 = w^2 forces w = +-v, so those
+    squares are pairwise distinct, and AssertionError is raised if two
+    coincide.
     """
-    s = np.sort(V.field.mul(V.indices, V.indices))
-    keep = np.ones(len(s), dtype=bool)
-    keep[1:] = s[1:] != s[:-1]
-    return s[keep]
+    field, idx = V.field, V.indices
+    half = np.empty(len(idx), dtype=bool)
+    for j in range(0, len(idx), _CACHE_BLOCK):
+        blk = idx[j : j + _CACHE_BLOCK]
+        half[j : j + _CACHE_BLOCK] = blk <= sub_indices(0, blk, field.p, field.n)
+    half = idx[half]
+    s = np.sort(field.mul(half, half))
+    if (s[1:] == s[:-1]).any():
+        raise AssertionError("two members of V that are not +-each other have one square")
+    return s
 
 
 def _inverse_mod(rows, p: int) -> list:
@@ -220,13 +229,16 @@ class CosetNames:
     points get the names [0, step): (a, b, 1) is a + Q*b, (a, 1, 0) is Q^2
     + a and (1, 0, 0) is Q^2 + Q.  H has index 2 in F*, so the H-name adds
     step * (log_gamma(t_l) mod 2).  Zero gets the name 2*step.  Naming
-    reads only Q- and Q x Q-sized tables.  A union of H-cosets and {0} is
-    kept as the mask of its names, which union() expands.  Raises
-    WrongSubfieldDegree, before any table is built, unless 3m = n.
+    reads only Q- and Q x Q-sized tables: the sums and differences of codes
+    are kept both as codes and as Q times codes, so that one kernel (_names)
+    reads the two name tables at t0*Q + t2 and t1*Q + t2 with two in-place
+    additions.  A union of H-cosets and {0} is kept as the mask of its
+    names, which union() expands.  Raises WrongSubfieldDegree, before any
+    table is built, unless 3m = n.
     """
 
     __slots__ = ("Q", "step", "zero", "_p", "_n", "_split", "_lo", "_hi_q", "_add", "_sub",
-                 "_n0", "_n1")
+                 "_add_q", "_sub_q", "_n0", "_n1")
 
     def __init__(self, subF):
         field, m = subF.field, subF.m
@@ -261,6 +273,7 @@ class CosetNames:
         fq = np.arange(Q)
         self._add = add_indices(fq[:, None], fq, p, m).ravel()
         self._sub = sub_indices(fq[:, None], fq, p, m).ravel()
+        self._add_q, self._sub_q = Q * self._add, Q * self._sub
         exp = self.coords(gamma)[0]
         log = np.zeros(Q, dtype=np.int64)
         log[exp] = np.arange(Q - 1)
@@ -277,16 +290,28 @@ class CosetNames:
 
     def name(self, t0, t1, t2) -> np.ndarray:
         """H-names of the elements with F-codes (t0, t1, t2); F*-names mod step."""
+        return self._names(t0 * self.Q, t1 * self.Q, t2)
+
+    def _names(self, c0, c1, t2) -> np.ndarray:
+        """H-names of the elements with F-codes (c0/Q, c1/Q, t2); c0 and c1 are overwritten.
+
+        The three arrays share one shape.  t2 is added to c0 and c1 in
+        place, and the name tables are read there.
+        """
         Q = self.Q
-        out = self._n0[t0 * Q + t2] + self._n1[t1 * Q + t2]
+        c0 += t2
+        c1 += t2
+        out = self._n0[c0]
+        out += self._n1[c1]
         (k,) = np.nonzero(t2.ravel() == 0)
         if len(k):
-            # t2 = 0: the points (a, 1, 0), (1, 0, 0) and zero
-            a, b = t0.ravel()[k], t1.ravel()[k]
-            sub = Q * Q + self._n0[a * Q + b]
-            on_line = b == 0
-            sub[on_line] = Q * Q + Q + self._n0[a[on_line]]
-            sub[on_line & (a == 0)] = self.zero
+            # t2 = 0: the points (a, 1, 0), (1, 0, 0) and zero, with c0 = a*Q
+            # and c1 = b*Q
+            a_q, b_q = c0.ravel()[k], c1.ravel()[k]
+            sub = Q * Q + self._n0[a_q + b_q // Q]
+            on_line = b_q == 0
+            sub[on_line] = Q * Q + Q + self._n0[a_q[on_line] // Q]
+            sub[on_line & (a_q == 0)] = self.zero
             out.ravel()[k] = sub
         return out
 
@@ -321,9 +346,10 @@ class CosetNames:
         for a0, a1 in [(0, 1)] + [(p**k, 2 * p**k) for k in range(n - h)]:
             for a in range(a0, a1, block):
                 b = min(a + block, a1)
-                named = self.name(*(self._add[u[a:b, None] + v] for u, v in zip(self._hi_q, lo)))
-                bits = rows[a:b] = mask[named]
-                moved = swapped[named] if any(moves) else None
+                named = self._names(*(tab[u[a:b, None] + v] for tab, u, v in zip(
+                    (self._add_q, self._add_q, self._add), self._hi_q, lo)))
+                bits = np.take(mask, named, out=rows[a:b])
+                moved = np.take(swapped, named) if any(moves) else None
                 targets = _scale_digits(np.arange(a, b), scales, p, n - h)
                 for perm, move, target in zip(perms, moves, targets):
                     rows[target] = (moved if move else bits)[:, perm]
@@ -410,7 +436,9 @@ def _walk_triangle(what: str, size: int, nrows: int, block: int, threads: int, p
         done = 0
         for blk, c0 in _blocks(rows, block):
             k = pairs(blk, c0)
-            bits[k] = True
+            # numpy scatters through intp indices about twice as fast as
+            # through the narrow names of Δ and VV, cast included
+            bits[k.astype(np.intp, copy=False)] = True
             done += k.size
         return done
 
@@ -585,7 +613,7 @@ def _product_mask(V, cn: CosetNames, budget: int) -> np.ndarray:
     F*.V = V, so V minus 0 is a union of |F|+1 cosets of F*, and VV minus 0
     is the union of the F*-cosets of the products of one member of each.
     Products commute, so _walk_triangle takes each representative against
-    those from its own on, in blocks of about _DIGIT_BLOCK products: 9 340
+    those from its own on, in blocks of about _digit_block(n) products: 9 340
     at (11, 1), not (|F|+1)^2 = 14 884.  Raises BudgetExceeded if |V|^2
     exceeds the budget, before anything else, ClaimViolation if V is not
     F*-closed, and AssertionError if the walk missed a product.
@@ -601,7 +629,7 @@ def _product_mask(V, cn: CosetNames, budget: int) -> np.ndarray:
         return cn.name(*cn.coords(V.field.mul(reps[blk], reps[c0:]))) % cn.step
 
     named = _walk_triangle("product set took {done} of {want} products", cn.step, len(reps),
-                           max(1, _DIGIT_BLOCK // len(reps)), 1, pairs).bits
+                           max(1, _digit_block(V.field.n) // len(reps)), 1, pairs).bits
     # an F*-coset is the union of its two H-cosets, step apart
     return np.concatenate([named, named, [0 in idx]])
 
@@ -641,7 +669,8 @@ def _distance_mask(c, cn: CosetNames) -> np.ndarray:
     t = [u[order] for u in t]
 
     def pairs(blk, c0):
-        return cn.name(*(cn._sub[u[blk * size] * Q + u[c0 * size :]] for u in t))
+        return cn._names(*(tab[u[blk * size] * Q + u[c0 * size :]]
+                           for tab, u in zip((cn._sub_q, cn._sub_q, cn._sub), t)))
 
     named = _walk_triangle("structured distance set took {done} of {want} differences",
                            cn.zero + 1, len(nonzero) // size, max(1, _CACHE_BLOCK // len(squares)),

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -101,6 +102,42 @@ def test_each_subcommand_has_only_the_flags_it_reads():
         for name, sp in sub.choices.items()
     }
     assert got == want
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    # repeated main calls share one parser, and answer as calls that each
+    # build their own: verify, a bad flag (exit 2), then scan
+    calls = []
+    build = cli.build_parser
+
+    def counting():
+        calls.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    argvs = [["verify", "--p", "3", "--r", "1", "--oracle", "structured"],
+             ["verify", "--p", "3", "--r", "1", "--threads", "x"],
+             ["scan", "--p", "3", "--r", "1", "--format", "csv"]]
+
+    def outputs(fresh):
+        got = []
+        for argv in argvs:
+            if fresh:
+                cli._parser.cache_clear()
+            code = run(argv)
+            captured = capsys.readouterr()
+            # the verify summary ends with its wall time
+            got.append((code, re.sub(r"verified in [0-9.]+s", "", captured.out), captured.err))
+        return got
+
+    fresh = outputs(fresh=True)
+    calls.clear()
+    cli._parser.cache_clear()
+    shared = outputs(fresh=False)
+    assert len(calls) == 1
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 2, 0]
+    assert "invalid int value" in shared[1][2]
 
 
 @pytest.mark.parametrize("argv", [

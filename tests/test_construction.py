@@ -91,6 +91,15 @@ def test_build_construction_p3_r2_sizes():
     assert c.size_E**3 == c.q**4
 
 
+@pytest.mark.parametrize("pr", [(3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (3, 2)])
+def test_i_read_off_the_subfield_is_sqrt_minus_one(pr):
+    # build_construction reads gamma^((Q-1)/4) = g^((q-1)/4) off the subfield's
+    # powers; sqrt_minus_one takes g^((q-1)/4) as a power, with the same tie-break
+    c = fqdist.build_construction(*pr)
+    assert c.i == fqdist.sqrt_minus_one(c.field)
+    assert c.i * c.i == -c.field.one
+
+
 def test_build_construction_rejects_char2():
     with pytest.raises(NoSqrtMinusOne):
         fqdist.build_construction(2, 1)

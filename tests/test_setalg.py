@@ -247,6 +247,66 @@ def test_squaring_and_vv_products_are_blocked():
         assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
+@pytest.mark.parametrize("pr, basis", [((3, 1), "auto"), ((5, 1), "auto"), ((3, 2), "auto"),
+                                       ((3, 1), (5, 101))])
+def test_square_indices_squares_one_of_each_pair(pr, basis):
+    c = fqdist.build_construction(*pr, basis=basis)
+    f, idx = c.field, c.V.indices
+    want = np.unique(f.mul(idx, idx))
+    assert np.array_equal(setalg.square_indices(c.V), want)
+    assert len(want) == (len(idx) + 1) // 2
+
+
+def test_square_indices_refuses_a_repeated_square(monkeypatch):
+    # the squares of one member per pair {v, -v} are distinct; a multiply
+    # that gives two of them one square must not be deduplicated away
+    c = fqdist.build_construction(3, 1)
+    mul = type(c.field).mul
+
+    def repeat_one(self, a, b):
+        out = mul(self, a, b)
+        out[1] = out[0]
+        return out
+
+    monkeypatch.setattr(type(c.field), "mul", repeat_one)
+    with pytest.raises(AssertionError, match="one square"):
+        setalg.square_indices(c.V)
+
+
+@pytest.mark.parametrize("pn", [(3, 6), (7, 3), (11, 6)], ids=lambda pn: f"{pn[0]}^{pn[1]}")
+def test_name_kernel_matches_name_on_random_codes(pn):
+    # _names on Q-scaled codes and name() on plain ones against the names
+    # by definition: the projective point (t0, t1, t2) divided by its last
+    # nonzero coordinate t_l, plus step if log_gamma(t_l) is odd; a quarter
+    # of the codes have t2 = 0, some t1 = t2 = 0, and the first is zero
+    fld = _small_field(*pn)
+    sub = fqdist.locate_subfield(fld, fld.n // 3)
+    cn = setalg.CosetNames(sub)
+    Q, step = cn.Q, cn.step
+    exp = cn.coords(sub.powers)[0].tolist()
+    log = {code: k for k, code in enumerate(exp)}
+
+    def div(x, y):
+        return exp[(log[x] - log[y]) % (Q - 1)] if x else 0
+
+    def by_definition(a, b, c):
+        if c:
+            return div(a, c) + Q * div(b, c) + step * (log[c] % 2)
+        if b:
+            return Q * Q + div(a, b) + step * (log[b] % 2)
+        return Q * Q + Q + step * (log[a] % 2) if a else cn.zero
+
+    rng = np.random.default_rng(Q)
+    t0, t1, t2 = rng.integers(0, Q, size=(3, 4000))
+    t2[:1000] = 0
+    t1[:250] = 0
+    t0[:20] = 0
+    want = [by_definition(*t) for t in zip(t0.tolist(), t1.tolist(), t2.tolist())]
+    assert want[0] == cn.zero
+    assert cn._names(t0 * Q, t1 * Q, t2.copy()).tolist() == want
+    assert cn.name(t0, t1, t2).tolist() == want
+
+
 def test_structured_path_builds_no_field_tables(monkeypatch):
     c = fqdist.build_construction(3, 1)
     fqdist.distance_set_structured(c)
