@@ -36,21 +36,25 @@ from .errors import (
 
 MAX_FIELD_ORDER = 2**31
 
+# the most bytes one temporary of a block pass may take, glibc's default
+# M_MMAP_THRESHOLD: every pass that streams elements or pairs sizes its
+# blocks by it, so warm calls reuse heap pages instead of faulting new ones
+_BLOCK_BYTES = 2**17
+
 
 def _lanes(n: int) -> int:
-    """Lanes per call of the multiply kernel in GF(p^n): its n^2 float64 outer products fit 256 KB.
+    """Lanes per multiply kernel call in GF(p^n): its n^2 float64 outer products fit _BLOCK_BYTES.
 
-    That is 512 lanes for n <= 8 and fewer above, 227 at n = 12, where 512
-    lanes took 590 KB.  With OpenBLAS 0.3.31, T @ outer at n = 12 took
-    about 6 ns per multiply-add at 768 or 1024 lanes, against 0.05 ns at
-    512, so no n gets more than 512.
+    That is 512 lanes for n <= 5 and fewer above, 113 at n = 12.  With
+    OpenBLAS 0.3.31, T @ outer at n = 12 took about 6 ns per multiply-add
+    at 768 or 1024 lanes, against 0.05 ns at 512, so no n gets more than 512.
     """
-    return min(512, 2**15 // (n * n))
+    return min(512, _BLOCK_BYTES // (8 * n * n))
 
 
 def _digit_block(n: int) -> int:
-    """Lanes ExtField.mul converts to digit planes at once: 8 kernel calls."""
-    return 8 * _lanes(n)
+    """Lanes ExtField.mul converts at once: their n int64 digit planes fit _BLOCK_BYTES."""
+    return _BLOCK_BYTES // (8 * n)
 
 
 # the generator search tests candidates in blocks that start at 16 and
@@ -372,26 +376,28 @@ class ExtField:
     def _mul_digits(self, a, b) -> np.ndarray:
         """Digit planes of the products of the digit planes a and b, both (n, lanes).
 
-        For n > 1 each block of _lanes(n) lanes takes the n^2 products
-        a_i*b_j in float64 and multiplies them by the structure tensor: every
-        sum is at most n^2 (p-1)^3 < 2^53, so it is exact, and is reduced mod
-        p in int64.  For n = 1 the one product is below (p-1)^2 < 2^62 and is
-        taken in int64.  The reduction subtracts p times the floor quotient:
-        on a 12 x 4096 block int64 % took 218 us against 119 us for that
-        (numpy 2.4).
+        For n > 1 each block of _lanes(n) lanes is converted to float64 on
+        its own, never all of a and b, takes the n^2 products a_i*b_j and is
+        multiplied by the structure tensor: every sum is at most n^2 (p-1)^3
+        < 2^53, so it is exact, and is reduced mod p in int64.  For n = 1 the
+        one product is below (p-1)^2 < 2^62 and is taken in int64.  The
+        reduction subtracts p times the floor quotient: on a 12 x 4096 block
+        int64 % took 218 us against 119 us for that (numpy 2.4).
         """
         n, p = self.n, self.p
         if n == 1:
             out = a * b
         else:
-            fa = a.astype(np.float64)
-            fb = fa if b is a else b.astype(np.float64)
             out = np.empty(a.shape, dtype=np.int64)
             lanes = _lanes(n)
             for s in range(0, a.shape[1], lanes):
-                outer = fa[:, None, s : s + lanes] * fb[None, :, s : s + lanes]
+                fa = a[:, s : s + lanes].astype(np.float64)
+                fb = fa if b is a else b[:, s : s + lanes].astype(np.float64)
+                outer = fa[:, None] * fb[None]
                 out[:, s : s + lanes] = self._T @ outer.reshape(n * n, -1)
-        out -= out // p * p
+        high = out // p
+        high *= p
+        out -= high
         return out
 
     def _pow(self, a, e) -> np.ndarray:

@@ -33,18 +33,16 @@ import numpy as np
 
 from .errors import (BudgetExceeded, ClaimViolation, FieldMismatch, InvalidInput,
                      WrongSubfieldDegree)
-from .ff import _digit_block, _scale_digits, add_indices, digits_to_index, index_digits, sub_indices
+from .ff import (_BLOCK_BYTES, _digit_block, _scale_digits, add_indices, digits_to_index,
+                 index_digits, sub_indices)
 
 DEFAULT_PAIR_BUDGET = 10**9
 
-# elements per block of the passes that stream many elements or pairs
-# through a few int64 temporaries: the naming pass of CosetNames.union, the
-# structured Δ walk, the brute-force pair loops and the grid's sumset.  The
-# temporaries then fit a 2 MB L2 cache.  2^18-element blocks measured
-# 1.3-3x slower for the names; in the pair loop they were no faster and
-# raised peak RSS (83 against 47 MB over 1500 points of GF(3^8), 2 threads
-# on a 2-vCPU guest).
-_CACHE_BLOCK = 2**16
+
+def _block_rows(width: int, itemsize: int = 8) -> int:
+    """Rows per block when each temporary holds width items per row: they fit _BLOCK_BYTES."""
+    return max(1, _BLOCK_BYTES // (itemsize * max(width, 1)))
+
 
 # a triangle walk of fewer positions takes its row chunks one after another
 # on the calling thread: starting and joining the workers cost more than
@@ -182,15 +180,15 @@ def square_indices(V) -> np.ndarray:
 
     V = -V and (-v)^2 = v^2, so only the member of each pair {v, -v} with
     the smaller index is squared, (|V| + 1)/2 products; the negations are
-    taken in blocks of _CACHE_BLOCK.  v^2 = w^2 forces w = +-v, so those
+    taken in blocks of _block_rows(1).  v^2 = w^2 forces w = +-v, so those
     squares are pairwise distinct, and AssertionError is raised if two
     coincide.
     """
-    field, idx = V.field, V.indices
+    field, idx, block = V.field, V.indices, _block_rows(1)
     half = np.empty(len(idx), dtype=bool)
-    for j in range(0, len(idx), _CACHE_BLOCK):
-        blk = idx[j : j + _CACHE_BLOCK]
-        half[j : j + _CACHE_BLOCK] = blk <= sub_indices(0, blk, field.p, field.n)
+    for j in range(0, len(idx), block):
+        blk = idx[j : j + block]
+        half[j : j + block] = blk <= sub_indices(0, blk, field.p, field.n)
     half = idx[half]
     s = np.sort(field.mul(half, half))
     if (s[1:] == s[:-1]).any():
@@ -230,15 +228,16 @@ class CosetNames:
     + a and (1, 0, 0) is Q^2 + Q.  H has index 2 in F*, so the H-name adds
     step * (log_gamma(t_l) mod 2).  Zero gets the name 2*step.  Naming
     reads only Q- and Q x Q-sized tables: the sums and differences of codes
-    are kept both as codes and as Q times codes, so that one kernel (_names)
-    reads the two name tables at t0*Q + t2 and t1*Q + t2 with two in-place
-    additions.  A union of H-cosets and {0} is kept as the mask of its
-    names, which union() expands.  Raises WrongSubfieldDegree, before any
-    table is built, unless 3m = n.
+    are kept both as codes, t2's in one or two bytes, and as Q times codes,
+    so that one kernel (_names) reads the two name tables at t0*Q + t2 and
+    t1*Q + t2 with two in-place additions; a third table, read at t0*Q +
+    t1, names the elements with t2 = 0.  A union of H-cosets and {0} is
+    kept as the mask of its names, which union() expands.  Raises
+    WrongSubfieldDegree, before any table is built, unless 3m = n.
     """
 
-    __slots__ = ("Q", "step", "zero", "_p", "_n", "_split", "_lo", "_hi_q", "_add", "_sub",
-                 "_add_q", "_sub_q", "_n0", "_n1")
+    __slots__ = ("Q", "step", "zero", "_p", "_n", "_split", "_lo", "_hi_q", "_add", "_add_q",
+                 "_sub_q", "_add_t2", "_sub_t2", "_n0", "_n1", "_n2")
 
     def __init__(self, subF):
         field, m = subF.field, subF.m
@@ -271,9 +270,11 @@ class CosetNames:
         # F arithmetic on codes: digit sums, and the powers of gamma, which
         # lie in F, so their codes are their t0
         fq = np.arange(Q)
-        self._add = add_indices(fq[:, None], fq, p, m).ravel()
-        self._sub = sub_indices(fq[:, None], fq, p, m).ravel()
-        self._add_q, self._sub_q = Q * self._add, Q * self._sub
+        add, sub = (f(fq[:, None], fq, p, m).ravel() for f in (add_indices, sub_indices))
+        self._add, self._add_q, self._sub_q = add, Q * add, Q * sub
+        # the t2 tables of union() and Δ's walk hold codes in one or two bytes,
+        # which keeps a warm (3, 2) call's temporaries under glibc's trim threshold
+        self._add_t2, self._sub_t2 = (t.astype(np.min_scalar_type(Q)) for t in (add, sub))
         exp = self.coords(gamma)[0]
         log = np.zeros(Q, dtype=np.int64)
         log[exp] = np.arange(Q - 1)
@@ -282,6 +283,10 @@ class CosetNames:
         ratio[0] = 0
         self._n0 = (ratio + step * (log % 2)[None, :]).astype(dtype).ravel()
         self._n1 = (Q * ratio).astype(dtype).ravel()
+        # the names of (t0, t1, 0) at t0*Q + t1: of (t0/t1, 1, 0), of (1, 0, 0) at t1 = 0, and zero
+        self._n2 = Q * Q + self._n0
+        self._n2[::Q] = Q * Q + Q + self._n0[:Q]
+        self._n2[0] = self.zero
 
     def coords(self, idx):
         """The F-codes (t0, t1, t2) of the elements with canonical indices idx."""
@@ -305,14 +310,7 @@ class CosetNames:
         out += self._n1[c1]
         (k,) = np.nonzero(t2.ravel() == 0)
         if len(k):
-            # t2 = 0: the points (a, 1, 0), (1, 0, 0) and zero, with c0 = a*Q
-            # and c1 = b*Q
-            a_q, b_q = c0.ravel()[k], c1.ravel()[k]
-            sub = Q * Q + self._n0[a_q + b_q // Q]
-            on_line = b_q == 0
-            sub[on_line] = Q * Q + Q + self._n0[a_q[on_line] // Q]
-            sub[on_line & (a_q == 0)] = self.zero
-            out.ravel()[k] = sub
+            out.ravel()[k] = self._n2[c0.ravel()[k] + c1.ravel()[k] // Q]
         return out
 
     def union(self, mask) -> ElemSet:
@@ -327,32 +325,39 @@ class CosetNames:
         non-residue moves a nonzero H-name by step, so it reads the mask
         with its step-long halves swapped.  So only row 0 and the rows with
         leading digit 1 are named, from their halves' coordinates, in
-        blocks of at most _CACHE_BLOCK elements, and each block's bits are
-        copied to its p - 2 multiples at once.
+        blocks whose int64 temporaries fit _BLOCK_BYTES; the first moving
+        scalar s0 writes each block's swapped bits at once.  Then each
+        named range is copied to its other multiples once per scalar, in
+        chunks that fit _BLOCK_BYTES: from row hi, or from row s0.hi for
+        the other moving scalars, since s/s0 fixes the H-name.
         """
         p, n, step, split = self._p, self._n, self.step, self._split
         swapped = np.concatenate([mask[step : 2 * step], mask[:step], mask[2 * step :]])
         out = ElemSet(p**n)
         rows = out.bits.reshape(-1, split)
-        h = n // 2
-        block = max(1, _CACHE_BLOCK // split)
+        h, block, chunk = n // 2, _block_rows(split), _block_rows(split, 1)
         lo = [t[None, :] for t in self._lo]
-        # the scalars s = 2 .. p-1, the columns lo/s of each (the inverse of
-        # lo -> s.lo), and whether s moves the H-name
-        scales = np.arange(2, p).reshape(-1, 1)
-        perms = np.argsort(_scale_digits(np.arange(split), scales, p, h), axis=1)
-        moves = [n // 3 % 2 and pow(s, (p - 1) // 2, p) != 1 for s in range(2, p)]
+        # perms[s] holds the columns lo/s, the inverse of lo -> s.lo; each
+        # other scalar s is copied from row src.hi with the columns perms[s/src]
+        perms = np.argsort(_scale_digits(np.arange(split), np.arange(p)[:, None], p, h), axis=1)
+        moves = [0 < s and n // 3 % 2 and pow(s, (p - 1) // 2, p) != 1 for s in range(p)]
+        s0 = moves.index(True) if any(moves) else 1
+        copies = [(s, src, s * pow(src, -1, p) % p) for s in range(2, p) if s != s0
+                  for src in [s0 if moves[s] else 1]]
         # row 0, then the rows [p^k, 2p^k) with leading digit 1 in position k
         for a0, a1 in [(0, 1)] + [(p**k, 2 * p**k) for k in range(n - h)]:
             for a in range(a0, a1, block):
                 b = min(a + block, a1)
                 named = self._names(*(tab[u[a:b, None] + v] for tab, u, v in zip(
-                    (self._add_q, self._add_q, self._add), self._hi_q, lo)))
-                bits = np.take(mask, named, out=rows[a:b])
-                moved = np.take(swapped, named) if any(moves) else None
-                targets = _scale_digits(np.arange(a, b), scales, p, n - h)
-                for perm, move, target in zip(perms, moves, targets):
-                    rows[target] = (moved if move else bits)[:, perm]
+                    (self._add_q, self._add_q, self._add_t2), self._hi_q, lo)))
+                np.take(mask, named, out=rows[a:b])
+                if s0 > 1:
+                    rows[_scale_digits(range(a, b), s0, p, n - h)] = swapped[named][:, perms[s0]]
+            for a in range(a0, a1, chunk):
+                b = min(a + chunk, a1)
+                hi = _scale_digits(range(a, b), np.arange(p)[:, None], p, n - h)
+                for s, src, rel in copies:
+                    rows[hi[s]] = (rows[a:b] if src == 1 else rows[hi[src]])[:, perms[rel]]
         return out
 
 
@@ -510,7 +515,7 @@ def distance_set_of_indices(field, xs, ys, budget: int = DEFAULT_PAIR_BUDGET,
     index in [0, q), or InvalidInput is raised; more than budget ordered
     pairs raise BudgetExceeded.  Both are checked before any table is
     built.  The distance is symmetric, so _walk_triangle pairs each point
-    with those from its own on, in blocks of about _CACHE_BLOCK pairs and
+    with those from its own on, in blocks of _block_rows(len(xs)) rows and
     up to threads chunks, and checks the count.
 
     A pair subtracts base-p digits on each coordinate (sub_indices), reads
@@ -534,14 +539,14 @@ def distance_set_of_indices(field, xs, ys, budget: int = DEFAULT_PAIR_BUDGET,
         return add_indices(dx2, dy2, p, n)
 
     return _walk_triangle("brute force evaluated {done} of {want} pairs", q, npts,
-                          max(1, _CACHE_BLOCK // max(npts, 1)), threads, pairs)
+                          _block_rows(npts), threads, pairs)
 
 
 def _axis_squares(field, a: np.ndarray, sq: np.ndarray, threads: int) -> ElemSet:
     """{(u - v)^2 : u, v in a} as a q-bitset, from the unordered pairs of a.
 
     (u - v)^2 = (v - u)^2, so _walk_triangle pairs each entry with those
-    from its own on, in blocks of about _CACHE_BLOCK pairs and up to
+    from its own on, in blocks of _block_rows(len(a)) rows and up to
     threads chunks, and checks the count.
     """
     p, n = field.p, field.n
@@ -550,14 +555,14 @@ def _axis_squares(field, a: np.ndarray, sq: np.ndarray, threads: int) -> ElemSet
         return sq[sub_indices(a[blk], a[c0:], p, n)]
 
     return _walk_triangle("grid brute force evaluated {done} of {want} axis pairs", field.q,
-                          len(a), max(1, _CACHE_BLOCK // max(len(a), 1)), threads, pairs)
+                          len(a), _block_rows(len(a)), threads, pairs)
 
 
 def _sumset(field, a: ElemSet, b: ElemSet) -> ElemSet:
-    """{s + t : s in a, t in b}, in row blocks of at most about _CACHE_BLOCK sums."""
+    """{s + t : s in a, t in b}, in blocks of _block_rows(|b|) rows of |b| sums."""
     s, t = np.flatnonzero(a.bits), np.flatnonzero(b.bits)
     out = ElemSet(field.q)
-    block = max(1, _CACHE_BLOCK // max(len(t), 1))
+    block = _block_rows(len(t))
     for j in range(0, len(s), block):
         out.add_array(add_indices(s[j : j + block, None], t, field.p, field.n).ravel())
     return out
@@ -613,7 +618,7 @@ def _product_mask(V, cn: CosetNames, budget: int) -> np.ndarray:
     F*.V = V, so V minus 0 is a union of |F|+1 cosets of F*, and VV minus 0
     is the union of the F*-cosets of the products of one member of each.
     Products commute, so _walk_triangle takes each representative against
-    those from its own on, in blocks of about _digit_block(n) products: 9 340
+    those from its own on, in blocks of about _digit_block(n) products: 8 724
     at (11, 1), not (|F|+1)^2 = 14 884.  Raises BudgetExceeded if |V|^2
     exceeds the budget, before anything else, ClaimViolation if V is not
     F*-closed, and AssertionError if the walk missed a product.
@@ -651,10 +656,11 @@ def _distance_mask(c, cn: CosetNames) -> np.ndarray:
     as coset b against those of coset a, and only b >= a is taken.  The
     nonzero squares are sorted by H-name, so each coset is a run
     (_coset_runs), and _walk_triangle takes each coset against the members
-    of the cosets from its own on, in blocks of about _CACHE_BLOCK
-    differences.  When 0 is in S the names of S itself stand for the zero
-    row and column: s - 0 = s and 0 - t = -t.  That is about
-    (|F|+1)*|S|/2 differences, taken in F-coordinates: 475 440 at (11, 1),
+    of the cosets from its own on, in blocks of _block_rows(|S|) cosets,
+    from each coset's first member's codes, scaled by |F| once per walk.
+    When 0 is in S the names of S itself stand for the zero row and
+    column: s - 0 = s and 0 - t = -t.  That is about
+    (|F|+1)*|S|/2 differences, taken in F-coordinates: 453 840 at (11, 1),
     not |S|^2 = 5.4e7.  Raises ClaimViolation if S is not H-closed, and
     AssertionError if -1 is not in H or the walk missed a difference.
     """
@@ -667,14 +673,15 @@ def _distance_mask(c, cn: CosetNames) -> np.ndarray:
     names = cn.name(*t)
     order = _coset_runs(names, size, "the squares of V")
     t = [u[order] for u in t]
+    reps = [u[::size] * Q for u in t]
 
     def pairs(blk, c0):
-        return cn._names(*(tab[u[blk * size] * Q + u[c0 * size :]]
-                           for tab, u in zip((cn._sub_q, cn._sub_q, cn._sub), t)))
+        return cn._names(*(tab[r[blk] + u[c0 * size :]]
+                           for tab, r, u in zip((cn._sub_q, cn._sub_q, cn._sub_t2), reps, t)))
 
     named = _walk_triangle("structured distance set took {done} of {want} differences",
-                           cn.zero + 1, len(nonzero) // size, max(1, _CACHE_BLOCK // len(squares)),
-                           1, pairs, per_pair=size).bits
+                           cn.zero + 1, len(nonzero) // size, _block_rows(len(squares)), 1,
+                           pairs, per_pair=size).bits
     if squares[0] == 0:
         named[names] = True
         named[cn.zero] = True

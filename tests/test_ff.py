@@ -164,24 +164,28 @@ def test_multiply_kernel_matches_scalar_products(p, n):
         a, b = (np.array(col).T for col in zip(*pairs))
         assert f._mul_digits(a, b).T.tolist() == [list(f._mul(x, y)) for x, y in pairs]
     # ExtField.mul on canonical indices: lane by lane, squared, and a column
-    # against a row, whose 301 x 17 lanes span more than one digit block and
+    # against a row, whose 301 x 55 lanes span more than one digit block and
     # are a multiple of neither of this n's block sizes
     ea, eb = ([f.element(x) for x in col] for col in zip(*pairs))
     ia, ib = (np.array([e.index for e in col]) for col in (ea, eb))
     assert f.mul(ia, ib).tolist() == [(x * y).index for x, y in zip(ea, eb)]
     assert f.mul(ia, ia).tolist() == [(x * x).index for x in ea]
-    lanes = len(ia) * 17
+    lanes = len(ia) * 55
     assert lanes > ff._digit_block(n) and lanes % ff._digit_block(n) and lanes % ff._lanes(n)
-    got = f.mul(ia[:, None], ib[:17])
-    assert got.tolist() == [[(x * y).index for y in eb[:17]] for x in ea]
+    got = f.mul(ia[:, None], ib[:55])
+    assert got.tolist() == [[(x * y).index for y in eb[:55]] for x in ea]
 
 
 def test_multiply_blocks_are_sized_by_n():
-    # the n^2-row float64 outer products of one kernel call fit 256 KB; n <= 8
-    # keeps 512 lanes, and n = 12 takes 227
+    # one kernel call's n^2 float64 outer products, and one digit block's n
+    # int64 digit planes, fit _BLOCK_BYTES with no room for another lane; a
+    # call takes at most 512 lanes
     for n in range(1, 32):
-        assert n * n * ff._lanes(n) * 8 <= 2**18 and ff._digit_block(n) == 8 * ff._lanes(n)
-    assert [ff._lanes(n) for n in (1, 6, 8, 9, 12)] == [512, 512, 512, 404, 227]
+        lanes, block = ff._lanes(n), ff._digit_block(n)
+        assert 8 * n * n * lanes <= ff._BLOCK_BYTES and 8 * n * block <= ff._BLOCK_BYTES
+        assert lanes == 512 or 8 * n * n * (lanes + 1) > ff._BLOCK_BYTES
+        assert 8 * n * (block + 1) > ff._BLOCK_BYTES
+    assert [ff._lanes(n) for n in (1, 5, 6, 12, 31)] == [512, 512, 455, 113, 17]
 
 
 def test_multiply_kernel_refuses_sums_beyond_float64():

@@ -199,6 +199,24 @@ def test_coset_names_name_every_element_directly(pn):
         assert np.array_equal(cn.union(mask).bits, mask[direct])
 
 
+# 3^9 and 7^3 move the H-name with a non-residue: 3^9 with its one scalar,
+# 7^3 with three, two of them copied from the first; 11^6 moves none
+@pytest.mark.parametrize("pn", [(3, 9), (7, 3), (11, 6)], ids=lambda pn: f"{pn[0]}^{pn[1]}")
+def test_union_names_and_copies_ranges_across_blocks(monkeypatch, pn):
+    # a budget of two bytes per column names one row per block and copies
+    # two rows per chunk, so every leading-digit range of more than one row
+    # spans several blocks and several chunks
+    fld = _small_field(*pn)
+    cn = setalg.CosetNames(fqdist.locate_subfield(fld, fld.n // 3))
+    direct = cn.name(*cn.coords(np.arange(fld.q)))
+    monkeypatch.setattr(setalg, "_BLOCK_BYTES", 2 * cn._split)
+    assert setalg._block_rows(cn._split) == 1 and setalg._block_rows(cn._split, 1) == 2
+    rng = np.random.default_rng(fld.q)
+    for density in (0.5, 0.1):
+        mask = rng.random(cn.zero + 1) < density
+        assert np.array_equal(cn.union(mask).bits, mask[direct])
+
+
 def test_coset_names_hold_nothing_q_sized():
     # the names of F_q exist only inside union's pass, one block at a time
     fld = _small_field(3, 6)

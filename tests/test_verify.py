@@ -1,6 +1,11 @@
 """Reports, threshold arithmetic, ratio scans, census."""
 
+import os
+import platform
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,6 +245,35 @@ def test_report_digest_ignores_elapsed():
     r1 = fqdist.verify_counterexample(3, 1, oracle="structured").to_json_dict()
     r2 = fqdist.verify_counterexample(3, 1, oracle="structured").to_json_dict()
     assert fqdist.report_digest(r1) == fqdist.report_digest(r2)
+
+
+_FAULTS = """
+import resource
+from fqdist.verify import verify_counterexample
+for p, r in [(3, 2), (11, 1)]:
+    faults = []
+    for _ in range(4):
+        start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        verify_counterexample(p, r, oracle="structured")
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start)
+    print(p, r, *faults)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="counts page faults under glibc's malloc")
+def test_warm_verify_calls_take_few_page_faults():
+    # every block temporary fits ff._BLOCK_BYTES, glibc's default mmap
+    # threshold, so from the third call on the blocks reuse heap pages
+    # (2^16-entry blocks took about 3 430 and 940 faults per warm call)
+    src = str(Path(fqdist.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", _FAULTS], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    rows = [list(map(int, line.split())) for line in done.stdout.splitlines()]
+    assert [row[:2] for row in rows] == [[3, 2], [11, 1]]
+    for p, r, *faults in rows:
+        assert max(faults[2:]) < 300, (p, r, faults)
 
 
 # --- ratio scan -----------------------------------------------------------------
