@@ -80,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="include full bitset dumps in the report")
     pair_budget(sp)
     sp.add_argument("--threads", type=int, default=1,
-                    help="worker threads for the brute-force pass (run by --oracle both, "
-                         "or auto when it fits; default 1)")
+                    help="accepted and has no effect: every pass runs on one thread "
+                         "(must be at least 1; default 1)")
     out(sp)
     sp.add_argument("-v", "--verbose", action="store_true")
 

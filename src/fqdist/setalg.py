@@ -9,9 +9,10 @@ tables of |F| or |F|^2 entries.  Δ and VV are computed as masks over those
 names, and one naming pass expands a mask to a bitset (CosetNames.union).
 Δ pairs H-cosets, VV pairs F*-coset representatives and brute force
 pairs points or grid coordinates, each row with the rows from its own on,
-and one walker takes that triangle for all of them (_walk_triangle): in
-blocks, over worker chunks, with an exact count of the pairs taken.  Brute force on a grid X x Y, such as E = V x
-iV, is distance_set_of_grid: one walk over the pairs of each axis gives
+and one walker takes that triangle for all of them (_walk_triangle): on
+the calling thread, in row blocks sized by their own widths, with an
+exact count of the pairs taken.  Brute force on a grid X x Y, such as E =
+V x iV, is distance_set_of_grid: one walk over the pairs of each axis gives
 {dx^2 : dx in X - X} and {dy^2 : dy in Y - Y}, and one sumset of the two
 gives the distance set.  Brute force on any point list is
 distance_set_of_indices, on the points' coordinates as two index arrays;
@@ -25,8 +26,6 @@ Budgets are hard limits: an oversized request raises instead of sampling.
 from __future__ import annotations
 
 import hashlib
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,15 +41,6 @@ DEFAULT_PAIR_BUDGET = 10**9
 def _block_rows(width: int, itemsize: int = 8) -> int:
     """Rows per block when each temporary holds width items per row: they fit _BLOCK_BYTES."""
     return max(1, _BLOCK_BYTES // (itemsize * max(width, 1)))
-
-
-# a triangle walk of fewer positions takes its row chunks one after another
-# on the calling thread: starting and joining the workers cost more than
-# they saved below about 10^6 pairs, and their start-up delay varied from
-# call to call.  One axis of E at (3, 1), 3 321 pairs, took 0.25 ms on one
-# thread and 0.67 ms on two; 1.3e6 pairs of GF(3^12) took 71 and 46 ms
-# (medians of 15 calls, 2-vCPU KVM guest).
-_THREAD_MIN_PAIRS = 2**20
 
 
 class ElemSet:
@@ -325,7 +315,7 @@ class CosetNames:
         non-residue moves a nonzero H-name by step, so it reads the mask
         with its step-long halves swapped.  So only row 0 and the rows with
         leading digit 1 are named, from their halves' coordinates, in
-        blocks whose int64 temporaries fit _BLOCK_BYTES; the first moving
+        blocks whose int64 temporaries fit half of _BLOCK_BYTES; the first moving
         scalar s0 writes each block's swapped bits at once.  Then each
         named range is copied to its other multiples once per scalar, in
         chunks that fit _BLOCK_BYTES: from row hi, or from row s0.hi for
@@ -335,7 +325,10 @@ class CosetNames:
         swapped = np.concatenate([mask[step : 2 * step], mask[:step], mask[2 * step :]])
         out = ElemSet(p**n)
         rows = out.bits.reshape(-1, split)
-        h, block, chunk = n // 2, _block_rows(split), _block_rows(split, 1)
+        # the naming blocks take half the budget: the bitset is live beside
+        # them, and a (3, 2) call then peaks at 886 KB, not 1 088, under
+        # glibc's trim threshold of twice the bitset, so warm calls keep their heap
+        h, block, chunk = n // 2, _block_rows(2 * split), _block_rows(split, 1)
         lo = [t[None, :] for t in self._lo]
         # perms[s] holds the columns lo/s, the inverse of lo -> s.lo; each
         # other scalar s is copied from row src.hi with the columns perms[s/src]
@@ -369,99 +362,64 @@ def get_tables(field) -> FieldTables:
     return t
 
 
-def _available_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _check_threads(threads: int) -> None:
+    """threads is accepted and has no effect: every walk runs on the calling thread.
 
-
-def _chunk_count(nrows: int, threads: int) -> int:
-    """min(threads, CPUs available, nrows), and at least 1 when there are rows."""
-    return min(max(threads, 1), _available_cpus(), nrows)
-
-
-def _row_chunks(nrows: int, threads: int) -> list:
-    """_chunk_count(nrows, threads) strided row sets, none empty.
-
-    Each chunk gets its own OS thread and private bitset in _walk_triangle,
-    so chunks beyond the CPUs this process may run on would only cost memory.
+    InvalidInput below 1, as the CLI refuses --threads 0.
     """
-    k = _chunk_count(nrows, threads)
-    return [np.arange(w, nrows, k) for w in range(k)]
+    if threads < 1:
+        raise InvalidInput(f"threads must be at least 1, not {threads}")
 
 
-def _blocks(rows, block: int):
-    """The row blocks of a chunk, each as a column with its first row."""
-    for j0 in range(0, len(rows), block):
-        blk = rows[j0 : j0 + block]
-        yield blk[:, None], int(blk[0])
+def _heights(nrows: int, cap: int):
+    """The row counts of the blocks of a triangle walk, sized by their own widths.
 
-
-def _triangle_pairs(nrows: int, chunks: int, block: int) -> int:
-    """The number of pairs the blocks of _blocks take over _row_chunks.
-
-    Chunk w has m rows, w, w + chunks, ...; its j-th block starts at row
-    w + chunks*block*j and takes nrows minus that many columns per row.
-    Summed over the full blocks and the partial last one.
+    The block from row a has nrows - a columns, so it takes max(1, cap //
+    (nrows - a)) rows: at most cap positions per block, or one row when a
+    single row is wider.
     """
-    total = 0
-    for w in range(chunks):
-        m = len(range(w, nrows, chunks))
-        full, rest = divmod(m, block)
-        stride = chunks * block
-        total += block * (full * (nrows - w) - stride * full * (full - 1) // 2)
-        total += rest * (nrows - w - stride * full)
-    return total
+    a = 0
+    while a < nrows:
+        k = min(max(1, cap // (nrows - a)), nrows - a)
+        yield k
+        a += k
 
 
-def _walk_triangle(what: str, size: int, nrows: int, block: int, threads: int, pairs,
+def _plan(nrows: int, cap: int):
+    """The blocks of a triangle walk: rows [a, a + k) as a column, and a, where columns start."""
+    a = 0
+    for k in _heights(nrows, cap):
+        yield np.arange(a, a + k)[:, None], a
+        a += k
+
+
+def _walk_triangle(what: str, size: int, nrows: int, cap: int, pairs,
                    per_pair: int = 1) -> ElemSet:
     """The bitset over [0, size) of the positions pairs(blk, c0) returns over the row triangle.
 
-    The rows [0, nrows) are split into _row_chunks.  A walk of at least
-    _THREAD_MIN_PAIRS positions gives each chunk one worker thread and a
-    private size-byte bitset (q bytes for brute force), OR-merged at the
-    end; a smaller one takes the chunks one after another on the calling
-    thread, into the result.  Either way the result is bit-identical for
-    any worker count.  A chunk is walked in _blocks of block rows, reusing
-    the block temporaries.  A block pairs its rows with the rows (or their
+    The rows [0, nrows) are taken on the calling thread in the contiguous
+    blocks of _plan, each sized by its own width so that it returns at
+    most cap positions (per_pair of them per pair), or one row when a
+    single row is wider.  A block pairs its rows with the rows (or their
     members) from its own first row c0 on, so row a meets every row b >= a
     once, which suffices wherever a, b gives what b, a gives.  pairs(blk,
-    c0) gets the rows as a column and returns the positions to set,
-    per_pair of them per pair.
+    c0) gets the rows as a column and returns the positions to set.
 
     A pass that skips a row can still give the right set, so the number of
-    positions must equal per_pair * _triangle_pairs(nrows,
-    _chunk_count(nrows, threads), block), or AssertionError is raised with
-    the message what.format(done=..., want=...).
+    positions must equal per_pair * (nrows(nrows+1)/2 + the sum of k(k-1)/2
+    over the block heights k of _heights), or AssertionError is raised
+    with the message what.format(done=..., want=...).
     """
     out = ElemSet(size)
-
-    def fill(rows, bits):
-        done = 0
-        for blk, c0 in _blocks(rows, block):
-            k = pairs(blk, c0)
-            # numpy scatters through intp indices about twice as fast as
-            # through the narrow names of Δ and VV, cast included
-            bits[k.astype(np.intp, copy=False)] = True
-            done += k.size
-        return done
-
-    chunks = _row_chunks(nrows, threads)
-    want = per_pair * _triangle_pairs(nrows, _chunk_count(nrows, threads), block)
-    if len(chunks) <= 1 or want < _THREAD_MIN_PAIRS:
-        done = sum(fill(ch, out.bits) for ch in chunks)
-    else:
-
-        def run(ch):
-            bits = np.zeros(size, dtype=bool)
-            return bits, fill(ch, bits)
-
-        done = 0
-        with ThreadPoolExecutor(max_workers=len(chunks)) as ex:
-            for bits, taken in ex.map(run, chunks):
-                out.bits |= bits
-                done += taken
+    overlap = sum(k * (k - 1) for k in _heights(nrows, cap // per_pair))
+    want = per_pair * (nrows * (nrows + 1) + overlap) // 2
+    done = 0
+    for blk, c0 in _plan(nrows, cap // per_pair):
+        k = pairs(blk, c0)
+        # numpy scatters through intp indices about twice as fast as
+        # through the narrow names of Δ and VV, cast included
+        out.bits[k.astype(np.intp, copy=False)] = True
+        done += k.size
     if done != want:
         raise AssertionError(what.format(done=done, want=want))
     return out
@@ -477,7 +435,8 @@ def distance_set_bruteforce(points, budget: int = DEFAULT_PAIR_BUDGET, threads: 
     Raises FieldMismatch, before any table is built, when the coordinates
     do not share one field; their indices then go to
     distance_set_of_indices, which refuses (rather than samples) when
-    len(points)^2 exceeds the budget.
+    len(points)^2 exceeds the budget.  threads must be at least 1 and has
+    no effect.
     """
     npts = len(points)
     if npts == 0:
@@ -514,16 +473,18 @@ def distance_set_of_indices(field, xs, ys, budget: int = DEFAULT_PAIR_BUDGET,
     xs and ys are 1-D integer arrays of one length with every canonical
     index in [0, q), or InvalidInput is raised; more than budget ordered
     pairs raise BudgetExceeded.  Both are checked before any table is
-    built.  The distance is symmetric, so _walk_triangle pairs each point
-    with those from its own on, in blocks of _block_rows(len(xs)) rows and
-    up to threads chunks, and checks the count.
+    built, and threads must be at least 1; it has no effect.  The distance
+    is symmetric, so _walk_triangle pairs each point with those from its
+    own on, in blocks of at most _BLOCK_BYTES // 8 pairs, and checks the
+    count.
 
     A pair subtracts base-p digits on each coordinate (sub_indices), reads
-    both squares from FieldTables.sq and adds them (add_indices), into a
-    q-byte bitset per worker; nothing q^2-sized is built.  It takes a
+    both squares from FieldTables.sq and adds them (add_indices), into one
+    q-byte bitset; nothing q^2-sized is built.  It takes a
     norm per point pair, not a sumset of per-axis squares, so it checks
     distance_set_of_grid from outside.
     """
+    _check_threads(threads)
     q = field.q
     xs, ys = _index_array(xs, q, "xs"), _index_array(ys, q, "ys")
     npts = len(xs)
@@ -539,15 +500,15 @@ def distance_set_of_indices(field, xs, ys, budget: int = DEFAULT_PAIR_BUDGET,
         return add_indices(dx2, dy2, p, n)
 
     return _walk_triangle("brute force evaluated {done} of {want} pairs", q, npts,
-                          _block_rows(npts), threads, pairs)
+                          _BLOCK_BYTES // 8, pairs)
 
 
-def _axis_squares(field, a: np.ndarray, sq: np.ndarray, threads: int) -> ElemSet:
+def _axis_squares(field, a: np.ndarray, sq: np.ndarray) -> ElemSet:
     """{(u - v)^2 : u, v in a} as a q-bitset, from the unordered pairs of a.
 
     (u - v)^2 = (v - u)^2, so _walk_triangle pairs each entry with those
-    from its own on, in blocks of _block_rows(len(a)) rows and up to
-    threads chunks, and checks the count.
+    from its own on, in blocks of at most _BLOCK_BYTES // 8 pairs, and
+    checks the count.
     """
     p, n = field.p, field.n
 
@@ -555,7 +516,7 @@ def _axis_squares(field, a: np.ndarray, sq: np.ndarray, threads: int) -> ElemSet
         return sq[sub_indices(a[blk], a[c0:], p, n)]
 
     return _walk_triangle("grid brute force evaluated {done} of {want} axis pairs", field.q,
-                          len(a), _block_rows(len(a)), threads, pairs)
+                          len(a), _BLOCK_BYTES // 8, pairs)
 
 
 def _sumset(field, a: ElemSet, b: ElemSet) -> ElemSet:
@@ -583,15 +544,16 @@ def distance_set_of_grid(field, xs, ys, budget: int = DEFAULT_PAIR_BUDGET,
     That is about (len(xs)^2 + len(ys)^2)/2 pairs and at most q^2 sums,
     where distance_set_of_indices on the same points takes about
     (len(xs)*len(ys))^2/2 pairs.  Nothing but the grid shape is used.
+    threads must be at least 1 and has no effect.
     """
+    _check_threads(threads)
     q = field.q
     xs, ys = _index_array(xs, q, "xs"), _index_array(ys, q, "ys")
     npairs = (len(xs) * len(ys)) ** 2
     if npairs > budget:
         raise BudgetExceeded("ordered distance pairs", npairs, budget)
     sq = get_tables(field).sq
-    return _sumset(field, _axis_squares(field, xs, sq, threads),
-                   _axis_squares(field, ys, sq, threads))
+    return _sumset(field, _axis_squares(field, xs, sq), _axis_squares(field, ys, sq))
 
 
 def _coset_runs(names, size: int, what: str) -> np.ndarray:
@@ -618,8 +580,8 @@ def _product_mask(V, cn: CosetNames, budget: int) -> np.ndarray:
     F*.V = V, so V minus 0 is a union of |F|+1 cosets of F*, and VV minus 0
     is the union of the F*-cosets of the products of one member of each.
     Products commute, so _walk_triangle takes each representative against
-    those from its own on, in blocks of about _digit_block(n) products: 8 724
-    at (11, 1), not (|F|+1)^2 = 14 884.  Raises BudgetExceeded if |V|^2
+    those from its own on, in blocks of at most _digit_block(n) products:
+    9 381 at (11, 1), not (|F|+1)^2 = 14 884.  Raises BudgetExceeded if |V|^2
     exceeds the budget, before anything else, ClaimViolation if V is not
     F*-closed, and AssertionError if the walk missed a product.
     """
@@ -634,13 +596,17 @@ def _product_mask(V, cn: CosetNames, budget: int) -> np.ndarray:
         return cn.name(*cn.coords(V.field.mul(reps[blk], reps[c0:]))) % cn.step
 
     named = _walk_triangle("product set took {done} of {want} products", cn.step, len(reps),
-                           max(1, _digit_block(V.field.n) // len(reps)), 1, pairs).bits
+                           _digit_block(V.field.n), pairs).bits
     # an F*-coset is the union of its two H-cosets, step apart
     return np.concatenate([named, named, [0 in idx]])
 
 
 def product_set(V, budget: int = DEFAULT_PAIR_BUDGET, threads: int = 1) -> ElemSet:
-    """Exact VV = {u*v : u, v in V}, expanded from _product_mask; threads has no effect."""
+    """Exact VV = {u*v : u, v in V}, expanded from _product_mask.
+
+    threads must be at least 1 and has no effect.
+    """
+    _check_threads(threads)
     cn = CosetNames(V.subfield)
     return cn.union(_product_mask(V, cn, budget))
 
@@ -656,11 +622,11 @@ def _distance_mask(c, cn: CosetNames) -> np.ndarray:
     as coset b against those of coset a, and only b >= a is taken.  The
     nonzero squares are sorted by H-name, so each coset is a run
     (_coset_runs), and _walk_triangle takes each coset against the members
-    of the cosets from its own on, in blocks of _block_rows(|S|) cosets,
-    from each coset's first member's codes, scaled by |F| once per walk.
-    When 0 is in S the names of S itself stand for the zero row and
-    column: s - 0 = s and 0 - t = -t.  That is about
-    (|F|+1)*|S|/2 differences, taken in F-coordinates: 453 840 at (11, 1),
+    of the cosets from its own on, in blocks of at most _BLOCK_BYTES // 8
+    differences, from each coset's first member's codes, scaled by |F|
+    once per walk.  When 0 is in S the names of S itself stand for the
+    zero row and column: s - 0 = s and 0 - t = -t.  That is about
+    (|F|+1)*|S|/2 differences, taken in F-coordinates: 465 960 at (11, 1),
     not |S|^2 = 5.4e7.  Raises ClaimViolation if S is not H-closed, and
     AssertionError if -1 is not in H or the walk missed a difference.
     """
@@ -680,8 +646,8 @@ def _distance_mask(c, cn: CosetNames) -> np.ndarray:
                            for tab, r, u in zip((cn._sub_q, cn._sub_q, cn._sub_t2), reps, t)))
 
     named = _walk_triangle("structured distance set took {done} of {want} differences",
-                           cn.zero + 1, len(nonzero) // size, _block_rows(len(squares)), 1,
-                           pairs, per_pair=size).bits
+                           cn.zero + 1, len(nonzero) // size, _BLOCK_BYTES // 8, pairs,
+                           per_pair=size).bits
     if squares[0] == 0:
         named[names] = True
         named[cn.zero] = True
@@ -689,6 +655,10 @@ def _distance_mask(c, cn: CosetNames) -> np.ndarray:
 
 
 def distance_set_structured(c, threads: int = 1) -> ElemSet:
-    """Distance set S - S of the construction, expanded from _distance_mask; threads has no effect."""
+    """Distance set S - S of the construction, expanded from _distance_mask.
+
+    threads must be at least 1 and has no effect.
+    """
+    _check_threads(threads)
     cn = CosetNames(c.subF)
     return cn.union(_distance_mask(c, cn))

@@ -118,10 +118,11 @@ def verify_counterexample(
     on the |E|^2 ordered pairs.  "auto" runs it exactly when those fit
     pair_budget; "both" raises BudgetExceeded when they do not.  Either
     is decided before any set is computed.  Another oracle raises
-    InvalidInput.
+    InvalidInput, as does threads below 1; threads has no effect.
     """
     if oracle not in ("auto", "both", "structured"):
         raise InvalidInput(f"unknown oracle mode {oracle!r}")
+    setalg._check_threads(threads)
     t0 = time.perf_counter()
     c = cx.build_construction(p, r, basis)
     q = c.q
@@ -144,8 +145,7 @@ def verify_counterexample(
 
     if run_bruteforce:
         xs, ys = cx.E_axes(c)
-        brute = setalg.distance_set_of_grid(c.field, xs, ys, budget=pair_budget,
-                                            threads=threads)
+        brute = setalg.distance_set_of_grid(c.field, xs, ys, budget=pair_budget)
         if brute != delta:
             raise ClaimViolation("brute-force distance set disagrees with structured path")
 

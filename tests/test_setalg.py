@@ -2,7 +2,6 @@
 
 import dataclasses
 import functools
-import os
 import random
 import tracemalloc
 import types
@@ -398,8 +397,8 @@ def test_bruteforce_matches_scalar_oracle(gf9, gf729):
 def test_bruteforce_over_many_blocks_matches_scalar_oracle(pn, spread):
     # 600 points drawn with replacement from 120 random points (spread) or
     # from the 36 points of a random 6 x 6 grid, whose distance set misses
-    # part of F_q.  At 600 points a block is 109 rows, so the rows of every
-    # thread count below span two or more blocks, the last one partial.
+    # part of F_q.  At 600 points the first block is 27 rows and the last
+    # ones are wider, so the walk spans several blocks of unequal heights.
     fld = _small_field(*pn)
     rng = random.Random(f"{pn}-{spread}")
     elems = [fld.from_index(i) for i in rng.sample(range(fld.q), 240 if spread else 12)]
@@ -463,7 +462,7 @@ def test_index_entry_refuses_bad_arrays_before_any_table():
 
 def test_index_entry_builds_nothing_q_squared():
     # 40 points of GF(2039) need the 8*q-byte squares table, a q-byte
-    # bitset per worker and block temporaries of 40 x 40 pairs: far below
+    # bitset and block temporaries of 40 x 40 pairs: far below
     # q^2 = 4.2 MB, so nothing indexed by pairs of elements is built
     fld = fqdist.make_prime_field(2039)
     q = fld.q
@@ -691,16 +690,16 @@ def test_coset_runs_start_at_multiples_of_the_coset_size(pr):
 
 @pytest.mark.parametrize("pr", [(3, 1), (3, 2)])
 def test_structured_refuses_columns_that_start_one_coset_late(monkeypatch, pr):
-    # at (3, 1) one block holds every coset; at (3, 2) 82 cosets take 5 blocks.
+    # at (3, 1) one block holds every coset; at (3, 2) 82 cosets take 10 blocks.
     # VV's representatives are walked the same way and must be refused too
     c = _construction(*pr)
-    blocks = setalg._blocks
+    plan = setalg._plan
 
-    def one_coset_late(rows, block):
-        for blk, c0 in blocks(rows, block):
+    def one_coset_late(nrows, cap):
+        for blk, c0 in plan(nrows, cap):
             yield blk, c0 + 1
 
-    monkeypatch.setattr(setalg, "_blocks", one_coset_late)
+    monkeypatch.setattr(setalg, "_plan", one_coset_late)
     with pytest.raises(AssertionError, match="differences"):
         fqdist.distance_set_structured(c)
     with pytest.raises(AssertionError, match="products"):
@@ -755,6 +754,7 @@ def test_oracle_equivalence_all_three_paths(c31):
 
 
 def test_threads_give_bit_identical_results(c31):
+    # threads is accepted and has no effect; below 1 it is refused before any set
     d1 = fqdist.distance_set_structured(c31, threads=1)
     d3 = fqdist.distance_set_structured(c31, threads=3)
     assert d1 == d3 and d1.sha256() == d3.sha256()
@@ -765,53 +765,35 @@ def test_threads_give_bit_identical_results(c31):
     b1 = fqdist.distance_set_bruteforce(pts, threads=1)
     b2 = fqdist.distance_set_bruteforce(pts, threads=2)
     assert b1 == b2
+    xs, ys = fqdist.E_axes(c31)
+    for call in (lambda: fqdist.distance_set_structured(c31, threads=0),
+                 lambda: fqdist.product_set(c31.V, threads=0),
+                 lambda: fqdist.distance_set_bruteforce(pts, threads=0),
+                 lambda: fqdist.distance_set_of_indices(c31.field, xs, xs, threads=0),
+                 lambda: fqdist.distance_set_of_grid(c31.field, xs, ys, threads=-1),
+                 lambda: fqdist.verify_counterexample(3, 1, threads=0)):
+        with pytest.raises(InvalidInput, match="threads must be at least 1"):
+            call()
 
 
 def test_row_chunks_bounded_by_rows():
-    cpus = len(os.sched_getaffinity(0))
-    # only the chunker runs here, so the huge thread count starts no thread
-    for nrows, threads in ((5, 64), (10**4, 10**6)):
-        chunks = setalg._row_chunks(nrows, threads)
-        assert len(chunks) == min(nrows, cpus) and all(len(ch) for ch in chunks)
-        assert sorted(np.concatenate(chunks).tolist()) == list(range(nrows))
-    assert len(setalg._row_chunks(10, 1)) == 1
-    assert setalg._row_chunks(0, 4) == []
+    # a cap far above the triangle gives one block of every row, and no
+    # rows give no block and no call
+    for nrows in (1, 5, 300):
+        assert [(blk.ravel().tolist(), c0) for blk, c0 in setalg._plan(nrows, 10**9)] == [
+            (list(range(nrows)), 0)]
+    assert list(setalg._plan(0, 1)) == []
 
     def pairs(blk, c0):
         raise AssertionError("pairs called without rows")
 
-    assert setalg._walk_triangle("{done} of {want}", 7, 0, 1, 4, pairs) == ElemSet(7)
+    assert setalg._walk_triangle("{done} of {want}", 7, 0, 1, pairs) == ElemSet(7)
 
 
-@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU gives one chunk")
-def test_walk_starts_workers_only_for_large_walks(monkeypatch):
-    pools = []
-
-    class CountingPool(setalg.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(setalg, "ThreadPoolExecutor", CountingPool)
-
-    def pairs(blk, c0):
-        return (blk + np.arange(c0, nrows)).ravel() % 7
-
-    nrows = 40
-    small = setalg._walk_triangle("{done} of {want}", 7, nrows, 8, 2, pairs)
-    assert pools == []
-    monkeypatch.setattr(setalg, "_THREAD_MIN_PAIRS", setalg._triangle_pairs(nrows, 2, 8))
-    assert setalg._walk_triangle("{done} of {want}", 7, nrows, 8, 2, pairs) == small
-    assert pools == [2]
-
-
-def _skip_counts(threads):
-    # 40 points fit one block per chunk: one chunk of rows 0..39 from column
-    # 0, or rows 0, 2, .., 38 from column 0 and 1, 3, .., 39 from column 1.
-    # The counts are those of the whole pass, of one without row 0, of one
-    # whose columns start one late, and of one without the last chunk
-    return {1: (1600, 1521, 1560, 0), 2: (1580, 1502, 1540, 800)}[
-        min(threads, len(os.sched_getaffinity(0)))]
+# 40 points fit one block of rows 0..39 from column 0.  The counts are
+# those of the whole pass, of one that starts at row 1 and of one whose
+# columns start one late
+_SKIP_COUNTS = (1600, 1521, 1560)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -821,43 +803,29 @@ def test_bruteforce_refuses_a_pass_that_skips_a_row(monkeypatch, pn, threads):
     # can still be right; only the count of evaluated pairs shows the gap.
     # Point-list and grid brute force are checked on GF(3^2) and GF(3^8),
     # of two and eight digits.  Δ and VV share the walk, and must refuse
-    # the same skips
+    # the same skips; threads changes none of it
     fld = _small_field(*pn)
     rng = random.Random(f"{pn}")
     pts = [Point(fld.from_index(rng.randrange(fld.q)), fld.from_index(rng.randrange(fld.q)))
            for _ in range(40)]
     xs = np.array([pt.x.index for pt in pts])
     c = _construction(3, 1)
-    row_chunks = setalg._row_chunks
-    want, got, _, got_chunk = _skip_counts(threads)
+    plan = setalg._plan
+    want, got, _ = _SKIP_COUNTS
 
-    def drop_one_row(nrows, threads):
-        chunks = row_chunks(nrows, threads)
-        chunks[0] = chunks[0][1:]
-        return chunks
+    def from_row_one(nrows, cap):
+        for j, (blk, c0) in enumerate(plan(nrows, cap)):
+            yield (blk[1:], c0 + 1) if j == 0 else (blk, c0)
 
-    def drop_last_chunk(nrows, threads):
-        return row_chunks(nrows, threads)[:-1]
-
-    for skip, taken in ((drop_one_row, got), (drop_last_chunk, got_chunk)):
-        monkeypatch.setattr(setalg, "_row_chunks", skip)
-        with pytest.raises(AssertionError, match=f"evaluated {taken} of {want} pairs"):
-            fqdist.distance_set_bruteforce(pts, threads=threads)
-        with pytest.raises(AssertionError, match=f"evaluated {taken} of {want} axis pairs"):
-            fqdist.distance_set_of_grid(fld, xs, xs, threads=threads)
-        with pytest.raises(AssertionError, match="differences"):
-            fqdist.distance_set_structured(c, threads=threads)
-        with pytest.raises(AssertionError, match="products"):
-            fqdist.product_set(c.V, threads=threads)
-
-
-@pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("pn", [(3, 2), (3, 8)])
-def test_pooled_walk_refuses_a_pass_that_skips_a_row(monkeypatch, pn, threads):
-    # those walks are below _THREAD_MIN_PAIRS and take their chunks on the
-    # calling thread; here every chunk gets a worker thread
-    monkeypatch.setattr(setalg, "_THREAD_MIN_PAIRS", 0)
-    test_bruteforce_refuses_a_pass_that_skips_a_row(monkeypatch, pn, threads)
+    monkeypatch.setattr(setalg, "_plan", from_row_one)
+    with pytest.raises(AssertionError, match=f"evaluated {got} of {want} pairs"):
+        fqdist.distance_set_bruteforce(pts, threads=threads)
+    with pytest.raises(AssertionError, match=f"evaluated {got} of {want} axis pairs"):
+        fqdist.distance_set_of_grid(fld, xs, xs, threads=threads)
+    with pytest.raises(AssertionError, match="differences"):
+        fqdist.distance_set_structured(c, threads=threads)
+    with pytest.raises(AssertionError, match="products"):
+        fqdist.product_set(c.V, threads=threads)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -869,28 +837,42 @@ def test_bruteforce_refuses_columns_that_start_past_the_block(monkeypatch, pn, t
     rng = random.Random(f"{pn}")
     pts = [Point(fld.from_index(rng.randrange(fld.q)), fld.from_index(rng.randrange(fld.q)))
            for _ in range(40)]
-    blocks = setalg._blocks
-    want, _, got, _ = _skip_counts(threads)
+    xs = np.array([pt.x.index for pt in pts])
+    plan = setalg._plan
+    want, _, got = _SKIP_COUNTS
 
-    def one_column_late(rows, block):
-        for blk, c0 in blocks(rows, block):
+    def one_column_late(nrows, cap):
+        for blk, c0 in plan(nrows, cap):
             yield blk, c0 + 1
 
-    monkeypatch.setattr(setalg, "_blocks", one_column_late)
+    monkeypatch.setattr(setalg, "_plan", one_column_late)
     with pytest.raises(AssertionError, match=f"evaluated {got} of {want} pairs"):
         fqdist.distance_set_bruteforce(pts, threads=threads)
+    with pytest.raises(AssertionError, match=f"evaluated {got} of {want} axis pairs"):
+        fqdist.distance_set_of_grid(fld, xs, xs, threads=threads)
 
 
-@pytest.mark.parametrize("nrows", [1, 2, 5, 40, 301])
-@pytest.mark.parametrize("chunks", [1, 2, 3])
-@pytest.mark.parametrize("block", [1, 9, 1638])
-def test_triangle_pairs_counts_the_blocks(nrows, chunks, block):
-    chunks = min(chunks, nrows)
-    rows = [np.arange(w, nrows, chunks) for w in range(chunks)]
-    taken = [(int(a), b) for ch in rows for blk, c0 in setalg._blocks(ch, block)
-             for a in blk.ravel() for b in range(c0, nrows)]
-    assert setalg._triangle_pairs(nrows, chunks, block) == len(taken)
-    # every unordered pair, and no pair twice
+@pytest.mark.parametrize("nrows", [0, 1, 2, 5, 40, 301])
+@pytest.mark.parametrize("per_pair", [1, 2, 3])
+@pytest.mark.parametrize("cap", [1, 9, 1638])
+def test_triangle_pairs_counts_the_blocks(nrows, per_pair, cap):
+    # the walk checks its count against the formula, so it returning shows
+    # that the formula counts the positions the plan's blocks return
+    blocks, taken = [], []
+
+    def pairs(blk, c0):
+        blocks.append((blk.ravel().tolist(), c0))
+        taken.extend((a, b) for a in blk.ravel().tolist() for b in range(c0, nrows))
+        return np.zeros(per_pair * blk.size * (nrows - c0), dtype=np.int64)
+
+    setalg._walk_triangle("{done} of {want}", 1, nrows, cap, pairs, per_pair=per_pair)
+    # contiguous blocks tile [0, nrows), each from its own first row, within
+    # the cap unless it is one row
+    assert [a for rows, _ in blocks for a in rows] == list(range(nrows))
+    for rows, c0 in blocks:
+        assert c0 == rows[0] and rows == list(range(c0, c0 + len(rows)))
+        assert len(rows) == 1 or per_pair * len(rows) * (nrows - c0) <= cap
+    # every unordered pair, and no ordered pair twice
     assert len(set(taken)) == len(taken)
     assert {(min(a, b), max(a, b)) for a, b in taken} == {
         (a, b) for a in range(nrows) for b in range(a, nrows)}

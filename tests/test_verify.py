@@ -4,6 +4,7 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -211,6 +212,22 @@ def test_verify_both_builds_no_point(monkeypatch):
     assert point_list_calls == []
     assert rep.oracle_mode == "bruteforce+structured"
     assert fqdist.report_digest(rep.to_json_dict()) == _FROZEN[0][-1]
+
+
+@pytest.mark.parametrize("p, size_delta, missing", [(5, 8425, 128), (7, 61201, 393)])
+def test_bruteforce_beyond_3_1_on_one_thread(monkeypatch, p, size_delta, missing):
+    # brute force on E's axes agrees with the structured sets past (3, 1),
+    # and every walk runs on the calling thread whatever threads says.
+    # |Δ| = Q^2 + (Q-1)Q(Q+1)/2 for |F| = Q = p^2
+    def refuse(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    rep = fqdist.verify_counterexample(p, 1, oracle="both", pair_budget=p**16, threads=2)
+    Q = p * p
+    assert rep.oracle_mode == "bruteforce+structured"
+    assert rep.size_delta == size_delta == Q * Q + (Q - 1) * Q * (Q + 1) // 2
+    assert rep.missing_distance == missing
 
 
 # Outputs frozen since the seed implementation: Δ = VV, so one bitset hash,
