@@ -279,8 +279,9 @@ def run_selftest(args) -> int:
     fixed = all((ff.frobenius(e, 2) == e) == (e.index in members) for e in gf729.elements())
     checks.append(("subfield = Frobenius fixed set (q=729, m=2)", fixed))
 
-    # BLAS differs between machines, so the exactness of the float64 multiply
-    # kernel is checked where it runs; GF(46337^2) has its largest sums
+    # BLAS differs between machines, so the exactness of the multiply kernel
+    # is checked where it runs: GF(3^6) and GF(7^3) run it in float32, and
+    # GF(46337^2), which has its largest sums, in float64
     gf343 = ff.ExtField(7, 3)
     batched = True
     for fld in (gf729, gf343, ff.ExtField(46337, 2)):
@@ -291,8 +292,8 @@ def run_selftest(args) -> int:
         ]
         a, b = (np.array([e.index for e in col]) for col in zip(*pairs))
         batched = batched and fld.mul(a, b).tolist() == [(x * y).index for x, y in pairs]
-    checks.append(("batched multiply = scalar multiply, random pairs, GF(3^6), GF(7^3), "
-                   "GF(46337^2)", batched))
+    checks.append(("batched multiply = scalar multiply, random pairs, float32 GF(3^6) and "
+                   "GF(7^3), float64 GF(46337^2)", batched))
 
     # GF(3^6) keeps every H-name under Z_3* (m = 2); in GF(7^3) (m = 1) the
     # non-residues 3, 5 and 6 move them
@@ -303,6 +304,15 @@ def run_selftest(args) -> int:
         direct = mask[cn.name(*cn.coords(np.arange(fld.q)))]
         named = named and np.array_equal(cn.union(mask).bits, direct)
     checks.append(("union of random name masks = direct naming, GF(3^6) and GF(7^3)", named))
+
+    # VV's walk multiplies on F-codes; GF(7^3) reduces x^3 by the modulus
+    tower = True
+    for fld in (gf729, gf343):
+        cn = setalg.CosetNames(ff.locate_subfield(fld, fld.n // 3))
+        a, b = (np.array([rng.randrange(fld.q) for _ in range(500)] + [0]) for _ in range(2))
+        want = cn.name(*cn.coords(fld.mul(a, b))) % cn.step
+        tower = tower and np.array_equal(cn._product_names(cn.coords(a), cn.coords(b)), want)
+    checks.append(("F-coordinate products = ExtField.mul, GF(3^6) and GF(7^3)", tower))
 
     i729 = ff.sqrt_minus_one(gf729)
     checks.append(("i^2 = -1 in GF(729)", i729 * i729 == -gf729.one))

@@ -11,9 +11,10 @@ used throughout the package.
 FieldElem is the scalar API.  Bulk work takes int64 arrays of canonical
 indices: add_indices and sub_indices carry base-p digits, and ExtField.mul
 converts blocks of indices to digit planes for one exact kernel, the
-field's structure tensor times the outer products of the digits in float64
-through BLAS, where every sum is an integer below 2^53.  Only this module
-multiplies digit planes.
+field's structure tensor times the outer products of the digits through
+BLAS, where every sum is an integer of at most n^2 (p-1)^3: in float32
+where that is below 2^24, every field of the family included, and in
+float64, below 2^53, otherwise.  Only this module multiplies digit planes.
 """
 
 from __future__ import annotations
@@ -42,14 +43,16 @@ MAX_FIELD_ORDER = 2**31
 _BLOCK_BYTES = 2**17
 
 
-def _lanes(n: int) -> int:
-    """Lanes per multiply kernel call in GF(p^n): its n^2 float64 outer products fit _BLOCK_BYTES.
+def _lanes(n: int, itemsize: int) -> int:
+    """Lanes per multiply kernel call in GF(p^n): its n^2 outer products of itemsize bytes fit _BLOCK_BYTES.
 
-    That is 512 lanes for n <= 5 and fewer above, 113 at n = 12.  With
-    OpenBLAS 0.3.31, T @ outer at n = 12 took about 6 ns per multiply-add
-    at 768 or 1024 lanes, against 0.05 ns at 512, so no n gets more than 512.
+    itemsize is that of the structure tensor: 4 for float32, 8 for float64.
+    That is 512 lanes for n <= 8 in float32 (n <= 5 in float64) and fewer
+    above, 227 at n = 12 in float32.  With OpenBLAS 0.3.31, T @ outer at
+    n = 12 took about 6 ns per multiply-add at 768 or 1024 lanes, against
+    0.05 ns at 512, so no n gets more than 512.
     """
-    return min(512, _BLOCK_BYTES // (8 * n * n))
+    return min(512, _BLOCK_BYTES // (itemsize * n * n))
 
 
 def _digit_block(n: int) -> int:
@@ -267,17 +270,36 @@ def _scale_digits(idx, s, p: int, n: int) -> np.ndarray:
     return digits_to_index([d * s % p for d in _digits_of(idx, p, n)], p)
 
 
+def _has_root(f, p: int) -> bool:
+    """Whether f over Z_p vanishes at some a in Z_p; a zero constant term is the root 0."""
+    if f[0] == 0:
+        return True
+    for a in range(1, p):
+        v = 0
+        for c in reversed(f):
+            v = (v * a + c) % p
+        if v == 0:
+            return True
+    return False
+
+
 def find_irreducible(p: int, n: int) -> list[int]:
     """Lexicographically smallest monic irreducible of degree n over Z_p.
 
     Candidates are ordered by the base-p value of their coefficient vector
     (constant term first), so the result is identical across runs and
-    platforms.
+    platforms.  A candidate of degree n >= 2 with a root in Z_p has a
+    linear factor, so it is skipped before Ben-Or's test wherever the root
+    check is the cheaper: it takes about p*n steps, against about 4 n^2
+    log2(p) for the test's first Frobenius step.  The result is the same.
     """
     if n < 1:
         raise ValueError("degree must be at least 1")
+    roots_first = n >= 2 and p <= 4 * n * p.bit_length()
     for t in range(p**n):
         f = _digits(t, p, n) + [1]
+        if roots_first and _has_root(f, p):
+            continue
         if is_irreducible(f, p):
             return f
     raise AssertionError("unreachable: irreducibles exist in every degree")
@@ -376,10 +398,12 @@ class ExtField:
     def _mul_digits(self, a, b) -> np.ndarray:
         """Digit planes of the products of the digit planes a and b, both (n, lanes).
 
-        For n > 1 each block of _lanes(n) lanes is converted to float64 on
-        its own, never all of a and b, takes the n^2 products a_i*b_j and is
-        multiplied by the structure tensor: every sum is at most n^2 (p-1)^3
-        < 2^53, so it is exact, and is reduced mod p in int64.  For n = 1 the
+        For n > 1 each block of _lanes(n, itemsize) lanes is converted to
+        the structure tensor's dtype on its own, never all of a and b, takes
+        the n^2 products a_i*b_j and is multiplied by the tensor: every
+        product and partial sum is an integer of at most n^2 (p-1)^3, below
+        2^24 in float32 and 2^53 in float64, so it is exact in any summation
+        order, and the result is reduced mod p in int64.  For n = 1 the
         one product is below (p-1)^2 < 2^62 and is taken in int64.  The
         reduction subtracts p times the floor quotient: on a 12 x 4096 block
         int64 % took 218 us against 119 us for that (numpy 2.4).
@@ -388,13 +412,14 @@ class ExtField:
         if n == 1:
             out = a * b
         else:
+            T = self._T
             out = np.empty(a.shape, dtype=np.int64)
-            lanes = _lanes(n)
+            lanes = _lanes(n, T.itemsize)
             for s in range(0, a.shape[1], lanes):
-                fa = a[:, s : s + lanes].astype(np.float64)
-                fb = fa if b is a else b[:, s : s + lanes].astype(np.float64)
+                fa = a[:, s : s + lanes].astype(T.dtype)
+                fb = fa if b is a else b[:, s : s + lanes].astype(T.dtype)
                 outer = fa[:, None] * fb[None]
-                out[:, s : s + lanes] = self._T @ outer.reshape(n * n, -1)
+                out[:, s : s + lanes] = T @ outer.reshape(n * n, -1)
         high = out // p
         high *= p
         out -= high
@@ -545,17 +570,23 @@ class ExtField:
 
 
 def _structure_tensor(p: int, n: int, red) -> np.ndarray:
-    """T[t, i*n + j] = coefficient t of x^(i+j) mod the modulus, as float64.
+    """T[t, i*n + j] = coefficient t of x^(i+j) mod the modulus, as float32 or float64.
 
     red holds the rows x^n .. x^(2n-2) mod the modulus.  The multiply
     kernel sums n^2 products of a coefficient and two digits, each at most
-    p - 1, so it is exact only while n^2 (p-1)^3 < 2^53; under
-    MAX_FIELD_ORDER the largest such sum is 3.98e14, at GF(46337^2).
+    p - 1, so every product and partial sum is an integer of at most
+    n^2 (p-1)^3.  Below 2^24 float32 holds all of them exactly, and T is
+    float32: the bound is 1 152 at GF(3^12) and 36 000 at GF(11^6), so
+    every field of the family runs sgemm.  Otherwise T is float64, exact
+    while the bound stays below 2^53; under MAX_FIELD_ORDER the largest is
+    3.98e14, at GF(46337^2).
     """
-    if n * n * (p - 1) ** 3 >= 2**53:
+    bound = n * n * (p - 1) ** 3
+    if bound >= 2**53:
         raise AssertionError(f"GF({p}^{n}) products overflow the float64 multiply kernel")
     powers = np.vstack([np.eye(n), np.reshape(red, (-1, n))])
-    return powers[np.add.outer(np.arange(n), np.arange(n)).ravel()].T.copy()
+    T = powers[np.add.outer(np.arange(n), np.arange(n)).ravel()].T
+    return np.ascontiguousarray(T, dtype=np.float32 if bound < 2**24 else np.float64)
 
 
 class FieldElem:

@@ -19,7 +19,10 @@ distance_set_of_indices, on the points' coordinates as two index arrays;
 distance_set_bruteforce hands it the indices of Points.  It subtracts
 and adds base-p digits per pair (sub_indices, add_indices) and reads the
 squares table FieldTables.sq, as the grid's axis walks do.
-Every product, squares included, goes through ExtField.mul on indices.
+VV's products are taken on F-coordinates, through CosetNames' log, exp
+and addition tables (CosetNames._product_names); every other product,
+the squares of V and of brute force included, goes through ExtField.mul
+on indices, so Δ = VV compares two multiplication algorithms.
 Budgets are hard limits: an oversized request raises instead of sampling.
 """
 
@@ -32,8 +35,8 @@ import numpy as np
 
 from .errors import (BudgetExceeded, ClaimViolation, FieldMismatch, InvalidInput,
                      WrongSubfieldDegree)
-from .ff import (_BLOCK_BYTES, _digit_block, _scale_digits, add_indices, digits_to_index,
-                 index_digits, sub_indices)
+from .ff import (_BLOCK_BYTES, _scale_digits, add_indices, digits_to_index, index_digits,
+                 sub_indices)
 
 DEFAULT_PAIR_BUDGET = 10**9
 
@@ -222,12 +225,16 @@ class CosetNames:
     so that one kernel (_names) reads the two name tables at t0*Q + t2 and
     t1*Q + t2 with two in-place additions; a third table, read at t0*Q +
     t1, names the elements with t2 = 0.  A union of H-cosets and {0} is
-    kept as the mask of its names, which union() expands.  Raises
+    kept as the mask of its names, which union() expands.  Products are
+    named from codes too (_product_names): F multiplies through the logs
+    of gamma, with 2(Q-1) as the log of 0, and the codes of x^3 = c0 + c1
+    x + c2 x^2 take z to x*z, so no digit plane of F_q is built.  Raises
     WrongSubfieldDegree, before any table is built, unless 3m = n.
     """
 
     __slots__ = ("Q", "step", "zero", "_p", "_n", "_split", "_lo", "_hi_q", "_add", "_add_q",
-                 "_sub_q", "_add_t2", "_sub_t2", "_n0", "_n1", "_n2")
+                 "_sub_q", "_add_t2", "_sub_t2", "_n0", "_n1", "_n2", "_log", "_exp", "_exp_q",
+                 "_x3")
 
     def __init__(self, subF):
         field, m = subF.field, subF.m
@@ -265,7 +272,11 @@ class CosetNames:
         # the t2 tables of union() and Δ's walk hold codes in one or two bytes,
         # which keeps a warm (3, 2) call's temporaries under glibc's trim threshold
         self._add_t2, self._sub_t2 = (t.astype(np.min_scalar_type(Q)) for t in (add, sub))
-        exp = self.coords(gamma)[0]
+        # x^3 has the index p^3, or at n = 3 that of -(m0 + m1 x + m2 x^2) for
+        # the modulus m; its F-codes come with those of the powers of gamma
+        x3 = p**3 if n > 3 else sum(-c % p * p**k for k, c in enumerate(field.modulus[:3]))
+        t = self.coords(np.append(gamma, x3))
+        exp, x3 = t[0][:-1], [u[-1] for u in t]
         log = np.zeros(Q, dtype=np.int64)
         log[exp] = np.arange(Q - 1)
         # ratio[a, b] = a/b for b != 0; the name tables for t_l = b
@@ -277,6 +288,14 @@ class CosetNames:
         self._n2 = Q * Q + self._n0
         self._n2[::Q] = Q * Q + Q + self._n0[:Q]
         self._n2[0] = self.zero
+        # the tables of the products on F-codes: logs with the sentinel
+        # 2(Q-1) at code 0, and exp read at a sum of two logs, which gives
+        # code 0 from 2(Q-1) on; and the logs of x^3's F-codes
+        self._log = log
+        log[0] = 2 * (Q - 1)
+        self._exp = np.concatenate([exp, exp, np.zeros(2 * Q - 1, dtype=np.int64)])
+        self._exp_q = Q * self._exp
+        self._x3 = log[x3].tolist()
 
     def coords(self, idx):
         """The F-codes (t0, t1, t2) of the elements with canonical indices idx."""
@@ -302,6 +321,41 @@ class CosetNames:
         if len(k):
             out.ravel()[k] = self._n2[c0.ravel()[k] + c1.ravel()[k] // Q]
         return out
+
+    def _times_x(self, t):
+        """The F-codes of x*z for the elements z with F-codes t = (t0, t1, t2).
+
+        x*z = t0 x + t1 x^2 + t2 x^3, and x^3 = c0 + c1 x + c2 x^2 over F, so
+        x*z has the coordinates (c0 t2, t0 + c1 t2, t1 + c2 t2).
+        """
+        l2, Q = self._log[t[2]], self.Q
+        s0, s1, s2 = (self._exp[l2 + c] for c in self._x3)
+        return s0, self._add[Q * t[0] + s1], self._add[Q * t[1] + s2]
+
+    def _product_names(self, a, b) -> np.ndarray:
+        """F*-names of the products of the elements with F-codes a = (a0, a1, a2) and b.
+
+        The six arrays broadcast.  With z the element of a, the product is
+        b0 z + b1 x z + b2 x^2 z, and the codes of x z and x^2 z come from
+        those of z through x^3's coordinates (_times_x), once per element
+        of a, so a should be the smaller operand.  Coordinate k of the
+        product is then the sum over j of b_j times coordinate k of x^j z:
+        nine products in F, each one read of the exp tables at a sum of
+        logs, where a zero factor reads code 0, and six sums, each one read
+        of the addition tables.  Nothing but |F|- and |F|^2-entry tables is
+        read, and no digit plane is built.
+        """
+        log, exp, exp_q, add_q = self._log, self._exp, self._exp_q, self._add_q
+        xa = self._times_x(a)
+        rows = (a, xa, self._times_x(xa))
+        lb = [log[t] for t in b]
+        r = []
+        # |F| times coordinates 0 and 1, and coordinate 2 in one or two bytes
+        for k, last in enumerate((add_q, add_q, self._add_t2)):
+            la = [log[z[k]] for z in rows]
+            part = add_q[exp_q[la[0] + lb[0]] + exp[la[1] + lb[1]]]
+            r.append(last[part + exp[la[2] + lb[2]]])
+        return self._names(*r) % self.step
 
     def union(self, mask) -> ElemSet:
         """The elements whose H-names are set in mask, a bool array of 2*step + 1 entries.
@@ -579,24 +633,31 @@ def _product_mask(V, cn: CosetNames, budget: int) -> np.ndarray:
 
     F*.V = V, so V minus 0 is a union of |F|+1 cosets of F*, and VV minus 0
     is the union of the F*-cosets of the products of one member of each.
-    Products commute, so _walk_triangle takes each representative against
-    those from its own on, in blocks of at most _digit_block(n) products:
-    9 381 at (11, 1), not (|F|+1)^2 = 14 884.  Raises BudgetExceeded if |V|^2
-    exceeds the budget, before anything else, ClaimViolation if V is not
-    F*-closed, and AssertionError if the walk missed a product.
+    The F-codes of V are taken once; they give the runs and the
+    representatives' codes.  Products commute, so _walk_triangle takes
+    each representative against those from its own on, in blocks of at
+    most _BLOCK_BYTES // 8 products, and CosetNames._product_names names
+    each block's products from the codes, with no digit plane and no
+    ExtField.mul.  One block holds every row up to |F| = 127: that is
+    (|F|+1)^2 products, 6 724 at (3, 2) and 14 884 at (11, 1), and 213 020
+    in 14 blocks at (5, 2) for a 196 251-pair triangle.  Raises
+    BudgetExceeded if |V|^2 exceeds the budget, before anything else,
+    ClaimViolation if V is not F*-closed, and AssertionError if the walk
+    missed a product.
     """
     idx = V.indices
     if len(idx) ** 2 > budget:
         raise BudgetExceeded("ordered product pairs", len(idx) ** 2, budget)
     nonzero = idx[idx != 0]
-    runs = _coset_runs(cn.name(*cn.coords(nonzero)) % cn.step, cn.Q - 1, "V")
-    reps = nonzero[runs[:: cn.Q - 1]]
+    t = cn.coords(nonzero)
+    runs = _coset_runs(cn.name(*t) % cn.step, cn.Q - 1, "V")
+    reps = [u[runs[:: cn.Q - 1]] for u in t]
 
     def pairs(blk, c0):
-        return cn.name(*cn.coords(V.field.mul(reps[blk], reps[c0:]))) % cn.step
+        return cn._product_names([u[blk] for u in reps], [u[c0:] for u in reps])
 
-    named = _walk_triangle("product set took {done} of {want} products", cn.step, len(reps),
-                           _digit_block(V.field.n), pairs).bits
+    named = _walk_triangle("product set took {done} of {want} products", cn.step, len(reps[0]),
+                           _BLOCK_BYTES // 8, pairs).bits
     # an F*-coset is the union of its two H-cosets, step apart
     return np.concatenate([named, named, [0 in idx]])
 

@@ -263,8 +263,9 @@ def test_selftest(capsys):
     assert "FAIL" not in out and "PASS" in out
     assert "PASS  union of random name masks = direct naming, GF(3^6) and GF(7^3)" in out
     assert "PASS  grid brute force = point-list brute force on E at (3,1)" in out
-    assert ("PASS  batched multiply = scalar multiply, random pairs, GF(3^6), GF(7^3), "
-            "GF(46337^2)") in out
+    assert ("PASS  batched multiply = scalar multiply, random pairs, float32 GF(3^6) and "
+            "GF(7^3), float64 GF(46337^2)") in out
+    assert "PASS  F-coordinate products = ExtField.mul, GF(3^6) and GF(7^3)" in out
 
 
 def test_help_exits_zero():

@@ -77,6 +77,41 @@ def test_find_irreducible_passes_both_checkers():
         assert oracles.irreducible_by_trial_division(f, p)
 
 
+def _first_irreducible(p, n):
+    """find_irreducible without the root filter: Ben-Or's test on every candidate in order."""
+    return next(f for t in range(p**n) for f in [ff._digits(t, p, n) + [1]]
+                if fqdist.is_irreducible(f, p))
+
+
+def _primes_up_to(m):
+    sieve = np.ones(m + 1, dtype=bool)
+    sieve[:2] = False
+    for d in range(2, int(m**0.5) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = False
+    return np.flatnonzero(sieve).tolist()
+
+
+def test_find_irreducible_root_filter_keeps_the_modulus(monkeypatch):
+    # a candidate with a root in Z_p is reducible, so skipping it leaves the
+    # lexicographically smallest irreducible in place: at every p^n <= 3^12
+    # and at the larger fields of the family
+    bound = 3**12
+    cases = [(p, n) for p in _primes_up_to(bound) for n in range(1, 20) if p**n <= bound]
+    cases += [(11, 6), (5, 12), (3, 18)]
+    assert (3, 12) in cases and (3, 6) in cases
+    for p, n in cases:
+        assert fqdist.find_irreducible(p, n) == _first_irreducible(p, n), (p, n)
+    # at (3, 12) only the candidates without a root in Z_3 reach Ben-Or's test
+    tested = []
+    ben_or = ff.is_irreducible
+    monkeypatch.setattr(ff, "is_irreducible", lambda f, p: tested.append(f) or ben_or(f, p))
+    assert fqdist.find_irreducible(3, 12) == [2, 0, 1] + [0] * 9 + [1]
+    assert tested == [f for t in range(12) for f in [ff._digits(t, 3, 12) + [1]]
+                      if f[0] and sum(f) % 3 and (sum(f[::2]) - sum(f[1::2])) % 3]
+    assert len(tested) < 12
+
+
 def test_is_irreducible_examples():
     assert fqdist.is_irreducible([1, 0, 1], 3)  # x^2 + 1 over Z_3
     assert not fqdist.is_irreducible([-1, 0, 1], 3)  # x^2 - 1 = (x-1)(x+1)
@@ -148,12 +183,20 @@ def test_subfield_matches_scalar_powers(p, n, m):
     assert not sub.powers.flags.writeable
 
 
-# GF(46337^2) has the largest sums the float64 kernel takes under the size
-# guard; GF(2^31 - 1) takes the int64 route
-@pytest.mark.parametrize("p, n", [(46337, 2), (1289, 3), (3, 19), (2, 31), (31, 6),
-                                  (2**31 - 1, 1)])
+# the structure tensor is float32 where n^2 (p-1)^3 < 2^24: GF(157^2) has the
+# largest sums it takes (4 * 156^3 = 15 185 664), and GF(163^2) the smallest
+# above (17 006 112), which runs float64.  GF(46337^2) has the largest sums
+# the float64 kernel takes under the size guard; GF(2^31 - 1) takes the int64
+# route
+_KERNEL_DTYPES = {(46337, 2): np.float64, (1289, 3): np.float64, (3, 19): np.float32,
+                  (2, 31): np.float32, (31, 6): np.float32, (2**31 - 1, 1): None,
+                  (157, 2): np.float32, (163, 2): np.float64}
+
+
+@pytest.mark.parametrize("p, n", list(_KERNEL_DTYPES))
 def test_multiply_kernel_matches_scalar_products(p, n):
     f = fqdist.ExtField(p, n)
+    assert (None if f._T is None else f._T.dtype) == _KERNEL_DTYPES[p, n]
     rng = random.Random(p + n)
     top = (p - 1,) * n
     pairs = [(top, top)] + [
@@ -171,21 +214,26 @@ def test_multiply_kernel_matches_scalar_products(p, n):
     assert f.mul(ia, ib).tolist() == [(x * y).index for x, y in zip(ea, eb)]
     assert f.mul(ia, ia).tolist() == [(x * x).index for x in ea]
     lanes = len(ia) * 55
-    assert lanes > ff._digit_block(n) and lanes % ff._digit_block(n) and lanes % ff._lanes(n)
+    assert lanes > ff._digit_block(n) and lanes % ff._digit_block(n)
+    assert n == 1 or lanes % ff._lanes(n, f._T.itemsize)
     got = f.mul(ia[:, None], ib[:55])
     assert got.tolist() == [[(x * y).index for y in eb[:55]] for x in ea]
 
 
 def test_multiply_blocks_are_sized_by_n():
-    # one kernel call's n^2 float64 outer products, and one digit block's n
-    # int64 digit planes, fit _BLOCK_BYTES with no room for another lane; a
-    # call takes at most 512 lanes
+    # one kernel call's n^2 outer products, float32 or float64 as the
+    # structure tensor, and one digit block's n int64 digit planes, fit
+    # _BLOCK_BYTES with no room for another lane; a call takes at most 512 lanes
     for n in range(1, 32):
-        lanes, block = ff._lanes(n), ff._digit_block(n)
-        assert 8 * n * n * lanes <= ff._BLOCK_BYTES and 8 * n * block <= ff._BLOCK_BYTES
-        assert lanes == 512 or 8 * n * n * (lanes + 1) > ff._BLOCK_BYTES
-        assert 8 * n * (block + 1) > ff._BLOCK_BYTES
-    assert [ff._lanes(n) for n in (1, 5, 6, 12, 31)] == [512, 512, 455, 113, 17]
+        block = ff._digit_block(n)
+        assert 8 * n * block <= ff._BLOCK_BYTES < 8 * n * (block + 1)
+        for itemsize in (4, 8):
+            lanes = ff._lanes(n, itemsize)
+            assert itemsize * n * n * lanes <= ff._BLOCK_BYTES
+            assert lanes == 512 or itemsize * n * n * (lanes + 1) > ff._BLOCK_BYTES
+    assert [ff._lanes(n, 8) for n in (1, 5, 6, 12, 31)] == [512, 512, 455, 113, 17]
+    assert [ff._lanes(n, 4) for n in (1, 5, 6, 12, 31)] == [512, 512, 512, 227, 34]
+    assert ff.ExtField(3, 12)._T.itemsize == ff.ExtField(11, 6)._T.itemsize == 4
 
 
 def test_multiply_kernel_refuses_sums_beyond_float64():

@@ -324,6 +324,59 @@ def test_name_kernel_matches_name_on_random_codes(pn):
     assert cn.name(t0, t1, t2).tolist() == want
 
 
+# 7^3 has m = 1, where x^3 is reduced by the modulus; 3^12 is the family's n = 12
+@pytest.mark.parametrize("pn", [(3, 6), (7, 3), (11, 6), (3, 12)], ids=lambda pn: f"{pn[0]}^{pn[1]}")
+def test_product_kernel_matches_extfield_products(pn):
+    # the products on F-codes against ExtField.mul on indices, named after;
+    # a third of the factors are f0 + f1 x + f2 x^2 with each f_j a random
+    # member of F, zero a quarter of the time, so zero coordinates occur
+    # in every position, and the zero element among them
+    fld = _small_field(*pn)
+    sub = fqdist.locate_subfield(fld, fld.n // 3)
+    cn = setalg.CosetNames(sub)
+    p, n = fld.p, fld.n
+    rng = np.random.default_rng(fld.q)
+    f = rng.choice(sub.indices, size=(3, 300))
+    f[rng.random(f.shape) < 0.25] = 0
+    f[:, 0] = 0
+    tower = setalg.add_indices(setalg.add_indices(f[0], fld.mul(f[1], p), p, n),
+                               fld.mul(f[2], p * p), p, n)
+    a, b = (np.concatenate([tower, rng.integers(0, fld.q, 600)]) for _ in range(2))
+    b = rng.permutation(b)
+    assert (np.stack(cn.coords(a)) == 0).any(axis=1).all()
+
+    def want(x, y):
+        return cn.name(*cn.coords(fld.mul(x, y))) % cn.step
+
+    assert np.array_equal(cn._product_names(cn.coords(a), cn.coords(b)), want(a, b))
+    col, row = a[:40, None], b[:70]
+    got = cn._product_names(cn.coords(col), cn.coords(row))
+    assert got.shape == (40, 70) and np.array_equal(got, want(col, row))
+
+
+@pytest.mark.parametrize("pr", [(3, 1), (3, 2), (11, 1)])
+def test_product_walk_takes_no_extfield_products(monkeypatch, pr):
+    # VV's mask from the walk on F-codes equals the names of ExtField.mul's
+    # products of every pair of representatives, and once CosetNames is
+    # built the walk multiplies nothing through ExtField.mul
+    c = _construction(*pr)
+    f = c.field
+    cn = setalg.CosetNames(c.subF)
+    nonzero = c.V.indices[c.V.indices != 0]
+    names = cn.name(*cn.coords(nonzero)) % cn.step
+    reps = nonzero[np.unique(names, return_index=True)[1]]
+    assert len(reps) == cn.Q + 1
+    want = np.zeros(cn.zero + 1, dtype=bool)
+    named = cn.name(*cn.coords(f.mul(reps[:, None], reps))) % cn.step
+    want[named] = want[named + cn.step] = want[cn.zero] = True
+
+    def no_mul(self, a, b):
+        raise AssertionError("ExtField.mul called")
+
+    monkeypatch.setattr(type(f), "mul", no_mul)
+    assert np.array_equal(setalg._product_mask(c.V, cn, setalg.DEFAULT_PAIR_BUDGET), want)
+
+
 def test_structured_path_builds_no_field_tables(monkeypatch):
     c = fqdist.build_construction(3, 1)
     fqdist.distance_set_structured(c)

@@ -282,7 +282,8 @@ for p, r in [(3, 2), (11, 1)]:
 def test_warm_verify_calls_take_few_page_faults():
     # every block temporary fits ff._BLOCK_BYTES, glibc's default mmap
     # threshold, so from the third call on the blocks reuse heap pages
-    # (2^16-entry blocks took about 3 430 and 940 faults per warm call)
+    # (2^16-entry blocks took about 3 430 and 940 faults per warm call, and a
+    # heap that glibc trims after every call took 224-282 at (3, 2))
     src = str(Path(fqdist.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", _FAULTS], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=300)
@@ -290,7 +291,7 @@ def test_warm_verify_calls_take_few_page_faults():
     rows = [list(map(int, line.split())) for line in done.stdout.splitlines()]
     assert [row[:2] for row in rows] == [[3, 2], [11, 1]]
     for p, r, *faults in rows:
-        assert max(faults[2:]) < 300, (p, r, faults)
+        assert max(faults[2:]) < 100, (p, r, faults)
 
 
 # --- ratio scan -----------------------------------------------------------------
