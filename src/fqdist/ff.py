@@ -208,13 +208,14 @@ def _digits(t: int, p: int, n: int) -> list[int]:
 def digits_to_index(ds, p: int) -> np.ndarray:
     """Canonical indices of reduced base-p digit planes, least significant first.
 
-    ds has shape (n,) + shape; plane k holds coefficient k.
+    ds has shape (n,) + shape; plane k holds coefficient k.  One integer
+    matmul with the powers of p takes every plane: about 5 us on a few
+    lanes against 15-29 us for a multiply-add per plane, and 16 against
+    47 us on 1 365 lanes at n = 12 (numpy 2.4, 2-vCPU KVM guest).
     """
-    out = ds[-1].astype(np.int64)
-    for d in ds[-2::-1]:
-        out *= p
-        out += d
-    return out
+    ds = np.asarray(ds)
+    n = len(ds)
+    return (p ** np.arange(n, dtype=np.int64) @ ds.reshape(n, ds[0].size)).reshape(ds.shape[1:])
 
 
 def _digits_of(idx, p: int, n: int):
@@ -228,8 +229,24 @@ def _digits_of(idx, p: int, n: int):
 
 
 def index_digits(idx, p: int, n: int) -> np.ndarray:
-    """Base-p digit planes of canonical indices; the inverse of digits_to_index."""
-    return np.stack(list(_digits_of(idx, p, n)))
+    """Base-p digit planes of canonical indices; the inverse of digits_to_index.
+
+    One broadcast division gives every idx // p^(k+1), and digit k is idx
+    // p^k less p times idx // p^(k+1).  The division is taken in float64
+    and truncated: for 0 <= idx and idx + p^k <= 2^53 the rounded quotient
+    never reaches the next integer, so it is exact for every index below
+    MAX_FIELD_ORDER.  numpy divides int64 by a scalar through a fast
+    reciprocal but not by an array: on 2 730 lanes at n = 6 an int64
+    broadcast took 90 us, float64 45 us and a division per digit with a
+    stack 52 us, and on 6 lanes float64 6 us against 19 us for the
+    division per digit (numpy 2.4, 2-vCPU KVM guest).
+    """
+    idx = np.asarray(idx, dtype=np.int64)
+    high = (idx / p ** np.arange(1.0, n + 1).reshape((n,) + (1,) * idx.ndim)).astype(np.int64)
+    out = high * -p
+    out[0] += idx
+    out[1:] += high[:-1]
+    return out
 
 
 def _carries(a, b, p: int, n: int, borrow: bool):
@@ -430,7 +447,9 @@ class ExtField:
 
         a and e broadcast.  The field set-up takes few lanes, so they are
         converted to digit planes once, and lanes that share a base share
-        its squares.
+        its squares.  A kernel call on few lanes is mostly overhead, so each
+        exponent bit takes one call, its multiply lanes side by side with
+        the base's square; the last bit needs no square.
         """
         n = self.n
         a = np.asarray(a, dtype=np.int64)
@@ -441,11 +460,14 @@ class ExtField:
         base = index_digits(a.ravel(), self.p, n)
         out = np.zeros((n, e.size), dtype=np.int64)
         out[0] = 1
-        for k in range(int(e.max(initial=0)).bit_length()):
-            if k:
-                base = self._mul_digits(base, base)
+        nbits = int(e.max(initial=0)).bit_length()
+        for k in range(nbits):
             bit = (e >> k) & 1 == 1
-            if bit.any():
+            if k + 1 < nbits:
+                prod = self._mul_digits(np.concatenate([out, base], axis=1),
+                                        np.concatenate([base[:, pick], base], axis=1))
+                out, base = np.where(bit, prod[:, : e.size], out), prod[:, e.size :]
+            else:
                 out = np.where(bit, self._mul_digits(out, base[:, pick]), out)
         return digits_to_index(out, self.p).reshape(shape)
 

@@ -7,9 +7,11 @@ PG(2, F) (CosetNames): one change of basis mod p, computed exactly in
 int64, gives the F-coordinates of an element, and every later step reads
 tables of |F| or |F|^2 entries.  Δ and VV are computed as masks over those
 names, and one naming pass expands a mask to a bitset (CosetNames.union).
-Δ pairs H-cosets, VV pairs F*-coset representatives and brute force
-pairs points or grid coordinates, each row with the rows from its own on,
-and one walker takes that triangle for all of them (_walk_triangle): on
+Δ takes three rows against every square, one per orbit of the F-linear
+map L = Sym^2 diag(gamma, 1) on the cosets of S, and closes the names
+under L (_distance_mask).  VV pairs F*-coset representatives and brute
+force pairs points or grid coordinates, each row with the rows from its
+own on, and one walker takes that triangle for them (_walk_triangle): on
 the calling thread, in row blocks sized by their own widths, with an
 exact count of the pairs taken.  Brute force on a grid X x Y, such as E =
 V x iV, is distance_set_of_grid: one walk over the pairs of each axis gives
@@ -21,8 +23,9 @@ and adds base-p digits per pair (sub_indices, add_indices) and reads the
 squares table FieldTables.sq, as the grid's axis walks do.
 VV's products are taken on F-coordinates, through CosetNames' log, exp
 and addition tables (CosetNames._product_names); every other product,
-the squares of V and of brute force included, goes through ExtField.mul
-on indices, so Δ = VV compares two multiplication algorithms.
+the squares of V and of brute force and L's basis included, goes through
+ExtField.mul on indices, so Δ = VV compares two multiplication
+algorithms, and VV does not use L.
 Budgets are hard limits: an oversized request raises instead of sampling.
 """
 
@@ -228,8 +231,10 @@ class CosetNames:
     kept as the mask of its names, which union() expands.  Products are
     named from codes too (_product_names): F multiplies through the logs
     of gamma, with 2(Q-1) as the log of 0, and the codes of x^3 = c0 + c1
-    x + c2 x^2 take z to x*z, so no digit plane of F_q is built.  Raises
-    WrongSubfieldDegree, before any table is built, unless 3m = n.
+    x + c2 x^2 take z to x*z, so no digit plane of F_q is built; an
+    F-linear map of F_q permutes the H-names, read off its matrix over F
+    with the same tables (_permutation).  Raises WrongSubfieldDegree,
+    before any table is built, unless 3m = n.
     """
 
     __slots__ = ("Q", "step", "zero", "_p", "_n", "_split", "_lo", "_hi_q", "_add", "_add_q",
@@ -357,6 +362,35 @@ class CosetNames:
             r.append(last[part + exp[la[2] + lb[2]]])
         return self._names(*r) % self.step
 
+    def _permutation(self, M) -> np.ndarray:
+        """The permutation of the H-names by the F-linear map L with matrix M, as int32.
+
+        M is a 3 x 3 list of F-codes acting on the F-coordinates, and entry
+        k of the result is the H-name of L(z) for z of H-name k, which is
+        the same for every such z, as L(h z) = h L(z) for h in F.  Each
+        F*-name k < step is taken at its representative (a, b, 1), (a, 1,
+        0) or (1, 0, 0), whose last coordinate 1 makes k its H-name too.
+        Coordinate j of M (a, b, 1) is a M[j][0] + (b M[j][1] + M[j][2]):
+        two sets of |F| products, through the logs, and one read of an
+        |F| x |F| addition table at their outer sum, in name order.  L(gamma
+        z) = gamma L(z) moves both names by step, so the names from step on
+        are the first step names moved by step, and zero is fixed.  int32
+        keeps the result at 4 (2 step + 1) bytes, under _BLOCK_BYTES at (11, 1).
+        """
+        Q, step, log, exp, add = self.Q, self.step, self._log, self._exp, self._add
+        coords = []
+        # |F| times coordinates 0 and 1, and coordinate 2 in one or two bytes
+        for (m0, m1, m2), tab in zip(M, (self._add_q, self._add_q, self._add_t2)):
+            a, b = exp[log + log[m0]], exp[log + log[m1]]
+            coords.append(np.concatenate([
+                tab[Q * add[Q * b + m2][:, None] + a].ravel(), tab[Q * m1 + a], tab[[Q * m0]]]))
+        names = self._names(*coords)
+        P = np.empty(2 * step + 1, dtype=np.int32)
+        P[:step] = names
+        P[step:-1] = (P[:step] + step) % (2 * step)
+        P[-1] = self.zero
+        return P
+
     def union(self, mask) -> ElemSet:
         """The elements whose H-names are set in mask, a bool array of 2*step + 1 entries.
 
@@ -454,9 +488,9 @@ def _walk_triangle(what: str, size: int, nrows: int, cap: int, pairs,
     The rows [0, nrows) are taken on the calling thread in the contiguous
     blocks of _plan, each sized by its own width so that it returns at
     most cap positions (per_pair of them per pair), or one row when a
-    single row is wider.  A block pairs its rows with the rows (or their
-    members) from its own first row c0 on, so row a meets every row b >= a
-    once, which suffices wherever a, b gives what b, a gives.  pairs(blk,
+    single row is wider.  A block pairs its rows with the rows from its own
+    first row c0 on, so row a meets every row b >= a once, which suffices
+    wherever a, b gives what b, a gives.  pairs(blk,
     c0) gets the rows as a column and returns the positions to set.
 
     A pass that skips a row can still give the right set, so the number of
@@ -672,47 +706,145 @@ def product_set(V, budget: int = DEFAULT_PAIR_BUDGET, threads: int = 1) -> ElemS
     return cn.union(_product_mask(V, cn, budget))
 
 
+# L = Sym^2 diag(gamma, 1) scales e1^2, e1 e2 and e2^2 by gamma to these
+# powers, and the rows of Δ's walk are the squares of e1, e2 and e1 + e2,
+# given by their coordinates over (e1^2, e1 e2, e2^2)
+_TORUS_LOGS = (2, 1, 0)
+_ORBIT_ROWS = ((1, 0, 0), (0, 0, 1), (1, 2, 1))
+
+
+def _torus(cn: CosetNames, B) -> tuple:
+    """L's matrix M = B diag(gamma^2, gamma, 1) B^-1, and the rows B r for r in _ORBIT_ROWS.
+
+    B[j][k] is coordinate j of the k-th of e1^2, e1 e2, e2^2 in cn's chart,
+    as F-codes; M and the rows come as F-codes too, Python ints computed
+    from cn's tables: a product through the logs of gamma, a sum through
+    the addition table, and B^-1 as the adjugate over the determinant.
+    AssertionError if B is singular.
+    """
+    Q = cn.Q
+    log, exp, item = cn._log.tolist(), cn._exp[: Q - 1].tolist(), cn._add.item
+
+    def mul(a, b, shift=0):
+        return exp[(log[a] + log[b] + shift) % (Q - 1)] if a and b else 0
+
+    def add(a, b, c=0):
+        return item(Q * item(Q * a + b) + c)
+
+    # the cofactors of B, by cyclic indices, so that B^-1[k][c] = C[c][k] / det;
+    # -1 = gamma^((Q-1)/2)
+    C = [[add(mul(B[(i + 1) % 3][(j + 1) % 3], B[(i + 2) % 3][(j + 2) % 3]),
+              mul(B[(i + 1) % 3][(j + 2) % 3], B[(i + 2) % 3][(j + 1) % 3], (Q - 1) // 2))
+          for j in range(3)] for i in range(3)]
+    det = add(*(mul(B[0][j], C[0][j]) for j in range(3)))
+    if det == 0:
+        raise AssertionError("e1^2, e1 e2 and e2^2 are not a basis of F_q over F")
+    M = [[add(*(mul(B[r][k], C[c][k], _TORUS_LOGS[k] - log[det]) for k in range(3)))
+          for c in range(3)] for r in range(3)]
+    rows = [[add(*(mul(B[j][k], v) for k, v in enumerate(row))) for j in range(3)]
+            for row in _ORBIT_ROWS]
+    return M, rows
+
+
+def _intp_blocks(P):
+    """(a, P[a:a + k] as intp) over the int32 array P, in blocks of _BLOCK_BYTES // 8.
+
+    numpy gathers and scatters about four times as fast through intp
+    indices as through int32 ones, and the blocks keep the cast copies
+    within _BLOCK_BYTES.
+    """
+    block = _BLOCK_BYTES // 8
+    for a in range(0, len(P), block):
+        yield a, P[a : a + block].astype(np.intp)
+
+
+def _orbit_plan(nrows: int, ncols: int, cap: int):
+    """The blocks of a walk of every row against every column.
+
+    Each block is the rows [0, nrows) as a column and the columns [a, b):
+    at most cap positions, or one column when the rows alone are more.
+    """
+    rows = np.arange(nrows)[:, None]
+    width = max(1, cap // max(nrows, 1))
+    for a in range(0, ncols, width):
+        yield rows, a, min(a + width, ncols)
+
+
 def _distance_mask(c, cn: CosetNames) -> np.ndarray:
     """The H-name mask over cn of the distance set S - S of c, S = {v^2 : v in V}.
 
-    F*.V = V gives H.S = S for H = (F*)^2, so S minus 0 is a union of
-    H-cosets, and S - S is H times the differences r_a - t of one member
-    r_a per coset a and every t in S.  For t = h*r_b, -1 in H (|F| = 1 mod
-    4) makes r_a - h*r_b = -h*(r_b - r_a/h) share its H-name with r_b -
-    r_a/h, so coset a against the members of coset b names the same cosets
-    as coset b against those of coset a, and only b >= a is taken.  The
-    nonzero squares are sorted by H-name, so each coset is a run
-    (_coset_runs), and _walk_triangle takes each coset against the members
-    of the cosets from its own on, in blocks of at most _BLOCK_BYTES // 8
-    differences, from each coset's first member's codes, scaled by |F|
-    once per walk.  When 0 is in S the names of S itself stand for the
-    zero row and column: s - 0 = s and 0 - t = -t.  That is about
-    (|F|+1)*|S|/2 differences, taken in F-coordinates: 465 960 at (11, 1),
-    not |S|^2 = 5.4e7.  Raises ClaimViolation if S is not H-closed, and
-    AssertionError if -1 is not in H or the walk missed a difference.
+    V = F e1 + F e2.  For phi in GL(2, F) acting on V, L = Sym^2 phi, L(v
+    w) = phi(v) phi(w), is an F-linear bijection of F_q, since e1^2, e1 e2
+    and e2^2 are a basis of F_q over F.  It maps S onto S, so S - S onto S
+    - S, and L(h z) = h L(z) makes it permute the H-names.  With phi =
+    diag(gamma, 1), L^(|F|-1) = 1, and L's orbits on the |F|+1 H-cosets of
+    S (F*.V = V gives H.S = S for H = (F*)^2) are those of e1^2, of e2^2
+    and of the (a e1 + e2)^2, a != 0.  A member s = h L^j(r) of S minus 0,
+    h in H and r one of the rows e1^2, e2^2, (e1 + e2)^2, gives s - t =
+    h L^j(r - t') with t' = L^-j(t/h) in S.  So the names of S - S are the
+    closure under L of the names of r - t for the three rows r and every t
+    in S, 3 |S| differences (21 963 at (11, 1), 9 843 at (3, 2), against
+    |S|^2 = 5.4e7 at (11, 1)).  s = 0 gives the names of -S, which are
+    those of S as -1 is in H (|F| = 1 mod 4), and those are in the
+    closure: t = 0 gives the rows' own names, whose closure is checked to
+    cover S's.  The differences are taken
+    in F-coordinates in blocks of _orbit_plan, at most _BLOCK_BYTES // 8
+    each, and must number exactly 3 |S|.  L's permutation P of the names
+    comes from its matrix in cn's chart (_torus, CosetNames._permutation),
+    and the mask is closed under it by doubling, mask |= mask[P] and P =
+    P[P], in ceil(log2(|F|-1)) rounds, through intp blocks of P
+    (_intp_blocks).  Nothing is assumed: AssertionError
+    is raised if -1 is not in H (before V is read), if P is not a
+    permutation, if P does not map S's names into S's names, if the
+    closure of the rows' own names misses a name of S, so that the rows
+    miss an orbit, or if the walk's count is wrong; ClaimViolation if S is
+    not H-closed.
     """
-    Q, size = cn.Q, (cn.Q - 1) // 2
+    Q = cn.Q
     if (Q - 1) % 4:
         raise AssertionError(f"-1 is not a square in the subfield of order {Q}")
     squares = c.V.squares
-    nonzero = squares[squares != 0]
-    t = cn.coords(nonzero)
+    t = cn.coords(squares)
     names = cn.name(*t)
-    order = _coset_runs(names, size, "the squares of V")
-    t = [u[order] for u in t]
-    reps = [u[::size] * Q for u in t]
+    _coset_runs(names[squares != 0], (Q - 1) // 2, "the squares of V")
+    in_s = np.zeros(cn.zero + 1, dtype=bool)
+    in_s[names] = True
+    e1, e2 = (e.index for e in c.V.basis)
+    B = [u.tolist() for u in cn.coords(c.field.mul([e1, e1, e2], [e1, e2, e2]))]
+    M, rows = _torus(cn, B)
+    P = cn._permutation(M)
+    seen = np.zeros_like(in_s)
+    for _, idx in _intp_blocks(P):
+        seen[idx] = True
+    if not seen.all():
+        raise AssertionError("L does not permute the H-names")
+    if not in_s[P[in_s]].all():
+        raise AssertionError("L does not map S onto S")
 
-    def pairs(blk, c0):
-        return cn._names(*(tab[r[blk] + u[c0 * size :]]
-                           for tab, r, u in zip((cn._sub_q, cn._sub_q, cn._sub_t2), reps, t)))
-
-    named = _walk_triangle("structured distance set took {done} of {want} differences",
-                           cn.zero + 1, len(nonzero) // size, _BLOCK_BYTES // 8, pairs,
-                           per_pair=size).bits
-    if squares[0] == 0:
-        named[names] = True
-        named[cn.zero] = True
-    return named
+    # bit 0 of mask marks the names of the walk's differences, bit 1 the
+    # rows' own names
+    mask = np.zeros(cn.zero + 1, dtype=np.uint8)
+    reps = [Q * np.array(u)[:, None] for u in zip(*rows)]
+    done, want = 0, len(rows) * len(squares)
+    for blk, a, b in _orbit_plan(len(rows), len(squares), _BLOCK_BYTES // 8):
+        k = cn._names(*(tab[r[blk] + u[a:b]]
+                        for tab, r, u in zip((cn._sub_q, cn._sub_q, cn._sub_t2), reps, t)))
+        # numpy scatters through intp indices about twice as fast as
+        # through the narrow names, cast included
+        mask[k.astype(np.intp, copy=False)] = 1
+        done += k.size
+    if done != want:
+        raise AssertionError(f"structured distance set took {done} of {want} differences")
+    mask[cn.name(*(np.array(u) for u in zip(*rows)))] |= 2
+    for _ in range((Q - 2).bit_length()):
+        grown, doubled = mask.copy(), np.empty_like(P)
+        for a, idx in _intp_blocks(P):
+            grown[a : a + len(idx)] |= mask[idx]
+            doubled[a : a + len(idx)] = P[idx]
+        mask, P = grown, doubled
+    if (in_s[: cn.zero] & (mask[: cn.zero] < 2)).any():
+        raise AssertionError("the orbit rows miss an orbit of L on the cosets of S")
+    return (mask & 1).astype(bool)
 
 
 def distance_set_structured(c, threads: int = 1) -> ElemSet:

@@ -35,15 +35,22 @@ def scalar_square_difference_set(elements) -> set:
 
     The squares come from scalar multiplication.  A difference is the
     coefficient vectors' difference mod p, read as the base-p digits of
-    its index, one square against all the others at a time.
+    its index, one square against all the others at a time; the indices
+    are marked in a q-entry bool array, which takes the |S|^2 = 5.4e7
+    differences at (11, 1) in about 1 s, where a set of them took 17 s.
     """
     f = elements[0].field
-    squares = np.array(sorted({(u * u).coeffs for u in elements}), dtype=np.int64)
-    weights = f.p ** np.arange(f.n, dtype=np.int64)
-    out = set()
+    squares = np.array(sorted({(u * u).coeffs for u in elements}), dtype=np.int32)
+    # the index, below q <= 2^31, is exact in float64 through BLAS
+    weights = f.p ** np.arange(f.n, dtype=np.float64)
+    found = np.zeros(f.q, dtype=bool)
+    # a - s + p lies in [1, 2p - 1], so one conditional subtraction reduces it
+    shifted, p = f.p - squares, np.int32(f.p)
     for a in squares:
-        out.update((((a - squares) % f.p) @ weights).tolist())
-    return out
+        d = a + shifted
+        d -= (d >= p) * p
+        found[(d @ weights).astype(np.int64)] = True
+    return set(np.flatnonzero(found).tolist())
 
 
 def element_order(e) -> int:

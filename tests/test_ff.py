@@ -249,6 +249,34 @@ def test_pow_gives_each_lane_its_own_exponent(gf729):
     exps = [rng.randrange(3 * gf729.q) for _ in elems[:-1]] + [0]
     got = gf729._pow(np.array([e.index for e in elems]), exps)
     assert got.tolist() == [(e**k).index for e, k in zip(elems, exps)]
+    # one base against exponents of every bit length from 0 on, so the last
+    # bit of one lane is an inner bit of another
+    base = elems[:3]
+    exps = [0, 1, 2, 5, 8, 2**11 + 3, 2**20 - 1]
+    got = gf729._pow(np.array([e.index for e in base])[:, None], exps)
+    assert got.tolist() == [[(e**k).index for k in exps] for e in base]
+
+
+@pytest.mark.parametrize("pn", [(3, 1), (2, 31), (3, 19), (46337, 2), (2**31 - 1, 1), (11, 6)])
+def test_index_digits_match_scalar_digits(pn):
+    # the float64 quotients must be exact up to the largest field order, and
+    # the matmul of digits_to_index must give the indices back
+    p, n = pn
+    rng = random.Random(f"{pn}")
+    edges = [0, 1, p - 1, p, p**n - 1, p**n - p, p ** (n - 1), p ** (n - 1) - 1]
+    idx = [i for i in edges if 0 <= i < p**n] + [rng.randrange(p**n) for _ in range(200)]
+    got = ff.index_digits(np.array(idx), p, n)
+    assert got.dtype == np.int64 and got.shape == (n, len(idx))
+    assert got.T.tolist() == [ff._digits(i, p, n) for i in idx]
+    assert ff.digits_to_index(got, p).tolist() == idx
+    # a 2-D array keeps its shape after the digit axis, and a scalar gives one
+    # plane each; digits_to_index takes both back
+    planes = ff.index_digits(np.array(idx[:6]).reshape(2, 3), p, n)
+    assert planes.shape == (n, 2, 3)
+    assert ff.digits_to_index(planes, p).tolist() == [idx[:3], idx[3:6]]
+    assert ff.index_digits(idx[-1], p, n).tolist() == ff._digits(idx[-1], p, n)
+    assert ff.digits_to_index(ff.index_digits(idx[-1], p, n), p) == idx[-1]
+    assert ff.digits_to_index(ff.index_digits(np.zeros((2, 0), np.int64), p, n), p).shape == (2, 0)
 
 
 # --- arithmetic -------------------------------------------------------------

@@ -741,19 +741,28 @@ def test_coset_runs_start_at_multiples_of_the_coset_size(pr):
             setalg._coset_runs(bad, size, "S")
 
 
-@pytest.mark.parametrize("pr", [(3, 1), (3, 2)])
+@pytest.mark.parametrize("pr", [(3, 1), (3, 2), (11, 1)])
 def test_structured_refuses_columns_that_start_one_coset_late(monkeypatch, pr):
-    # at (3, 1) one block holds every coset; at (3, 2) 82 cosets take 10 blocks.
-    # VV's representatives are walked the same way and must be refused too
+    # VV walks its representatives' triangle in _plan's blocks, one block up
+    # to |F| = 127.  Δ walks three rows against every square in
+    # _orbit_plan's blocks of 5 461 columns: one block of 3 x 41 and of
+    # 3 x 3 281 differences at (3, 1) and (3, 2), two of 3 x 7 321 at
+    # (11, 1).  A block whose columns start one late drops three
     c = _construction(*pr)
-    plan = setalg._plan
+    plan, orbit_plan = setalg._plan, setalg._orbit_plan
 
     def one_coset_late(nrows, cap):
         for blk, c0 in plan(nrows, cap):
             yield blk, c0 + 1
 
+    def one_column_late(nrows, ncols, cap):
+        for rows, a, b in orbit_plan(nrows, ncols, cap):
+            yield rows, a + 1, b
+
     monkeypatch.setattr(setalg, "_plan", one_coset_late)
-    with pytest.raises(AssertionError, match="differences"):
+    monkeypatch.setattr(setalg, "_orbit_plan", one_column_late)
+    want, blocks = 3 * len(c.V.squares), {(3, 1): 1, (3, 2): 1, (11, 1): 2}[pr]
+    with pytest.raises(AssertionError, match=f"took {want - 3 * blocks} of {want} differences"):
         fqdist.distance_set_structured(c)
     with pytest.raises(AssertionError, match="products"):
         fqdist.product_set(c.V)
@@ -764,6 +773,89 @@ def test_structured_requires_minus_one_in_h():
     c = types.SimpleNamespace(subF=fqdist.locate_subfield(fqdist.ExtField(3, 3), 1))
     with pytest.raises(AssertionError, match="-1 is not a square"):
         fqdist.distance_set_structured(c)
+
+
+# explicit bases on which L's matrix in the chart of CosetNames is not diagonal
+_TORUS_BASES = [(3, 1, (2, 10)), (5, 1, (77, 15000)), (7, 1, (12345, 999)), (3, 2, (2, 10)),
+                (11, 1, (7, 12345))]
+
+
+def _torus_of(c, cn):
+    e1, e2 = (e.index for e in c.V.basis)
+    B = [u.tolist() for u in cn.coords(c.field.mul([e1, e1, e2], [e1, e2, e2]))]
+    return setalg._torus(cn, B)
+
+
+@pytest.mark.parametrize("p, r, basis", _TORUS_BASES)
+def test_distance_mask_matches_vv_and_the_scalar_oracle_on_explicit_bases(p, r, basis):
+    # Δ's mask comes from three rows closed under L; VV's from every pair of
+    # representatives, and the oracle from every pair of squares
+    c = fqdist.build_construction(p, r, basis)
+    cn = setalg.CosetNames(c.subF)
+    M, _ = _torus_of(c, cn)
+    assert any(M[i][j] for i in range(3) for j in range(3) if i != j)
+    mask = setalg._distance_mask(c, cn)
+    assert np.array_equal(mask, setalg._product_mask(c.V, cn, 10**15))
+    delta = set(np.flatnonzero(cn.union(mask).bits).tolist())
+    assert delta == oracles.scalar_square_difference_set(c.V.elements)
+
+
+@pytest.mark.parametrize("p, r, basis", [(3, 1, "auto")] + _TORUS_BASES[::2])
+def test_torus_permutation_is_l_on_the_names(p, r, basis):
+    # L(u0 e1^2 + u1 e1 e2 + u2 e2^2) = gamma^2 u0 e1^2 + gamma u1 e1 e2 + u2 e2^2,
+    # taken with ExtField.mul and add_indices, against P read at the name of
+    # the argument; every z at (3, 1), 3 000 random ones above
+    c = fqdist.build_construction(p, r, basis)
+    f, cn = c.field, setalg.CosetNames(c.subF)
+    P = cn._permutation(_torus_of(c, cn)[0])
+    assert P.dtype == np.int32 and sorted(P.tolist()) == list(range(cn.zero + 1))
+    F = c.subF.indices
+    if p**r == 3:
+        u = np.stack(np.meshgrid(F, F, F)).reshape(3, -1)
+    else:
+        u = np.random.default_rng(p).choice(F, (3, 3000))
+    e1, e2 = (e.index for e in c.V.basis)
+    b = f.mul([e1, e1, e2], [e1, e2, e2])
+    gamma = c.subF.powers[1]
+
+    def element(u0, u1, u2):
+        parts = [f.mul(x, y) for x, y in zip((u0, u1, u2), b)]
+        return setalg.add_indices(setalg.add_indices(parts[0], parts[1], f.p, f.n), parts[2],
+                                  f.p, f.n)
+
+    z = element(*u)
+    Lz = element(f.mul(u[0], f.mul(gamma, gamma)), f.mul(u[1], gamma), u[2])
+    assert P[cn.name(*cn.coords(z))].tolist() == cn.name(*cn.coords(Lz)).tolist()
+
+
+@pytest.mark.parametrize("basis", ["auto", (2, 10)])
+def test_structured_refuses_a_torus_that_fails_a_check(monkeypatch, basis):
+    # each of the three checks on L, P and the rows refuses on its own
+    c0 = _construction(3, 1)
+    c = dataclasses.replace(c0, V=fqdist.build_subspace(c0.field, c0.subF, basis))
+    # diag(gamma, 1, 1) is F-linear and bijective but moves e1^2 off S
+    with monkeypatch.context() as m:
+        m.setattr(setalg, "_TORUS_LOGS", (1, 0, 0))
+        with pytest.raises(AssertionError, match="does not map S onto S"):
+            fqdist.distance_set_structured(c)
+    # one entry of P copied from another
+    permutation = setalg.CosetNames._permutation
+
+    def corrupted(self, M):
+        P = permutation(self, M)
+        P[5] = P[6]
+        return P
+
+    with monkeypatch.context() as m:
+        m.setattr(setalg.CosetNames, "_permutation", corrupted)
+        with pytest.raises(AssertionError, match="does not permute the H-names"):
+            fqdist.distance_set_structured(c)
+    # e1^2 twice and no (e1 + e2)^2: the count of differences still holds
+    with monkeypatch.context() as m:
+        m.setattr(setalg, "_ORBIT_ROWS", ((1, 0, 0), (0, 0, 1), (1, 0, 0)))
+        with pytest.raises(AssertionError, match="miss an orbit"):
+            fqdist.distance_set_structured(c)
+    assert fqdist.distance_set_structured(c) == fqdist.product_set(c.V)
 
 
 @settings(max_examples=15, deadline=None)
@@ -855,27 +947,34 @@ def test_bruteforce_refuses_a_pass_that_skips_a_row(monkeypatch, pn, threads):
     # the distance is symmetric, so the set of a pass that skips one row
     # can still be right; only the count of evaluated pairs shows the gap.
     # Point-list and grid brute force are checked on GF(3^2) and GF(3^8),
-    # of two and eight digits.  Δ and VV share the walk, and must refuse
-    # the same skips; threads changes none of it
+    # of two and eight digits.  VV shares the walk and must refuse the same
+    # skip, and Δ's walk must refuse a block that drops a row; threads
+    # changes none of it
     fld = _small_field(*pn)
     rng = random.Random(f"{pn}")
     pts = [Point(fld.from_index(rng.randrange(fld.q)), fld.from_index(rng.randrange(fld.q)))
            for _ in range(40)]
     xs = np.array([pt.x.index for pt in pts])
     c = _construction(3, 1)
-    plan = setalg._plan
+    plan, orbit_plan = setalg._plan, setalg._orbit_plan
     want, got, _ = _SKIP_COUNTS
 
     def from_row_one(nrows, cap):
         for j, (blk, c0) in enumerate(plan(nrows, cap)):
             yield (blk[1:], c0 + 1) if j == 0 else (blk, c0)
 
+    def without_row_zero(nrows, ncols, cap):
+        # Δ's walk takes its three rows against all 41 squares in one block
+        for j, (rows, a, b) in enumerate(orbit_plan(nrows, ncols, cap)):
+            yield (rows[1:] if j == 0 else rows), a, b
+
     monkeypatch.setattr(setalg, "_plan", from_row_one)
+    monkeypatch.setattr(setalg, "_orbit_plan", without_row_zero)
     with pytest.raises(AssertionError, match=f"evaluated {got} of {want} pairs"):
         fqdist.distance_set_bruteforce(pts, threads=threads)
     with pytest.raises(AssertionError, match=f"evaluated {got} of {want} axis pairs"):
         fqdist.distance_set_of_grid(fld, xs, xs, threads=threads)
-    with pytest.raises(AssertionError, match="differences"):
+    with pytest.raises(AssertionError, match="took 82 of 123 differences"):
         fqdist.distance_set_structured(c, threads=threads)
     with pytest.raises(AssertionError, match="products"):
         fqdist.product_set(c.V, threads=threads)
