@@ -19,6 +19,7 @@ float64, below 2^53, otherwise.  Only this module multiplies digit planes.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
@@ -41,6 +42,31 @@ MAX_FIELD_ORDER = 2**31
 # M_MMAP_THRESHOLD: every pass that streams elements or pairs sizes its
 # blocks by it, so warm calls reuse heap pages instead of faulting new ones
 _BLOCK_BYTES = 2**17
+
+# glibc's malloc takes blocks from M_MMAP_THRESHOLD on from mmap, and gives
+# the free top of its heap back to the system once it exceeds
+# M_TRIM_THRESHOLD; both start at 128 KiB and rise only when a larger
+# mmapped block is freed.  A warm verify call at (11, 1) takes and frees
+# about 1.5 MB of heap in block temporaries, coset-name tables and its
+# q/8-byte set, so at those values each call gave the heap back and faulted
+# 570-610 pages in again (glibc 2.36).  Blocks up to 1 MiB stay on the heap
+# and up to 4 MiB of it stays free, for the whole process; larger arrays
+# still come from mmap and go back when freed.
+_MALLOC_OPTIONS = {-3: 2**20, -1: 2**22}  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+
+def _tune_malloc() -> None:
+    """Apply _MALLOC_OPTIONS through mallopt, where the C library has it."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    for option, value in _MALLOC_OPTIONS.items():
+        mallopt(option, value)
+
+
+_tune_malloc()
 
 
 def _lanes(n: int, itemsize: int) -> int:

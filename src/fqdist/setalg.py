@@ -49,14 +49,50 @@ def _block_rows(width: int, itemsize: int = 8) -> int:
     return max(1, _BLOCK_BYTES // (itemsize * max(width, 1)))
 
 
-class ElemSet:
-    """Membership bitset over the canonical element indices [0, q)."""
+# set bits per byte value; np.bitwise_count, from numpy 2.0 on, counts them faster
+_BYTE_BITS = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
+_bitcount = getattr(np, "bitwise_count", _BYTE_BITS.take)
 
-    __slots__ = ("q", "bits")
+
+def _pack_into(packed, pos: int, bits) -> int:
+    """Write the bools bits in order from bit pos of the packed bytes on; the position after them.
+
+    The bits from pos on must be clear.  Those up to the next byte boundary
+    are or-ed into the byte that holds bit pos, and the rest are packed
+    into whole bytes, the last of which keeps its bits past them clear.
+    """
+    bits = bits.ravel()
+    head = -pos % 8
+    if head and len(bits):
+        packed[pos >> 3] |= int(np.packbits(bits[:head], bitorder="little")[0]) << (pos & 7)
+    if len(bits) > head:
+        a = (pos + head) >> 3
+        packed[a : a + (len(bits) - head + 7) // 8] = np.packbits(bits[head:], bitorder="little")
+    return pos + len(bits)
+
+
+class ElemSet:
+    """Membership bitset over the canonical element indices [0, q).
+
+    The set is kept as its bits packed little-endian, ceil(q/8) bytes with
+    the padding bits of the last byte zero: bit i & 7 of byte i >> 3 is
+    element i.  Those are the bytes its sha256 and bits_hex are taken
+    over, so equal sets have equal bytes.  bits is a read-only bool view,
+    unpacked on each access.
+    """
+
+    __slots__ = ("q", "packed")
 
     def __init__(self, q: int):
         self.q = q
-        self.bits = np.zeros(q, dtype=bool)
+        self.packed = np.zeros((q + 7) // 8, dtype=np.uint8)
+
+    @classmethod
+    def _from_bits(cls, bits) -> "ElemSet":
+        """The set of the True entries of the bool array bits, with q its length."""
+        s = cls.__new__(cls)
+        s.q, s.packed = len(bits), np.packbits(bits, bitorder="little")
+        return s
 
     @classmethod
     def from_indices(cls, q: int, indices) -> "ElemSet":
@@ -70,7 +106,9 @@ class ElemSet:
     @classmethod
     def full_set(cls, q: int) -> "ElemSet":
         s = cls(q)
-        s.bits[:] = True
+        s.packed[:] = 0xFF
+        if q % 8:
+            s.packed[-1] = (1 << q % 8) - 1
         return s
 
     def add_array(self, indices) -> None:
@@ -80,7 +118,16 @@ class ElemSet:
         lie in [0, q), and a negative index would wrap silently.
         """
         if len(indices):
-            self.bits[indices] = True
+            indices = np.asarray(indices, dtype=np.int64)
+            np.bitwise_or.at(self.packed, indices >> 3,
+                             np.left_shift(1, indices & 7).astype(np.uint8))
+
+    @property
+    def bits(self) -> np.ndarray:
+        """The membership of every index as a read-only bool array of q entries."""
+        b = np.unpackbits(self.packed, count=self.q, bitorder="little").view(bool)
+        b.flags.writeable = False
+        return b
 
     def has(self, index: int) -> bool:
         """Membership; InvalidInput for anything but an integer in [0, q).
@@ -93,37 +140,48 @@ class ElemSet:
             raise InvalidInput(f"index {index!r} is not an integer")
         if not 0 <= index < self.q:
             raise InvalidInput(f"index {index} is outside [0, {self.q})")
-        return bool(self.bits[index])
+        index = int(index)
+        return bool(self.packed[index >> 3] >> (index & 7) & 1)
 
     def __contains__(self, index: int) -> bool:
         return self.has(index)
 
     @property
     def count(self) -> int:
-        return int(np.count_nonzero(self.bits))
+        """The popcount of the bytes, in blocks of _BLOCK_BYTES."""
+        return sum(int(_bitcount(self.packed[a : a + _BLOCK_BYTES]).sum(dtype=np.int64))
+                   for a in range(0, len(self.packed), _BLOCK_BYTES))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ElemSet):
             return NotImplemented
-        return self.q == other.q and bool(np.array_equal(self.bits, other.bits))
+        return self.q == other.q and bool(np.array_equal(self.packed, other.packed))
 
     __hash__ = None  # mutable
 
     def issubset(self, other: "ElemSet") -> bool:
         if self.q != other.q:
             return False
-        return not bool(np.any(self.bits & ~other.bits))
+        return not bool(np.any(self.packed & ~other.packed))
 
     def complement_witness(self):
-        """Smallest index not in the set, or None if the set is all of F_q."""
-        if self.bits.all():
-            return None
-        return int(np.argmin(self.bits))
+        """Smallest index not in the set, or None if the set is all of F_q.
+
+        The first byte that is not 0xFF holds it in its lowest clear bit,
+        unless that bit is padding; bytes are searched in blocks of
+        _BLOCK_BYTES.
+        """
+        for a in range(0, len(self.packed), _BLOCK_BYTES):
+            k = a + int(np.argmax(self.packed[a : a + _BLOCK_BYTES] != 0xFF))
+            byte = int(self.packed[k])
+            if byte != 0xFF:
+                i = 8 * k + (~byte & (byte + 1)).bit_length() - 1
+                return i if i < self.q else None
+        return None
 
     def sha256(self) -> str:
         """Hash of the bitset packed little-endian, for cross-run comparison."""
-        packed = np.packbits(self.bits, bitorder="little")
-        return hashlib.sha256(packed.tobytes()).hexdigest()
+        return hashlib.sha256(self.packed).hexdigest()
 
     def to_json(self, include_bits: bool = False) -> dict:
         d = {"q": self.q, "count": self.count, "sha256_of_bitset": self.sha256()}
@@ -131,7 +189,7 @@ class ElemSet:
         if witness is not None:
             d["missing_witness"] = witness
         if include_bits:
-            d["bits_hex"] = np.packbits(self.bits, bitorder="little").tobytes().hex()
+            d["bits_hex"] = self.packed.tobytes().hex()
         return d
 
     def __repr__(self):
@@ -397,48 +455,69 @@ class CosetNames:
         F_q is walked as a (p^(n-h), p^h) array, h = n//2: the element
         hi*p^h + lo sits in row hi, column lo.  Scaling by s in Z_p*
         multiplies every digit by s, so row s.hi is row hi with its columns
-        permuted by lo -> lo/s.  s fixes
-        the F*-name, and the H-name too exactly when s is a square in F:
-        always when m is even, otherwise when s is a residue mod p; a
-        non-residue moves a nonzero H-name by step, so it reads the mask
-        with its step-long halves swapped.  So only row 0 and the rows with
-        leading digit 1 are named, from their halves' coordinates, in
-        blocks whose int64 temporaries fit half of _BLOCK_BYTES; the first moving
-        scalar s0 writes each block's swapped bits at once.  Then each
-        named range is copied to its other multiples once per scalar, in
-        chunks that fit _BLOCK_BYTES: from row hi, or from row s0.hi for
-        the other moving scalars, since s/s0 fixes the H-name.
+        permuted by lo -> lo/s.  s fixes the F*-name, and the H-name too
+        exactly when s is a square in F: always when m is even, otherwise
+        when s is a residue mod p; a non-residue moves a nonzero H-name by
+        step, so it reads the mask with its step-long halves swapped.
+
+        The rows are emitted in index order and packed into the set's bytes
+        as they come (_pack_into), so no q-byte array is built: row 0, then
+        for each k the rows R_k = [p^k, 2p^k) with leading digit 1 in
+        position k, then their multiples s.R_k = [s p^k, (s+1) p^k) for s =
+        2 .. p-1.  Only row 0 and the R_k are named, from their halves'
+        coordinates, in blocks whose int64 temporaries fit a quarter of
+        _BLOCK_BYTES, into one byte per element, and into a second byte
+        block through the swapped mask where a scalar moves H-names.  Row
+        s p^k + u of s.R_k is row u/s of R_k's block with the columns lo/s,
+        so one permutation of the digits per scalar (scaling by s^-1)
+        gives both.  Each emit takes rows whose gathered copies fit
+        _BLOCK_BYTES.  The largest block holds q/p bytes, beside the q/8 of
+        the set.
+
+        Each H-name below 2*step covers (Q-1)/2 elements and zero one, so
+        AssertionError is raised unless the set counts (Q-1)/2 per name set
+        below 2*step, plus one if zero's is, or unless q elements were
+        emitted.  (At p = 2, F* has odd order Q - 1 and H = F*: a name below
+        step covers the Q/2 members whose t_l has an even log, and that name
+        plus step the other Q/2 - 1.)
         """
         p, n, step, split = self._p, self._n, self.step, self._split
-        swapped = np.concatenate([mask[step : 2 * step], mask[:step], mask[2 * step :]])
+        mask = np.asarray(mask, dtype=bool)
+        masks = [mask]
+        moves = [n // 3 % 2 == 1 and pow(s, (p - 1) // 2, p) != 1 for s in range(p)]
+        if any(moves[1:]):
+            masks.append(np.concatenate([mask[step : 2 * step], mask[:step], mask[2 * step :]]))
         out = ElemSet(p**n)
-        rows = out.bits.reshape(-1, split)
-        # the naming blocks take half the budget: the bitset is live beside
-        # them, and a (3, 2) call then peaks at 886 KB, not 1 088, under
-        # glibc's trim threshold of twice the bitset, so warm calls keep their heap
-        h, block, chunk = n // 2, _block_rows(2 * split), _block_rows(split, 1)
+        h, block, chunk = n // 2, _block_rows(4 * split), _block_rows(2 * split, 1)
         lo = [t[None, :] for t in self._lo]
-        # perms[s] holds the columns lo/s, the inverse of lo -> s.lo; each
-        # other scalar s is copied from row src.hi with the columns perms[s/src]
-        perms = np.argsort(_scale_digits(np.arange(split), np.arange(p)[:, None], p, h), axis=1)
-        moves = [0 < s and n // 3 % 2 and pow(s, (p - 1) // 2, p) != 1 for s in range(p)]
-        s0 = moves.index(True) if any(moves) else 1
-        copies = [(s, src, s * pow(src, -1, p) % p) for s in range(2, p) if s != s0
-                  for src in [s0 if moves[s] else 1]]
-        # row 0, then the rows [p^k, 2p^k) with leading digit 1 in position k
+        # perms[s] holds the columns lo/s, digit by digit times s^-1 mod p
+        inverse = np.array([0] + [pow(s, -1, p) for s in range(1, p)])
+        perms = _scale_digits(np.arange(split), inverse[:, None], p, h)
+        # one byte per element of the largest range, per mask: numpy's take
+        # runs faster on uint8 than on bool
+        blocks = [np.empty((p ** (n - h - 1), split), dtype=np.uint8) for _ in masks]
+        pos = 0
         for a0, a1 in [(0, 1)] + [(p**k, 2 * p**k) for k in range(n - h)]:
+            named = [blk[: a1 - a0] for blk in blocks]
             for a in range(a0, a1, block):
                 b = min(a + block, a1)
-                named = self._names(*(tab[u[a:b, None] + v] for tab, u, v in zip(
+                names = self._names(*(tab[u[a:b, None] + v] for tab, u, v in zip(
                     (self._add_q, self._add_q, self._add_t2), self._hi_q, lo)))
-                np.take(mask, named, out=rows[a:b])
-                if s0 > 1:
-                    rows[_scale_digits(range(a, b), s0, p, n - h)] = swapped[named][:, perms[s0]]
-            for a in range(a0, a1, chunk):
-                b = min(a + chunk, a1)
-                hi = _scale_digits(range(a, b), np.arange(p)[:, None], p, n - h)
-                for s, src, rel in copies:
-                    rows[hi[s]] = (rows[a:b] if src == 1 else rows[hi[src]])[:, perms[rel]]
+                for m, rows in zip(masks, named):
+                    np.take(m.view(np.uint8), names, out=rows[a - a0 : b - a0])
+            # row 0 has no other multiple
+            for s in range(1, p if a0 else 2):
+                rows, perm = named[moves[s]], perms[s]
+                for a in range(0, a1 - a0, chunk):
+                    b = min(a + chunk, a1 - a0)
+                    pos = _pack_into(out.packed, pos, rows[a:b] if s == 1 else np.take(
+                        rows[perm[a:b]], perm, axis=1, mode="clip"))
+        Q = self.Q
+        low, high = (int(np.count_nonzero(mask[a : a + step])) for a in (0, step))
+        want = Q // 2 * low + (Q - 1) // 2 * high + int(mask[self.zero])
+        if pos != out.q or out.count != want:
+            raise AssertionError(f"union emitted {pos} of {out.q} elements and set {out.count} "
+                                 f"of {want}")
         return out
 
 
@@ -498,7 +577,7 @@ def _walk_triangle(what: str, size: int, nrows: int, cap: int, pairs,
     over the block heights k of _heights), or AssertionError is raised
     with the message what.format(done=..., want=...).
     """
-    out = ElemSet(size)
+    bits = np.zeros(size, dtype=bool)
     overlap = sum(k * (k - 1) for k in _heights(nrows, cap // per_pair))
     want = per_pair * (nrows * (nrows + 1) + overlap) // 2
     done = 0
@@ -506,11 +585,11 @@ def _walk_triangle(what: str, size: int, nrows: int, cap: int, pairs,
         k = pairs(blk, c0)
         # numpy scatters through intp indices about twice as fast as
         # through the narrow names of Δ and VV, cast included
-        out.bits[k.astype(np.intp, copy=False)] = True
+        bits[k.astype(np.intp, copy=False)] = True
         done += k.size
     if done != want:
         raise AssertionError(what.format(done=done, want=want))
-    return out
+    return ElemSet._from_bits(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -610,11 +689,11 @@ def _axis_squares(field, a: np.ndarray, sq: np.ndarray) -> ElemSet:
 def _sumset(field, a: ElemSet, b: ElemSet) -> ElemSet:
     """{s + t : s in a, t in b}, in blocks of _block_rows(|b|) rows of |b| sums."""
     s, t = np.flatnonzero(a.bits), np.flatnonzero(b.bits)
-    out = ElemSet(field.q)
+    bits = np.zeros(field.q, dtype=bool)
     block = _block_rows(len(t))
     for j in range(0, len(s), block):
-        out.add_array(add_indices(s[j : j + block, None], t, field.p, field.n).ravel())
-    return out
+        bits[add_indices(s[j : j + block, None], t, field.p, field.n)] = True
+    return ElemSet._from_bits(bits)
 
 
 def distance_set_of_grid(field, xs, ys, budget: int = DEFAULT_PAIR_BUDGET,

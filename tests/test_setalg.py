@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import hashlib
 import random
 import tracemalloc
 import types
@@ -96,6 +97,75 @@ def test_elemset_refuses_non_integer_indices():
             bad in s
 
 
+def _packed(bits) -> np.ndarray:
+    return np.packbits(bits, bitorder="little")
+
+
+def _padding(s: ElemSet) -> int:
+    """The bits of the last byte past q, which must stay clear."""
+    return int(s.packed[-1]) >> (s.q % 8) if s.q % 8 else 0
+
+
+# q = 1, 7, 9 and 10 end in a partial byte, 729 too
+@pytest.mark.parametrize("q", [1, 7, 9, 10, 729])
+def test_packed_elemset_agrees_with_a_bool_reference(monkeypatch, q):
+    rng = np.random.default_rng(q)
+    for density in (0.0, 0.3, 0.7, 1.0):
+        ref = rng.random(q) < density
+        s = ElemSet.from_indices(q, np.flatnonzero(ref))
+        assert len(s.packed) == (q + 7) // 8 and _padding(s) == 0
+        assert np.array_equal(s.packed, _packed(ref))
+        assert s.count == int(ref.sum())
+        assert [i in s for i in range(q)] == ref.tolist()
+        assert np.array_equal(s.bits, ref)
+        assert s.sha256() == hashlib.sha256(_packed(ref).tobytes()).hexdigest()
+        d = s.to_json(include_bits=True)
+        assert d["bits_hex"] == _packed(ref).tobytes().hex()
+        assert d["count"] == int(ref.sum()) and d["sha256_of_bitset"] == s.sha256()
+        # a subset, equal only to itself
+        sub = ref & (rng.random(q) < 0.5)
+        t = ElemSet.from_indices(q, np.flatnonzero(sub))
+        assert t.issubset(s) and s.issubset(s)
+        assert s.issubset(t) == (t == s) == np.array_equal(sub, ref)
+        assert (s == ElemSet._from_bits(ref)) and not s.issubset(ElemSet(q + 1))
+        # the table count, for numpy before 2.0, agrees
+        monkeypatch.setattr(setalg, "_bitcount", setalg._BYTE_BITS.take)
+        assert s.count == int(ref.sum())
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("q", [1, 7, 9, 10, 729])
+def test_packed_elemset_witness_and_padding(q):
+    full = ElemSet.full_set(q)
+    assert full.count == q and _padding(full) == 0 and full.complement_witness() is None
+    assert full.sha256() == hashlib.sha256(_packed(np.ones(q, bool)).tobytes()).hexdigest()
+    # the missing element is the last one, in the last partial byte at q = 1, 9 and 10
+    last = ElemSet.from_indices(q, range(q - 1))
+    assert last.complement_witness() == q - 1 and _padding(last) == 0
+    assert last.issubset(full) and not full.issubset(last)
+    last.add_array(np.array([q - 1, q - 1]))
+    assert last == full and _padding(last) == 0
+    assert ElemSet(q).complement_witness() == 0 and ElemSet(q).count == 0
+
+
+def test_packed_elemset_bits_are_a_read_only_view():
+    s = ElemSet.from_indices(10, [1, 9])
+    with pytest.raises(ValueError, match="read-only"):
+        s.bits[1] = False
+    assert s.bits.tolist() == [i in (1, 9) for i in range(10)]
+    s.packed[0] &= ~np.uint8(1 << 1)
+    assert s.bits.tolist() == [i == 9 for i in range(10)] and 1 not in s
+
+
+def test_elemset_witness_in_a_later_block(monkeypatch):
+    # the search for a byte other than 0xFF runs in blocks of _BLOCK_BYTES
+    monkeypatch.setattr(setalg, "_BLOCK_BYTES", 4)
+    for q, gap in [(100, 45), (100, 99), (96, 95), (96, None)]:
+        s = ElemSet.from_indices(q, [i for i in range(q) if i != gap])
+        assert s.complement_witness() == gap
+        assert s.count == q - (gap is not None)
+
+
 # --- bulk tables vs scalar arithmetic ----------------------------------------
 
 
@@ -183,37 +253,96 @@ def test_coset_names_partition_the_field(p):
 
 
 # odd m with p = 3, 7, 13 and 3^9 take the non-residue rule, the rest m even
-# or p = 2; 11^6 is the benchmark's field
+# or p = 2; 3^6, 5^6, 7^6, 11^6 and 3^12 are the fields of (3, 1), (5, 1),
+# (7, 1), (11, 1) and (3, 2)
 @pytest.mark.parametrize("pn", [(3, 3), (7, 3), (13, 3), (3, 9), (3, 6), (5, 6), (7, 6),
-                                (11, 6), (2, 6)], ids=lambda pn: f"{pn[0]}^{pn[1]}")
+                                (11, 6), (2, 6), (3, 12)], ids=lambda pn: f"{pn[0]}^{pn[1]}")
 def test_coset_names_name_every_element_directly(pn):
-    # union() names a 1/(p-1) share of the rows and copies the rest by
-    # scaling with Z_p*; the direct naming of every index must agree
+    # union() names a 1/(p-1) share of the rows and permutes the rest by
+    # scaling with Z_p*, streaming packed bytes; the packed direct naming
+    # of every index must agree, padding bits included
     fld = _small_field(*pn)
     cn = setalg.CosetNames(fqdist.locate_subfield(fld, fld.n // 3))
     direct = cn.name(*cn.coords(np.arange(fld.q)))
     rng = np.random.default_rng(fld.q)
     for density in (0.5, 0.1, 0.9):
         mask = rng.random(cn.zero + 1) < density
-        assert np.array_equal(cn.union(mask).bits, mask[direct])
+        assert np.array_equal(cn.union(mask).packed, _packed(mask[direct]))
 
 
 # 3^9 and 7^3 move the H-name with a non-residue: 3^9 with its one scalar,
-# 7^3 with three, two of them copied from the first; 11^6 moves none
+# 7^3 with three, each read from the swapped block; 11^6 moves none
 @pytest.mark.parametrize("pn", [(3, 9), (7, 3), (11, 6)], ids=lambda pn: f"{pn[0]}^{pn[1]}")
 def test_union_names_and_copies_ranges_across_blocks(monkeypatch, pn):
-    # a budget of two bytes per column names one row per block and copies
-    # two rows per chunk, so every leading-digit range of more than one row
-    # spans several blocks and several chunks
+    # a budget of four bytes per column names one row per block and emits
+    # two rows per piece, so every leading-digit range of more than one row
+    # spans several blocks and several pieces
     fld = _small_field(*pn)
     cn = setalg.CosetNames(fqdist.locate_subfield(fld, fld.n // 3))
     direct = cn.name(*cn.coords(np.arange(fld.q)))
-    monkeypatch.setattr(setalg, "_BLOCK_BYTES", 2 * cn._split)
-    assert setalg._block_rows(cn._split) == 1 and setalg._block_rows(cn._split, 1) == 2
+    monkeypatch.setattr(setalg, "_BLOCK_BYTES", 4 * cn._split)
+    assert setalg._block_rows(4 * cn._split) == 1 and setalg._block_rows(2 * cn._split, 1) == 2
     rng = np.random.default_rng(fld.q)
     for density in (0.5, 0.1):
         mask = rng.random(cn.zero + 1) < density
         assert np.array_equal(cn.union(mask).bits, mask[direct])
+
+
+def _coset_names(p: int, n: int):
+    fld = _small_field(p, n)
+    return fld, setalg.CosetNames(fqdist.locate_subfield(fld, n // 3))
+
+
+@pytest.mark.parametrize("pn", [(3, 12), (11, 6)], ids=lambda pn: f"{pn[0]}^{pn[1]}")
+def test_union_holds_less_than_q_bytes(pn):
+    # the set takes q/8 bytes and R_k's named block q/p, beside blocks of
+    # at most _BLOCK_BYTES; a q-byte bitset took 907 KB at (3, 2) and 2.5 MB
+    # at (11, 1)
+    fld, cn = _coset_names(*pn)
+    mask = np.random.default_rng(1).random(cn.zero + 1) < 0.5
+    tracemalloc.start()
+    try:
+        got = cn.union(mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.count > 0
+    assert peak < fld.q, f"peak {peak} bytes at q = {fld.q}"
+
+
+@pytest.mark.parametrize("corrupt", ["flip a row", "drop a row"])
+def test_union_refuses_a_corrupted_emit(monkeypatch, corrupt):
+    # a row of odd length p^h with every bit flipped changes the count, and a
+    # dropped row leaves fewer than q elements emitted
+    fld, cn = _coset_names(3, 6)
+    mask = np.random.default_rng(2).random(cn.zero + 1) < 0.5
+    real, calls = setalg._pack_into, []
+
+    def corrupted(packed, pos, bits):
+        calls.append(pos)
+        if len(calls) == 3:
+            if corrupt == "drop a row":
+                bits = bits[1:]
+            else:
+                bits = bits.copy()
+                bits[0] ^= 1
+        return real(packed, pos, bits)
+
+    monkeypatch.setattr(setalg, "_pack_into", corrupted)
+    with pytest.raises(AssertionError, match="union emitted"):
+        cn.union(mask)
+    assert len(calls) > 3
+
+
+def test_pack_into_writes_across_byte_boundaries():
+    rng = np.random.default_rng(5)
+    bits = rng.random(300) < 0.5
+    for cuts in ([0, 3, 3, 11, 12, 100, 300], [0, 1, 2, 9, 17, 24, 299, 300], [0, 300]):
+        packed = np.zeros(38, dtype=np.uint8)
+        pos = 0
+        for a, b in zip(cuts, cuts[1:]):
+            pos = setalg._pack_into(packed, pos, bits[a:b])
+        assert pos == 300 and np.array_equal(packed, _packed(bits))
 
 
 def test_coset_names_hold_nothing_q_sized():

@@ -78,7 +78,7 @@ def test_missing_distance_recheck_catches_a_cleared_distance(monkeypatch):
     def cleared(cn, mask):
         s = real_union(cn, mask)
         assert s.has(1) and s.complement_witness() == 28
-        s.bits[1] = False
+        s.packed[0] &= ~np.uint8(1 << 1)
         return s
 
     monkeypatch.setattr(setalg.CosetNames, "union", cleared)
