@@ -358,7 +358,7 @@ class ExtField:
     Immutable after construction; all operations are pure.
     """
 
-    __slots__ = ("p", "n", "q", "modulus", "key", "_red", "_T", "_tables", "_gen_coeffs")
+    __slots__ = ("p", "n", "q", "modulus", "key", "_red", "_T", "_gen_coeffs")
 
     def __init__(self, p: int, n: int = 1, modulus=None, generator_index=None):
         # p >= 2 gives p^n >= 2^n, so this refuses a huge p or n before
@@ -387,7 +387,6 @@ class ExtField:
         self.key = (p, n, self.modulus)
         self._red = self._reduction_rows()
         self._T = _structure_tensor(p, n, self._red) if n > 1 else None
-        self._tables = None
         if generator_index is None:
             g = find_generator(self)
         else:

@@ -12,11 +12,12 @@ map L = Sym^2 diag(gamma, 1) on the cosets of S, and closes the names
 under L (_distance_mask).  VV pairs F*-coset representatives and brute
 force pairs points or grid coordinates, each row with the rows from its
 own on, and one walker takes that triangle for them (_walk_triangle): on
-the calling thread, in row blocks sized by their own widths, with an
-exact count of the pairs taken.  Brute force on a grid X x Y, such as E =
-V x iV, is distance_set_of_grid: one walk over the pairs of each axis gives
-{dx^2 : dx in X - X} and {dy^2 : dy in Y - Y}, and one sumset of the two
-gives the distance set.  Brute force on any point list is
+the calling thread, in row blocks sized by their own widths.  It, Δ's
+walk and the grid's sumset set bool masks through one scatter that checks
+the exact count of positions (_scatter).  Brute force on a grid X x Y,
+such as E = V x iV, is distance_set_of_grid: one walk over the pairs of
+each axis gives {dx^2 : dx in X - X} and {dy^2 : dy in Y - Y}, and one
+sumset of the two gives the distance set.  Brute force on any point list is
 distance_set_of_indices, on the points' coordinates as two index arrays;
 distance_set_bruteforce hands it the indices of Points.  It subtracts
 and adds base-p digits per pair (sub_indices, add_indices) and reads the
@@ -26,7 +27,8 @@ and addition tables (CosetNames._product_names); every other product,
 the squares of V and of brute force and L's basis included, goes through
 ExtField.mul on indices, so Δ = VV compares two multiplication
 algorithms, and VV does not use L.
-Budgets are hard limits: an oversized request raises instead of sampling.
+Budgets are hard limits on the work a route takes, checked before it
+runs: an oversized request raises instead of sampling.
 """
 
 from __future__ import annotations
@@ -214,17 +216,16 @@ def distance(a: Point, b: Point):
 
 
 class FieldTables:
-    """The per-field squares table of brute force, addressed by canonical index.
+    """The squares table of brute force, addressed by canonical index.
 
-    sq holds the square of every element, from one ExtField.mul call;
-    brute force reads it to take norms, 8*q bytes.  The structured sets do
-    not use it: they name cosets through CosetNames.
+    sq holds the square of every element, from one ExtField.mul call, 8*q
+    bytes; brute force reads it to take norms.  The structured sets do not
+    use it: they name cosets through CosetNames.
     """
 
-    __slots__ = ("q", "p", "n", "sq")
+    __slots__ = ("sq",)
 
     def __init__(self, field):
-        self.q, self.p, self.n = field.q, field.p, field.n
         idx = np.arange(field.q)
         self.sq = field.mul(idx, idx)
 
@@ -522,11 +523,8 @@ class CosetNames:
 
 
 def get_tables(field) -> FieldTables:
-    t = field._tables
-    if t is None:
-        t = FieldTables(field)
-        field._tables = t
-    return t
+    """A FieldTables of field, built on each call: nothing is cached on the field."""
+    return FieldTables(field)
 
 
 def _check_threads(threads: int) -> None:
@@ -560,36 +558,42 @@ def _plan(nrows: int, cap: int):
         a += k
 
 
-def _walk_triangle(what: str, size: int, nrows: int, cap: int, pairs,
-                   per_pair: int = 1) -> ElemSet:
-    """The bitset over [0, size) of the positions pairs(blk, c0) returns over the row triangle.
+def _scatter(what: str, size: int, blocks, want: int) -> np.ndarray:
+    """The bool mask over [0, size) of the positions in the arrays blocks yields.
 
-    The rows [0, nrows) are taken on the calling thread in the contiguous
-    blocks of _plan, each sized by its own width so that it returns at
-    most cap positions (per_pair of them per pair), or one row when a
-    single row is wider.  A block pairs its rows with the rows from its own
-    first row c0 on, so row a meets every row b >= a once, which suffices
-    wherever a, b gives what b, a gives.  pairs(blk,
-    c0) gets the rows as a column and returns the positions to set.
-
-    A pass that skips a row can still give the right set, so the number of
-    positions must equal per_pair * (nrows(nrows+1)/2 + the sum of k(k-1)/2
-    over the block heights k of _heights), or AssertionError is raised
+    Each block is set through intp indices: numpy scatters through them
+    about twice as fast as through the narrow names of Δ and VV, cast
+    included.  A pass that skips a block can still give the right set, so
+    the positions must number exactly want, or AssertionError is raised
     with the message what.format(done=..., want=...).
     """
-    bits = np.zeros(size, dtype=bool)
-    overlap = sum(k * (k - 1) for k in _heights(nrows, cap // per_pair))
-    want = per_pair * (nrows * (nrows + 1) + overlap) // 2
+    mask = np.zeros(size, dtype=bool)
     done = 0
-    for blk, c0 in _plan(nrows, cap // per_pair):
-        k = pairs(blk, c0)
-        # numpy scatters through intp indices about twice as fast as
-        # through the narrow names of Δ and VV, cast included
-        bits[k.astype(np.intp, copy=False)] = True
+    for k in blocks:
+        mask[k.astype(np.intp, copy=False)] = True
         done += k.size
     if done != want:
         raise AssertionError(what.format(done=done, want=want))
-    return ElemSet._from_bits(bits)
+    return mask
+
+
+def _triangle_count(nrows: int, cap: int) -> int:
+    """The pairs a walk over nrows rows takes: a block of k rows takes its own k(k-1)/2 twice."""
+    return (nrows * (nrows + 1) + sum(k * (k - 1) for k in _heights(nrows, cap))) // 2
+
+
+def _walk_triangle(what: str, size: int, nrows: int, cap: int, pairs) -> np.ndarray:
+    """The bool mask over [0, size) of the positions pairs(blk, c0) returns over the row triangle.
+
+    The rows [0, nrows) are taken on the calling thread in the blocks of
+    _plan, at most cap pairs each, or one row when a single row is wider.
+    A block pairs its rows, as a column blk, with the rows from its own
+    first row c0 on, so row a meets every row b >= a once, which suffices
+    wherever a, b gives what b, a gives.  _scatter sets one position per
+    pair and checks their number against _triangle_count.
+    """
+    return _scatter(what, size, (pairs(blk, c0) for blk, c0 in _plan(nrows, cap)),
+                    _triangle_count(nrows, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -647,8 +651,8 @@ def distance_set_of_indices(field, xs, ys, budget: int = DEFAULT_PAIR_BUDGET,
 
     A pair subtracts base-p digits on each coordinate (sub_indices), reads
     both squares from FieldTables.sq and adds them (add_indices), into one
-    q-byte bitset; nothing q^2-sized is built.  It takes a
-    norm per point pair, not a sumset of per-axis squares, so it checks
+    q-byte mask; nothing q^2-sized is built.  It takes a norm per point
+    pair, not a sumset of per-axis squares, so it checks
     distance_set_of_grid from outside.
     """
     _check_threads(threads)
@@ -666,12 +670,12 @@ def distance_set_of_indices(field, xs, ys, budget: int = DEFAULT_PAIR_BUDGET,
         dy2 = sq[sub_indices(ys[blk], ys[c0:], p, n)]
         return add_indices(dx2, dy2, p, n)
 
-    return _walk_triangle("brute force evaluated {done} of {want} pairs", q, npts,
-                          _BLOCK_BYTES // 8, pairs)
+    return ElemSet._from_bits(_walk_triangle("brute force evaluated {done} of {want} pairs", q,
+                                             npts, _BLOCK_BYTES // 8, pairs))
 
 
-def _axis_squares(field, a: np.ndarray, sq: np.ndarray) -> ElemSet:
-    """{(u - v)^2 : u, v in a} as a q-bitset, from the unordered pairs of a.
+def _axis_squares(field, a: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """{(u - v)^2 : u, v in a} as a bool mask over [0, q), from the unordered pairs of a.
 
     (u - v)^2 = (v - u)^2, so _walk_triangle pairs each entry with those
     from its own on, in blocks of at most _BLOCK_BYTES // 8 pairs, and
@@ -686,14 +690,14 @@ def _axis_squares(field, a: np.ndarray, sq: np.ndarray) -> ElemSet:
                           len(a), _BLOCK_BYTES // 8, pairs)
 
 
-def _sumset(field, a: ElemSet, b: ElemSet) -> ElemSet:
-    """{s + t : s in a, t in b}, in blocks of _block_rows(|b|) rows of |b| sums."""
-    s, t = np.flatnonzero(a.bits), np.flatnonzero(b.bits)
-    bits = np.zeros(field.q, dtype=bool)
+def _sumset(field, a: np.ndarray, b: np.ndarray) -> ElemSet:
+    """{s + t : s in a, t in b} for bool masks a, b: |a||b| sums, _block_rows(|b|) rows a block."""
+    s, t = np.flatnonzero(a), np.flatnonzero(b)
     block = _block_rows(len(t))
-    for j in range(0, len(s), block):
-        bits[add_indices(s[j : j + block, None], t, field.p, field.n)] = True
-    return ElemSet._from_bits(bits)
+    sums = (add_indices(s[j : j + block, None], t, field.p, field.n)
+            for j in range(0, len(s), block))
+    return ElemSet._from_bits(_scatter("grid sumset took {done} of {want} sums", field.q, sums,
+                                       len(s) * len(t)))
 
 
 def distance_set_of_grid(field, xs, ys, budget: int = DEFAULT_PAIR_BUDGET,
@@ -707,7 +711,8 @@ def distance_set_of_grid(field, xs, ys, budget: int = DEFAULT_PAIR_BUDGET,
     X - X and dy over Y - Y independently, so the distance set is the
     sumset of {dx^2} and {dy^2}.  Each axis is one _walk_triangle over its
     unordered pairs (_axis_squares), reading the squares table
-    FieldTables.sq, and one blocked add_indices pass takes the sumset.
+    FieldTables.sq, and one blocked add_indices pass takes the sumset and
+    counts its sums (_sumset).
     That is about (len(xs)^2 + len(ys)^2)/2 pairs and at most q^2 sums,
     where distance_set_of_indices on the same points takes about
     (len(xs)*len(ys))^2/2 pairs.  Nothing but the grid shape is used.
@@ -752,15 +757,16 @@ def _product_mask(V, cn: CosetNames, budget: int) -> np.ndarray:
     most _BLOCK_BYTES // 8 products, and CosetNames._product_names names
     each block's products from the codes, with no digit plane and no
     ExtField.mul.  One block holds every row up to |F| = 127: that is
-    (|F|+1)^2 products, 6 724 at (3, 2) and 14 884 at (11, 1), and 213 020
+    (|F|+1)^2 products, 100 at (3, 1) and 14 884 at (11, 1), and 213 020
     in 14 blocks at (5, 2) for a 196 251-pair triangle.  Raises
-    BudgetExceeded if |V|^2 exceeds the budget, before anything else,
-    ClaimViolation if V is not F*-closed, and AssertionError if the walk
-    missed a product.
+    BudgetExceeded if that count, _triangle_count of |F|+1 rows, exceeds
+    the budget, before anything else, ClaimViolation if V is not
+    F*-closed, and AssertionError if the walk missed a product.
     """
+    products = _triangle_count(cn.Q + 1, _BLOCK_BYTES // 8)
+    if products > budget:
+        raise BudgetExceeded("product set products", products, budget)
     idx = V.indices
-    if len(idx) ** 2 > budget:
-        raise BudgetExceeded("ordered product pairs", len(idx) ** 2, budget)
     nonzero = idx[idx != 0]
     t = cn.coords(nonzero)
     runs = _coset_runs(cn.name(*t) % cn.step, cn.Q - 1, "V")
@@ -770,7 +776,7 @@ def _product_mask(V, cn: CosetNames, budget: int) -> np.ndarray:
         return cn._product_names([u[blk] for u in reps], [u[c0:] for u in reps])
 
     named = _walk_triangle("product set took {done} of {want} products", cn.step, len(reps[0]),
-                           _BLOCK_BYTES // 8, pairs).bits
+                           _BLOCK_BYTES // 8, pairs)
     # an F*-coset is the union of its two H-cosets, step apart
     return np.concatenate([named, named, [0 in idx]])
 
@@ -849,7 +855,7 @@ def _orbit_plan(nrows: int, ncols: int, cap: int):
         yield rows, a, min(a + width, ncols)
 
 
-def _distance_mask(c, cn: CosetNames) -> np.ndarray:
+def _distance_mask(c, cn: CosetNames, budget: int = DEFAULT_PAIR_BUDGET) -> np.ndarray:
     """The H-name mask over cn of the distance set S - S of c, S = {v^2 : v in V}.
 
     V = F e1 + F e2.  For phi in GL(2, F) acting on V, L = Sym^2 phi, L(v
@@ -866,20 +872,23 @@ def _distance_mask(c, cn: CosetNames) -> np.ndarray:
     |S|^2 = 5.4e7 at (11, 1)).  s = 0 gives the names of -S, which are
     those of S as -1 is in H (|F| = 1 mod 4), and those are in the
     closure: t = 0 gives the rows' own names, whose closure is checked to
-    cover S's.  The differences are taken
-    in F-coordinates in blocks of _orbit_plan, at most _BLOCK_BYTES // 8
-    each, and must number exactly 3 |S|.  L's permutation P of the names
-    comes from its matrix in cn's chart (_torus, CosetNames._permutation),
-    and the mask is closed under it by doubling, mask |= mask[P] and P =
-    P[P], in ceil(log2(|F|-1)) rounds, through intp blocks of P
-    (_intp_blocks).  Nothing is assumed: AssertionError
-    is raised if -1 is not in H (before V is read), if P is not a
-    permutation, if P does not map S's names into S's names, if the
-    closure of the rows' own names misses a name of S, so that the rows
-    miss an orbit, or if the walk's count is wrong; ClaimViolation if S is
-    not H-closed.
+    cover S's.  The differences are taken in F-coordinates in blocks of
+    _orbit_plan, at most _BLOCK_BYTES // 8 each, and set by _scatter.
+    L's permutation P of the names comes from its matrix in cn's chart
+    (_torus, CosetNames._permutation), and the mask is closed under it by
+    doubling, mask |= mask[P] and P = P[P], in ceil(log2(|F|-1)) rounds,
+    through intp blocks of P (_intp_blocks).  BudgetExceeded is raised
+    first if 3 |S| = 3 (|F|^2 + 1)/2 exceeds the budget.  Nothing is
+    assumed: AssertionError is raised if -1 is not in H (before V is
+    read), if P is not a permutation, if P does not map S's names into
+    S's names, if the closure of the rows' own names misses a name of S,
+    so that the rows miss an orbit, or if the walk's count is wrong;
+    ClaimViolation if S is not H-closed.
     """
     Q = cn.Q
+    differences = 3 * (Q * Q + 1) // 2
+    if differences > budget:
+        raise BudgetExceeded("structured distance set differences", differences, budget)
     if (Q - 1) % 4:
         raise AssertionError(f"-1 is not a square in the subfield of order {Q}")
     squares = c.V.squares
@@ -900,20 +909,14 @@ def _distance_mask(c, cn: CosetNames) -> np.ndarray:
     if not in_s[P[in_s]].all():
         raise AssertionError("L does not map S onto S")
 
+    reps = [Q * np.array(u)[:, None] for u in zip(*rows)]
+    diffs = (cn._names(*(tab[r[blk] + u[a:b]]
+                         for tab, r, u in zip((cn._sub_q, cn._sub_q, cn._sub_t2), reps, t)))
+             for blk, a, b in _orbit_plan(len(rows), len(squares), _BLOCK_BYTES // 8))
     # bit 0 of mask marks the names of the walk's differences, bit 1 the
     # rows' own names
-    mask = np.zeros(cn.zero + 1, dtype=np.uint8)
-    reps = [Q * np.array(u)[:, None] for u in zip(*rows)]
-    done, want = 0, len(rows) * len(squares)
-    for blk, a, b in _orbit_plan(len(rows), len(squares), _BLOCK_BYTES // 8):
-        k = cn._names(*(tab[r[blk] + u[a:b]]
-                        for tab, r, u in zip((cn._sub_q, cn._sub_q, cn._sub_t2), reps, t)))
-        # numpy scatters through intp indices about twice as fast as
-        # through the narrow names, cast included
-        mask[k.astype(np.intp, copy=False)] = 1
-        done += k.size
-    if done != want:
-        raise AssertionError(f"structured distance set took {done} of {want} differences")
+    mask = _scatter("structured distance set took {done} of {want} differences", cn.zero + 1,
+                    diffs, len(rows) * len(squares)).view(np.uint8)
     mask[cn.name(*(np.array(u) for u in zip(*rows)))] |= 2
     for _ in range((Q - 2).bit_length()):
         grown, doubled = mask.copy(), np.empty_like(P)

@@ -104,9 +104,10 @@ def verify_counterexample(
     Asserts the full identity chain: the structured distance set is
     contained in VV, equals VV (q is odd), equals the brute-force distance
     set whenever that oracle runs, and misses a rechecked concrete element
-    of F_q.  Raises ClaimViolation if anything fails.  Δ and VV are
-    compared as masks of H-coset names over one CosetNames, VV's first so
-    that its budget refusal precedes any set; every name is a nonempty
+    of F_q, the missing_witness of its report.  Raises ClaimViolation if
+    anything fails.  Δ and VV are compared as masks of H-coset names over
+    one CosetNames, VV's first; each route's products or differences are
+    checked against pair_budget before it runs.  Every name is a nonempty
     coset, so the masks compare as the sets do.  Δ alone is expanded, and
     reported for VV too.
 
@@ -136,7 +137,7 @@ def verify_counterexample(
 
     cn = setalg.CosetNames(c.subF)
     vv_mask = setalg._product_mask(c.V, cn, pair_budget)
-    delta_mask = setalg._distance_mask(c, cn)
+    delta_mask = setalg._distance_mask(c, cn, pair_budget)
     if (delta_mask & ~vv_mask).any():
         raise ClaimViolation("structured distance set is not contained in VV")
     if not np.array_equal(delta_mask, vv_mask):
@@ -149,7 +150,8 @@ def verify_counterexample(
         if brute != delta:
             raise ClaimViolation("brute-force distance set disagrees with structured path")
 
-    missing = delta.complement_witness()
+    delta_json = delta.to_json(include_bits=dump_bits)
+    missing = delta_json.get("missing_witness")
     if missing is None:
         raise ClaimViolation("distance set covers all of F_q")
     if not _misses_square_differences(c, missing):
@@ -159,7 +161,6 @@ def verify_counterexample(
         raise ClaimViolation("constructed set sits above the completeness threshold")
 
     elapsed = time.perf_counter() - t0
-    delta_json = delta.to_json(include_bits=dump_bits)
     return VerificationReport(
         p=p,
         r=r,

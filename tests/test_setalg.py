@@ -507,14 +507,13 @@ def test_product_walk_takes_no_extfield_products(monkeypatch, pr):
 
 
 def test_structured_path_builds_no_field_tables(monkeypatch):
-    c = fqdist.build_construction(3, 1)
-    fqdist.distance_set_structured(c)
-    fqdist.product_set(c.V)
-    assert c.field._tables is None
-
     def refuse(field):
         raise AssertionError("FieldTables built on the structured path")
 
+    monkeypatch.setattr(setalg, "FieldTables", refuse)
+    c = fqdist.build_construction(3, 1)
+    fqdist.distance_set_structured(c)
+    fqdist.product_set(c.V)
     monkeypatch.setattr(setalg, "get_tables", refuse)
     assert fqdist.verify_counterexample(3, 1, oracle="structured").size_delta == 441
 
@@ -596,7 +595,12 @@ def test_bruteforce_over_many_blocks_matches_scalar_oracle(pn, spread):
     assert spread or len(want) < fld.q
 
 
-def test_bruteforce_rejects_mixed_fields(gf9):
+def test_bruteforce_rejects_mixed_fields(gf9, monkeypatch):
+    def refuse(field):
+        raise AssertionError("FieldTables built before the fields were compared")
+
+    # refused before any table is built
+    monkeypatch.setattr(setalg, "FieldTables", refuse)
     gf27 = fqdist.ExtField(3, 3)
     a, b = Point(gf9.one, gf9.root), Point(gf27.one, gf27.root)
     for pts in ([a, b], [b, a], [Point(gf9.one, gf27.one)]):
@@ -608,15 +612,18 @@ def test_bruteforce_rejects_mixed_fields(gf9):
                 [Point(f2.one, f2.root), Point(f1.one, f1.root)]):
         with pytest.raises(FieldMismatch):
             fqdist.distance_set_bruteforce(pts)
-    # refused before any table is built
-    assert f1._tables is None and f2._tables is None and gf27._tables is None
+    monkeypatch.undo()
     # equal fields that are distinct objects are accepted, as distance() does
     f3 = fqdist.ExtField(3, 2, modulus=(1, 0, 1))
     got = fqdist.distance_set_bruteforce([Point(f1.one, f1.root), Point(f3.zero, f3.one)])
     assert got.count == 2
 
 
-def test_index_entry_refuses_bad_arrays_before_any_table():
+def test_index_entry_refuses_bad_arrays_before_any_table(monkeypatch):
+    def refuse(field):
+        raise AssertionError("FieldTables built before the arrays were checked")
+
+    monkeypatch.setattr(setalg, "FieldTables", refuse)
     fld = fqdist.ExtField(3, 6)
     q = fld.q
     three = np.arange(3)
@@ -634,7 +641,7 @@ def test_index_entry_refuses_bad_arrays_before_any_table():
             setalg.distance_set_of_indices(fld, xs, ys)
     with pytest.raises(BudgetExceeded, match="ordered distance pairs"):
         setalg.distance_set_of_indices(fld, np.arange(9), np.arange(9), budget=80)
-    assert fld._tables is None
+    monkeypatch.undo()
     # an empty set has an empty distance set; unsigned and narrow arrays are indices too
     assert setalg.distance_set_of_indices(fld, three[:0], three[:0]) == ElemSet(q)
     got = setalg.distance_set_of_indices(fld, np.array([0, q - 1], np.uint16),
@@ -715,6 +722,23 @@ def test_grid_entry_matches_the_structured_set_at_3_2():
     c = _construction(3, 2)
     got = fqdist.distance_set_of_grid(c.field, *fqdist.E_axes(c), budget=c.size_E**2)
     assert got == fqdist.distance_set_structured(c)
+
+
+def test_grid_sumset_refuses_a_dropped_sum(monkeypatch):
+    # most sums of the two axes' squares are reached more than once, so a
+    # pass that drops one can still give the right set; only the count of
+    # sums shows the gap
+    fld = _small_field(3, 6)
+    xs = np.arange(5)
+    k = len(np.unique(setalg.get_tables(fld).sq[setalg.sub_indices(xs[:, None], xs, 3, 6)]))
+    add = setalg.add_indices
+
+    def drop_one(a, b, p, n):
+        return add(a, b, p, n).ravel()[1:]
+
+    monkeypatch.setattr(setalg, "add_indices", drop_one)
+    with pytest.raises(AssertionError, match=f"grid sumset took {k * k - 1} of {k * k} sums"):
+        fqdist.distance_set_of_grid(fld, xs, xs)
 
 
 def test_grid_entry_refuses_before_any_table(monkeypatch):
@@ -822,7 +846,7 @@ def test_scaled_subspace_has_same_product_count(c31):
 def test_product_set_budget():
     c = fqdist.build_construction(3, 1)
     with pytest.raises(BudgetExceeded):
-        fqdist.product_set(c.V, budget=100)
+        fqdist.product_set(c.V, budget=99)
 
 
 # --- structured distance set ----------------------------------------------------
@@ -1061,7 +1085,8 @@ def test_row_chunks_bounded_by_rows():
     def pairs(blk, c0):
         raise AssertionError("pairs called without rows")
 
-    assert setalg._walk_triangle("{done} of {want}", 7, 0, 1, pairs) == ElemSet(7)
+    got = setalg._walk_triangle("{done} of {want}", 7, 0, 1, pairs)
+    assert got.dtype == bool and got.tolist() == [False] * 7
 
 
 # 40 points fit one block of rows 0..39 from column 0.  The counts are
@@ -1134,9 +1159,8 @@ def test_bruteforce_refuses_columns_that_start_past_the_block(monkeypatch, pn, t
 
 
 @pytest.mark.parametrize("nrows", [0, 1, 2, 5, 40, 301])
-@pytest.mark.parametrize("per_pair", [1, 2, 3])
 @pytest.mark.parametrize("cap", [1, 9, 1638])
-def test_triangle_pairs_counts_the_blocks(nrows, per_pair, cap):
+def test_triangle_pairs_counts_the_blocks(nrows, cap):
     # the walk checks its count against the formula, so it returning shows
     # that the formula counts the positions the plan's blocks return
     blocks, taken = [], []
@@ -1144,15 +1168,15 @@ def test_triangle_pairs_counts_the_blocks(nrows, per_pair, cap):
     def pairs(blk, c0):
         blocks.append((blk.ravel().tolist(), c0))
         taken.extend((a, b) for a in blk.ravel().tolist() for b in range(c0, nrows))
-        return np.zeros(per_pair * blk.size * (nrows - c0), dtype=np.int64)
+        return np.zeros(blk.size * (nrows - c0), dtype=np.int64)
 
-    setalg._walk_triangle("{done} of {want}", 1, nrows, cap, pairs, per_pair=per_pair)
+    setalg._walk_triangle("{done} of {want}", 1, nrows, cap, pairs)
     # contiguous blocks tile [0, nrows), each from its own first row, within
     # the cap unless it is one row
     assert [a for rows, _ in blocks for a in rows] == list(range(nrows))
     for rows, c0 in blocks:
         assert c0 == rows[0] and rows == list(range(c0, c0 + len(rows)))
-        assert len(rows) == 1 or per_pair * len(rows) * (nrows - c0) <= cap
+        assert len(rows) == 1 or len(rows) * (nrows - c0) <= cap
     # every unordered pair, and no ordered pair twice
     assert len(set(taken)) == len(taken)
     assert {(min(a, b), max(a, b)) for a, b in taken} == {
