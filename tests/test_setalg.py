@@ -1159,8 +1159,9 @@ def test_bruteforce_refuses_columns_that_start_past_the_block(monkeypatch, pn, t
 
 
 @pytest.mark.parametrize("nrows", [0, 1, 2, 5, 40, 301])
+@pytest.mark.parametrize("size", [1, 2, 3])
 @pytest.mark.parametrize("cap", [1, 9, 1638])
-def test_triangle_pairs_counts_the_blocks(nrows, cap):
+def test_triangle_pairs_counts_the_blocks(nrows, size, cap):
     # the walk checks its count against the formula, so it returning shows
     # that the formula counts the positions the plan's blocks return
     blocks, taken = [], []
@@ -1168,9 +1169,12 @@ def test_triangle_pairs_counts_the_blocks(nrows, cap):
     def pairs(blk, c0):
         blocks.append((blk.ravel().tolist(), c0))
         taken.extend((a, b) for a in blk.ravel().tolist() for b in range(c0, nrows))
-        return np.zeros(blk.size * (nrows - c0), dtype=np.int64)
+        return ((blk + np.arange(c0, nrows)) % size).ravel()
 
-    setalg._walk_triangle("{done} of {want}", 1, nrows, cap, pairs)
+    got = setalg._walk_triangle("{done} of {want}", size, nrows, cap, pairs)
+    # the mask holds exactly the positions the blocks returned
+    assert got.dtype == bool and len(got) == size
+    assert np.flatnonzero(got).tolist() == sorted({(a + b) % size for a, b in taken})
     # contiguous blocks tile [0, nrows), each from its own first row, within
     # the cap unless it is one row
     assert [a for rows, _ in blocks for a in rows] == list(range(nrows))
