@@ -712,11 +712,10 @@ def distance_set_of_grid(field, xs, ys, budget: int = DEFAULT_PAIR_BUDGET,
     sumset of {dx^2} and {dy^2}.  Each axis is one _walk_triangle over its
     unordered pairs (_axis_squares), reading the squares table
     FieldTables.sq, and one blocked add_indices pass takes the sumset and
-    counts its sums (_sumset).
-    That is about (len(xs)^2 + len(ys)^2)/2 pairs and at most q^2 sums,
-    where distance_set_of_indices on the same points takes about
-    (len(xs)*len(ys))^2/2 pairs.  Nothing but the grid shape is used.
-    threads must be at least 1 and has no effect.
+    counts its sums (_sumset).  That is about (len(xs)^2 + len(ys)^2)/2
+    pairs and at most q^2 sums, where distance_set_of_indices on the same
+    points takes about (len(xs)*len(ys))^2/2 pairs.  Nothing but the grid
+    shape is used.  threads must be at least 1 and has no effect.
     """
     _check_threads(threads)
     q = field.q

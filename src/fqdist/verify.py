@@ -109,7 +109,7 @@ def verify_counterexample(
     one CosetNames, VV's first; each route's products or differences are
     checked against pair_budget before it runs.  Every name is a nonempty
     coset, so the masks compare as the sets do.  Δ alone is expanded, and
-    reported for VV too.
+    reported for VV too; elapsed_seconds stops before bits_hex is built.
 
     Brute force runs on E as the grid V x iV it is defined as
     (construction.E_axes, setalg.distance_set_of_grid), with no point of E
@@ -150,17 +150,18 @@ def verify_counterexample(
         if brute != delta:
             raise ClaimViolation("brute-force distance set disagrees with structured path")
 
-    delta_json = delta.to_json(include_bits=dump_bits)
+    delta_json = delta.to_json()
     missing = delta_json.get("missing_witness")
     if missing is None:
         raise ClaimViolation("distance set covers all of F_q")
     if not _misses_square_differences(c, missing):
         raise ClaimViolation(f"missing-distance recheck failed: #{missing} is a distance")
-    ir = ir_threshold(q, size_e)
-    if ir:
+    if ir_threshold(q, size_e):
         raise ClaimViolation("constructed set sits above the completeness threshold")
 
     elapsed = time.perf_counter() - t0
+    if dump_bits:
+        delta_json["bits_hex"] = delta.packed.tobytes().hex()
     return VerificationReport(
         p=p,
         r=r,
@@ -173,7 +174,7 @@ def verify_counterexample(
         delta_ne_Fq=True,
         missing_distance=missing,
         oracle_mode="bruteforce+structured" if run_bruteforce else "structured-only",
-        ir_applicable=ir,
+        ir_applicable=False,
         elapsed_seconds=elapsed,
         construction=c.to_json(),
         delta_set=delta_json,
