@@ -172,7 +172,6 @@ def run_verify(args) -> int:
         basis=args.basis,
         oracle=args.oracle,
         pair_budget=args.pair_budget,
-        threads=args.threads,
         dump_bits=args.dump_bits,
     )
     print(f"q = {rep.q} (p={rep.p}, r={rep.r})   |E| = {rep.size_E} = q^(4/3)")

@@ -57,13 +57,13 @@ def _span_indices(subF, e1, e2):
 
     The pair is F-independent exactly when all |F|^2 combinations are
     distinct, so the enumeration doubles as the independence check.  The
-    sums are taken in row blocks of setalg._block_rows(|F|).
+    sums are taken in row blocks of ff._block_rows(|F|).
     """
     f, F = e1.field, subF.indices
     # column k of parts holds the indices of F times basis element k
     parts = f.mul(F[:, None], [e1.index, e2.index])
     span = np.empty((len(F), len(F)), dtype=np.int64)
-    block = setalg._block_rows(len(F))
+    block = ff._block_rows(len(F))
     for a in range(0, len(F), block):
         span[a : a + block] = add_indices(parts[a : a + block, :1], parts[:, 1], f.p, f.n)
     span = span.ravel()

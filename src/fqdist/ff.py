@@ -38,10 +38,17 @@ from .errors import (
 
 MAX_FIELD_ORDER = 2**31
 
-# the most bytes one temporary of a block pass may take, glibc's default
-# M_MMAP_THRESHOLD: every pass that streams elements or pairs sizes its
-# blocks by it, so warm calls reuse heap pages instead of faulting new ones
+# the most bytes one temporary of a block pass may take; only _block_rows
+# reads it.  A pass holds a few such temporaries at once, which stay well
+# under the 1 MiB M_MMAP_THRESHOLD that _tune_malloc sets, so they come from
+# the heap and warm calls reuse its pages instead of faulting new ones
 _BLOCK_BYTES = 2**17
+
+
+def _block_rows(width: int, itemsize: int = 8) -> int:
+    """Rows per block, at least one, whose temporaries of width items a row fit _BLOCK_BYTES."""
+    return max(1, _BLOCK_BYTES // (itemsize * max(width, 1)))
+
 
 # glibc's malloc takes blocks from M_MMAP_THRESHOLD on from mmap, and gives
 # the free top of its heap back to the system once it exceeds
@@ -70,7 +77,7 @@ _tune_malloc()
 
 
 def _lanes(n: int, itemsize: int) -> int:
-    """Lanes per multiply kernel call in GF(p^n): its n^2 outer products of itemsize bytes fit _BLOCK_BYTES.
+    """Lanes per multiply kernel call in GF(p^n): _block_rows of its n^2 outer products, up to 512.
 
     itemsize is that of the structure tensor: 4 for float32, 8 for float64.
     That is 512 lanes for n <= 8 in float32 (n <= 5 in float64) and fewer
@@ -78,12 +85,7 @@ def _lanes(n: int, itemsize: int) -> int:
     n = 12 took about 6 ns per multiply-add at 768 or 1024 lanes, against
     0.05 ns at 512, so no n gets more than 512.
     """
-    return min(512, _BLOCK_BYTES // (itemsize * n * n))
-
-
-def _digit_block(n: int) -> int:
-    """Lanes ExtField.mul converts at once: their n int64 digit planes fit _BLOCK_BYTES."""
-    return _BLOCK_BYTES // (8 * n)
+    return min(512, _block_rows(n * n, itemsize))
 
 
 # the generator search tests candidates in blocks that start at 16 and
@@ -420,7 +422,7 @@ class ExtField:
     def mul(self, a, b) -> np.ndarray:
         """Canonical indices of the products a*b; a and b are index arrays that broadcast.
 
-        _digit_block(n) lanes at a time are converted to digit planes and
+        _block_rows(n) lanes at a time are converted to n digit planes and
         multiplied (_mul_digits).  A broadcast operand is read per block,
         never materialized; when b is a, each block is converted once.
         """
@@ -430,7 +432,7 @@ class ExtField:
         ops = [a, None] if square else [a, np.asarray(b, dtype=np.int64), None]
         it = np.nditer(ops, flags=["external_loop", "buffered", "zerosize_ok"],
                        op_flags=[["readonly"]] * (len(ops) - 1) + [["writeonly", "allocate"]],
-                       op_dtypes=[np.int64] * len(ops), order="C", buffersize=_digit_block(n))
+                       op_dtypes=[np.int64] * len(ops), order="C", buffersize=_block_rows(n))
         with it:
             for *xs, out in it:
                 ds = [index_digits(x, p, n) for x in xs]

@@ -40,15 +40,10 @@ import numpy as np
 
 from .errors import (BudgetExceeded, ClaimViolation, FieldMismatch, InvalidInput,
                      WrongSubfieldDegree)
-from .ff import (_BLOCK_BYTES, _scale_digits, add_indices, digits_to_index, index_digits,
+from .ff import (_block_rows, _scale_digits, add_indices, digits_to_index, index_digits,
                  sub_indices)
 
 DEFAULT_PAIR_BUDGET = 10**9
-
-
-def _block_rows(width: int, itemsize: int = 8) -> int:
-    """Rows per block when each temporary holds width items per row: they fit _BLOCK_BYTES."""
-    return max(1, _BLOCK_BYTES // (itemsize * max(width, 1)))
 
 
 # set bits per byte value; np.bitwise_count, from numpy 2.0 on, counts them faster
@@ -150,9 +145,10 @@ class ElemSet:
 
     @property
     def count(self) -> int:
-        """The popcount of the bytes, in blocks of _BLOCK_BYTES."""
-        return sum(int(_bitcount(self.packed[a : a + _BLOCK_BYTES]).sum(dtype=np.int64))
-                   for a in range(0, len(self.packed), _BLOCK_BYTES))
+        """The popcount of the bytes, in blocks of _block_rows(1, 1)."""
+        block = _block_rows(1, 1)
+        return sum(int(_bitcount(self.packed[a : a + block]).sum(dtype=np.int64))
+                   for a in range(0, len(self.packed), block))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ElemSet):
@@ -171,10 +167,11 @@ class ElemSet:
 
         The first byte that is not 0xFF holds it in its lowest clear bit,
         unless that bit is padding; bytes are searched in blocks of
-        _BLOCK_BYTES.
+        _block_rows(1, 1).
         """
-        for a in range(0, len(self.packed), _BLOCK_BYTES):
-            k = a + int(np.argmax(self.packed[a : a + _BLOCK_BYTES] != 0xFF))
+        block = _block_rows(1, 1)
+        for a in range(0, len(self.packed), block):
+            k = a + int(np.argmax(self.packed[a : a + block] != 0xFF))
             byte = int(self.packed[k])
             if byte != 0xFF:
                 i = 8 * k + (~byte & (byte + 1)).bit_length() - 1
@@ -185,13 +182,11 @@ class ElemSet:
         """Hash of the bitset packed little-endian, for cross-run comparison."""
         return hashlib.sha256(self.packed).hexdigest()
 
-    def to_json(self, include_bits: bool = False) -> dict:
+    def to_json(self) -> dict:
         d = {"q": self.q, "count": self.count, "sha256_of_bitset": self.sha256()}
         witness = self.complement_witness()
         if witness is not None:
             d["missing_witness"] = witness
-        if include_bits:
-            d["bits_hex"] = self.packed.tobytes().hex()
         return d
 
     def __repr__(self):
@@ -536,24 +531,23 @@ def _check_threads(threads: int) -> None:
         raise InvalidInput(f"threads must be at least 1, not {threads}")
 
 
-def _heights(nrows: int, cap: int):
+def _heights(nrows: int):
     """The row counts of the blocks of a triangle walk, sized by their own widths.
 
-    The block from row a has nrows - a columns, so it takes max(1, cap //
-    (nrows - a)) rows: at most cap positions per block, or one row when a
-    single row is wider.
+    The block from row a has nrows - a columns, so it takes
+    _block_rows(nrows - a) rows, or the nrows - a rows left if fewer.
     """
     a = 0
     while a < nrows:
-        k = min(max(1, cap // (nrows - a)), nrows - a)
+        k = min(_block_rows(nrows - a), nrows - a)
         yield k
         a += k
 
 
-def _plan(nrows: int, cap: int):
+def _plan(nrows: int):
     """The blocks of a triangle walk: rows [a, a + k) as a column, and a, where columns start."""
     a = 0
-    for k in _heights(nrows, cap):
+    for k in _heights(nrows):
         yield np.arange(a, a + k)[:, None], a
         a += k
 
@@ -577,23 +571,23 @@ def _scatter(what: str, size: int, blocks, want: int) -> np.ndarray:
     return mask
 
 
-def _triangle_count(nrows: int, cap: int) -> int:
+def _triangle_count(nrows: int) -> int:
     """The pairs a walk over nrows rows takes: a block of k rows takes its own k(k-1)/2 twice."""
-    return (nrows * (nrows + 1) + sum(k * (k - 1) for k in _heights(nrows, cap))) // 2
+    return (nrows * (nrows + 1) + sum(k * (k - 1) for k in _heights(nrows))) // 2
 
 
-def _walk_triangle(what: str, size: int, nrows: int, cap: int, pairs) -> np.ndarray:
+def _walk_triangle(what: str, size: int, nrows: int, pairs) -> np.ndarray:
     """The bool mask over [0, size) of the positions pairs(blk, c0) returns over the row triangle.
 
     The rows [0, nrows) are taken on the calling thread in the blocks of
-    _plan, at most cap pairs each, or one row when a single row is wider.
-    A block pairs its rows, as a column blk, with the rows from its own
-    first row c0 on, so row a meets every row b >= a once, which suffices
-    wherever a, b gives what b, a gives.  _scatter sets one position per
+    _plan, at most _block_rows(1) pairs each, or one row when a single row
+    is wider.  A block pairs its rows, as a column blk, with the rows from
+    its own first row c0 on, so row a meets every row b >= a once, which
+    suffices wherever a, b gives what b, a gives.  _scatter sets one position per
     pair and checks their number against _triangle_count.
     """
-    return _scatter(what, size, (pairs(blk, c0) for blk, c0 in _plan(nrows, cap)),
-                    _triangle_count(nrows, cap))
+    return _scatter(what, size, (pairs(blk, c0) for blk, c0 in _plan(nrows)),
+                    _triangle_count(nrows))
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +614,8 @@ def distance_set_bruteforce(points, budget: int = DEFAULT_PAIR_BUDGET, threads: 
                 raise FieldMismatch(fld, e.field)
     xs = np.fromiter((pt.x.index for pt in points), dtype=np.int64, count=npts)
     ys = np.fromiter((pt.y.index for pt in points), dtype=np.int64, count=npts)
-    return distance_set_of_indices(fld, xs, ys, budget, threads)
+    _check_threads(threads)
+    return distance_set_of_indices(fld, xs, ys, budget)
 
 
 def _index_array(a, q: int, what: str) -> np.ndarray:
@@ -637,17 +632,14 @@ def _index_array(a, q: int, what: str) -> np.ndarray:
     return a.astype(np.int64, copy=False)
 
 
-def distance_set_of_indices(field, xs, ys, budget: int = DEFAULT_PAIR_BUDGET,
-                            threads: int = 1) -> ElemSet:
+def distance_set_of_indices(field, xs, ys, budget: int = DEFAULT_PAIR_BUDGET) -> ElemSet:
     """Exact distance set over all ordered pairs of the points (xs[k], ys[k]) of field.
 
     xs and ys are 1-D integer arrays of one length with every canonical
     index in [0, q), or InvalidInput is raised; more than budget ordered
     pairs raise BudgetExceeded.  Both are checked before any table is
-    built, and threads must be at least 1; it has no effect.  The distance
-    is symmetric, so _walk_triangle pairs each point with those from its
-    own on, in blocks of at most _BLOCK_BYTES // 8 pairs, and checks the
-    count.
+    built.  The distance is symmetric, so _walk_triangle pairs each point
+    with those from its own on and checks the count.
 
     A pair subtracts base-p digits on each coordinate (sub_indices), reads
     both squares from FieldTables.sq and adds them (add_indices), into one
@@ -655,7 +647,6 @@ def distance_set_of_indices(field, xs, ys, budget: int = DEFAULT_PAIR_BUDGET,
     pair, not a sumset of per-axis squares, so it checks
     distance_set_of_grid from outside.
     """
-    _check_threads(threads)
     q = field.q
     xs, ys = _index_array(xs, q, "xs"), _index_array(ys, q, "ys")
     npts = len(xs)
@@ -671,15 +662,14 @@ def distance_set_of_indices(field, xs, ys, budget: int = DEFAULT_PAIR_BUDGET,
         return add_indices(dx2, dy2, p, n)
 
     return ElemSet._from_bits(_walk_triangle("brute force evaluated {done} of {want} pairs", q,
-                                             npts, _BLOCK_BYTES // 8, pairs))
+                                             npts, pairs))
 
 
 def _axis_squares(field, a: np.ndarray, sq: np.ndarray) -> np.ndarray:
     """{(u - v)^2 : u, v in a} as a bool mask over [0, q), from the unordered pairs of a.
 
     (u - v)^2 = (v - u)^2, so _walk_triangle pairs each entry with those
-    from its own on, in blocks of at most _BLOCK_BYTES // 8 pairs, and
-    checks the count.
+    from its own on and checks the count.
     """
     p, n = field.p, field.n
 
@@ -687,7 +677,7 @@ def _axis_squares(field, a: np.ndarray, sq: np.ndarray) -> np.ndarray:
         return sq[sub_indices(a[blk], a[c0:], p, n)]
 
     return _walk_triangle("grid brute force evaluated {done} of {want} axis pairs", field.q,
-                          len(a), _BLOCK_BYTES // 8, pairs)
+                          len(a), pairs)
 
 
 def _sumset(field, a: np.ndarray, b: np.ndarray) -> ElemSet:
@@ -700,8 +690,7 @@ def _sumset(field, a: np.ndarray, b: np.ndarray) -> ElemSet:
                                        len(s) * len(t)))
 
 
-def distance_set_of_grid(field, xs, ys, budget: int = DEFAULT_PAIR_BUDGET,
-                         threads: int = 1) -> ElemSet:
+def distance_set_of_grid(field, xs, ys, budget: int = DEFAULT_PAIR_BUDGET) -> ElemSet:
     """Exact distance set over all ordered pairs of points of the grid xs x ys of field.
 
     xs and ys are 1-D integer arrays with every canonical index in [0, q),
@@ -715,9 +704,8 @@ def distance_set_of_grid(field, xs, ys, budget: int = DEFAULT_PAIR_BUDGET,
     counts its sums (_sumset).  That is about (len(xs)^2 + len(ys)^2)/2
     pairs and at most q^2 sums, where distance_set_of_indices on the same
     points takes about (len(xs)*len(ys))^2/2 pairs.  Nothing but the grid
-    shape is used.  threads must be at least 1 and has no effect.
+    shape is used.
     """
-    _check_threads(threads)
     q = field.q
     xs, ys = _index_array(xs, q, "xs"), _index_array(ys, q, "ys")
     npairs = (len(xs) * len(ys)) ** 2
@@ -753,7 +741,7 @@ def _product_mask(V, cn: CosetNames, budget: int) -> np.ndarray:
     The F-codes of V are taken once; they give the runs and the
     representatives' codes.  Products commute, so _walk_triangle takes
     each representative against those from its own on, in blocks of at
-    most _BLOCK_BYTES // 8 products, and CosetNames._product_names names
+    most _block_rows(1) products, and CosetNames._product_names names
     each block's products from the codes, with no digit plane and no
     ExtField.mul.  One block holds every row up to |F| = 127: that is
     (|F|+1)^2 products, 100 at (3, 1) and 14 884 at (11, 1), and 213 020
@@ -762,7 +750,7 @@ def _product_mask(V, cn: CosetNames, budget: int) -> np.ndarray:
     the budget, before anything else, ClaimViolation if V is not
     F*-closed, and AssertionError if the walk missed a product.
     """
-    products = _triangle_count(cn.Q + 1, _BLOCK_BYTES // 8)
+    products = _triangle_count(cn.Q + 1)
     if products > budget:
         raise BudgetExceeded("product set products", products, budget)
     idx = V.indices
@@ -775,7 +763,7 @@ def _product_mask(V, cn: CosetNames, budget: int) -> np.ndarray:
         return cn._product_names([u[blk] for u in reps], [u[c0:] for u in reps])
 
     named = _walk_triangle("product set took {done} of {want} products", cn.step, len(reps[0]),
-                           _BLOCK_BYTES // 8, pairs)
+                           pairs)
     # an F*-coset is the union of its two H-cosets, step apart
     return np.concatenate([named, named, [0 in idx]])
 
@@ -831,25 +819,25 @@ def _torus(cn: CosetNames, B) -> tuple:
 
 
 def _intp_blocks(P):
-    """(a, P[a:a + k] as intp) over the int32 array P, in blocks of _BLOCK_BYTES // 8.
+    """(a, P[a:a + k] as intp) over the int32 array P, in blocks of _block_rows(1).
 
     numpy gathers and scatters about four times as fast through intp
     indices as through int32 ones, and the blocks keep the cast copies
     within _BLOCK_BYTES.
     """
-    block = _BLOCK_BYTES // 8
+    block = _block_rows(1)
     for a in range(0, len(P), block):
         yield a, P[a : a + block].astype(np.intp)
 
 
-def _orbit_plan(nrows: int, ncols: int, cap: int):
+def _orbit_plan(nrows: int, ncols: int):
     """The blocks of a walk of every row against every column.
 
-    Each block is the rows [0, nrows) as a column and the columns [a, b):
-    at most cap positions, or one column when the rows alone are more.
+    Each block is the rows [0, nrows) as a column and the _block_rows(nrows)
+    columns [a, b), or fewer in the last block.
     """
     rows = np.arange(nrows)[:, None]
-    width = max(1, cap // max(nrows, 1))
+    width = _block_rows(nrows)
     for a in range(0, ncols, width):
         yield rows, a, min(a + width, ncols)
 
@@ -872,7 +860,7 @@ def _distance_mask(c, cn: CosetNames, budget: int = DEFAULT_PAIR_BUDGET) -> np.n
     those of S as -1 is in H (|F| = 1 mod 4), and those are in the
     closure: t = 0 gives the rows' own names, whose closure is checked to
     cover S's.  The differences are taken in F-coordinates in blocks of
-    _orbit_plan, at most _BLOCK_BYTES // 8 each, and set by _scatter.
+    _orbit_plan, at most _block_rows(1) each, and set by _scatter.
     L's permutation P of the names comes from its matrix in cn's chart
     (_torus, CosetNames._permutation), and the mask is closed under it by
     doubling, mask |= mask[P] and P = P[P], in ceil(log2(|F|-1)) rounds,
@@ -911,7 +899,7 @@ def _distance_mask(c, cn: CosetNames, budget: int = DEFAULT_PAIR_BUDGET) -> np.n
     reps = [Q * np.array(u)[:, None] for u in zip(*rows)]
     diffs = (cn._names(*(tab[r[blk] + u[a:b]]
                          for tab, r, u in zip((cn._sub_q, cn._sub_q, cn._sub_t2), reps, t)))
-             for blk, a, b in _orbit_plan(len(rows), len(squares), _BLOCK_BYTES // 8))
+             for blk, a, b in _orbit_plan(len(rows), len(squares)))
     # bit 0 of mask marks the names of the walk's differences, bit 1 the
     # rows' own names
     mask = _scatter("structured distance set took {done} of {want} differences", cn.zero + 1,

@@ -1,8 +1,9 @@
 """The package API that the benchmark's traced replay (benchmarks/worker.py) calls.
 
 The replay reaches past the CLI into get_tables, FieldTables.sq, the
-threads= keywords, enumerate_E and Subspace.elements, so a change under
-them must keep every workload's recorded outputs.  Its setalg.pair_tables
+threads= keywords of distance_set_structured, product_set and
+distance_set_bruteforce, enumerate_E and Subspace.elements, so a change
+under them must keep every workload's recorded outputs.  Its setalg.pair_tables
 span runs only if setalg defines _PAIR_TABLE_MAX_Q, which it does not, so
 that layer is reported as not run.
 """

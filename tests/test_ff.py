@@ -214,7 +214,7 @@ def test_multiply_kernel_matches_scalar_products(p, n):
     assert f.mul(ia, ib).tolist() == [(x * y).index for x, y in zip(ea, eb)]
     assert f.mul(ia, ia).tolist() == [(x * x).index for x in ea]
     lanes = len(ia) * 55
-    assert lanes > ff._digit_block(n) and lanes % ff._digit_block(n)
+    assert lanes > ff._block_rows(n) and lanes % ff._block_rows(n)
     assert n == 1 or lanes % ff._lanes(n, f._T.itemsize)
     got = f.mul(ia[:, None], ib[:55])
     assert got.tolist() == [[(x * y).index for y in eb[:55]] for x in ea]
@@ -225,7 +225,7 @@ def test_multiply_blocks_are_sized_by_n():
     # structure tensor, and one digit block's n int64 digit planes, fit
     # _BLOCK_BYTES with no room for another lane; a call takes at most 512 lanes
     for n in range(1, 32):
-        block = ff._digit_block(n)
+        block = ff._block_rows(n)
         assert 8 * n * block <= ff._BLOCK_BYTES < 8 * n * (block + 1)
         for itemsize in (4, 8):
             lanes = ff._lanes(n, itemsize)
@@ -233,6 +233,7 @@ def test_multiply_blocks_are_sized_by_n():
             assert lanes == 512 or itemsize * n * n * (lanes + 1) > ff._BLOCK_BYTES
     assert [ff._lanes(n, 8) for n in (1, 5, 6, 12, 31)] == [512, 512, 455, 113, 17]
     assert [ff._lanes(n, 4) for n in (1, 5, 6, 12, 31)] == [512, 512, 512, 227, 34]
+    assert [ff._block_rows(w) for w in (1, 3, 12)] == [16384, 5461, 1365]
     assert ff.ExtField(3, 12)._T.itemsize == ff.ExtField(11, 6)._T.itemsize == 4
 
 

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fqdist
-from fqdist import setalg
+from fqdist import ff, setalg
 from fqdist.errors import (BudgetExceeded, ClaimViolation, FieldMismatch, InvalidInput,
                            WrongSubfieldDegree)
 from fqdist.setalg import ElemSet, Point
@@ -57,7 +57,7 @@ def test_elemset_json_and_hash():
     assert d["q"] == 6 and d["count"] == 2 and d["missing_witness"] == 1
     assert len(d["sha256_of_bitset"]) == 64
     assert "bits_hex" not in d
-    assert "bits_hex" in s.to_json(include_bits=True)
+    assert s.packed.tobytes().hex() == "11"
     full = ElemSet.full_set(6)
     assert "missing_witness" not in full.to_json()
     s2 = ElemSet.from_indices(6, [0, 4])
@@ -119,8 +119,8 @@ def test_packed_elemset_agrees_with_a_bool_reference(monkeypatch, q):
         assert [i in s for i in range(q)] == ref.tolist()
         assert np.array_equal(s.bits, ref)
         assert s.sha256() == hashlib.sha256(_packed(ref).tobytes()).hexdigest()
-        d = s.to_json(include_bits=True)
-        assert d["bits_hex"] == _packed(ref).tobytes().hex()
+        d = s.to_json()
+        assert s.packed.tobytes().hex() == _packed(ref).tobytes().hex()
         assert d["count"] == int(ref.sum()) and d["sha256_of_bitset"] == s.sha256()
         # a subset, equal only to itself
         sub = ref & (rng.random(q) < 0.5)
@@ -159,7 +159,7 @@ def test_packed_elemset_bits_are_a_read_only_view():
 
 def test_elemset_witness_in_a_later_block(monkeypatch):
     # the search for a byte other than 0xFF runs in blocks of _BLOCK_BYTES
-    monkeypatch.setattr(setalg, "_BLOCK_BYTES", 4)
+    monkeypatch.setattr(ff, "_BLOCK_BYTES", 4)
     for q, gap in [(100, 45), (100, 99), (96, 95), (96, None)]:
         s = ElemSet.from_indices(q, [i for i in range(q) if i != gap])
         assert s.complement_witness() == gap
@@ -280,8 +280,8 @@ def test_union_names_and_copies_ranges_across_blocks(monkeypatch, pn):
     fld = _small_field(*pn)
     cn = setalg.CosetNames(fqdist.locate_subfield(fld, fld.n // 3))
     direct = cn.name(*cn.coords(np.arange(fld.q)))
-    monkeypatch.setattr(setalg, "_BLOCK_BYTES", 4 * cn._split)
-    assert setalg._block_rows(4 * cn._split) == 1 and setalg._block_rows(2 * cn._split, 1) == 2
+    monkeypatch.setattr(ff, "_BLOCK_BYTES", 4 * cn._split)
+    assert ff._block_rows(4 * cn._split) == 1 and ff._block_rows(2 * cn._split, 1) == 2
     rng = np.random.default_rng(fld.q)
     for density in (0.5, 0.1):
         mask = rng.random(cn.zero + 1) < density
@@ -659,7 +659,7 @@ def test_index_entry_builds_nothing_q_squared():
     xs, ys = rng.integers(0, q, size=(2, 40))
     tracemalloc.start()
     try:
-        got = setalg.distance_set_of_indices(fld, xs, ys, threads=2)
+        got = setalg.distance_set_of_indices(fld, xs, ys)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -672,9 +672,8 @@ def test_index_entry_matches_the_point_entry_on_E(c31):
     xs, ys = fqdist.E_indices(c31)
     want = fqdist.distance_set_bruteforce(fqdist.enumerate_E(c31))
     assert want == fqdist.distance_set_structured(c31)
-    for t in (1, 2, 3):
-        got = fqdist.distance_set_of_indices(c31.field, xs, ys, threads=t)
-        assert got == want and got.sha256() == want.sha256()
+    got = fqdist.distance_set_of_indices(c31.field, xs, ys)
+    assert got == want and got.sha256() == want.sha256()
 
 
 @pytest.mark.parametrize("pn", [(3, 6), (3, 8)])
@@ -685,9 +684,8 @@ def test_index_entry_matches_the_point_entry_on_random_points(pn):
     xs, ys = rng.integers(0, fld.q, size=(2, 400))
     pts = [Point(fld.from_index(x), fld.from_index(y)) for x, y in zip(xs.tolist(), ys.tolist())]
     want = fqdist.distance_set_bruteforce(pts)
-    for t in (1, 2, 3):
-        got = fqdist.distance_set_of_indices(fld, xs, ys, threads=t)
-        assert got == want and got.sha256() == want.sha256()
+    got = fqdist.distance_set_of_indices(fld, xs, ys)
+    assert got == want and got.sha256() == want.sha256()
     few = pts[:50]
     got = fqdist.distance_set_of_indices(fld, xs[:50], ys[:50])
     assert set(np.flatnonzero(got.bits).tolist()) == oracles.scalar_distance_set(few)
@@ -696,9 +694,8 @@ def test_index_entry_matches_the_point_entry_on_random_points(pn):
 def test_grid_entry_matches_the_point_entry_on_E(c31):
     xs, ys = fqdist.E_indices(c31)
     want = fqdist.distance_set_of_indices(c31.field, xs, ys)
-    for t in (1, 2, 3):
-        got = fqdist.distance_set_of_grid(c31.field, *fqdist.E_axes(c31), threads=t)
-        assert got == want and got.sha256() == want.sha256()
+    got = fqdist.distance_set_of_grid(c31.field, *fqdist.E_axes(c31))
+    assert got == want and got.sha256() == want.sha256()
 
 
 @pytest.mark.parametrize("pn", [(3, 6), (2053, 1), (2, 11)])
@@ -710,9 +707,8 @@ def test_grid_entry_matches_scalar_loops_on_random_grids(pn):
     xs = np.append(xs, xs[:2])
     ys = np.append(rng.integers(0, fld.q, size=4), xs[0])
     pts = [Point(fld.from_index(x), fld.from_index(y)) for x in xs.tolist() for y in ys.tolist()]
-    for t in (1, 2):
-        got = fqdist.distance_set_of_grid(fld, xs, ys, threads=t)
-        assert set(np.flatnonzero(got.bits).tolist()) == oracles.scalar_distance_set(pts)
+    got = fqdist.distance_set_of_grid(fld, xs, ys)
+    assert set(np.flatnonzero(got.bits).tolist()) == oracles.scalar_distance_set(pts)
     assert fqdist.distance_set_of_grid(fld, xs, ys[:0]) == ElemSet(fld.q)
     assert fqdist.distance_set_of_grid(fld, xs[:0], ys) == ElemSet(fld.q)
 
@@ -904,12 +900,12 @@ def test_structured_refuses_columns_that_start_one_coset_late(monkeypatch, pr):
     c = _construction(*pr)
     plan, orbit_plan = setalg._plan, setalg._orbit_plan
 
-    def one_coset_late(nrows, cap):
-        for blk, c0 in plan(nrows, cap):
+    def one_coset_late(nrows):
+        for blk, c0 in plan(nrows):
             yield blk, c0 + 1
 
-    def one_column_late(nrows, ncols, cap):
-        for rows, a, b in orbit_plan(nrows, ncols, cap):
+    def one_column_late(nrows, ncols):
+        for rows, a, b in orbit_plan(nrows, ncols):
             yield rows, a + 1, b
 
     monkeypatch.setattr(setalg, "_plan", one_coset_late)
@@ -1052,7 +1048,8 @@ def test_oracle_equivalence_all_three_paths(c31):
 
 
 def test_threads_give_bit_identical_results(c31):
-    # threads is accepted and has no effect; below 1 it is refused before any set
+    # the three entries that keep threads accept it with no effect, and
+    # refuse it below 1 before any set
     d1 = fqdist.distance_set_structured(c31, threads=1)
     d3 = fqdist.distance_set_structured(c31, threads=3)
     assert d1 == d3 and d1.sha256() == d3.sha256()
@@ -1063,29 +1060,26 @@ def test_threads_give_bit_identical_results(c31):
     b1 = fqdist.distance_set_bruteforce(pts, threads=1)
     b2 = fqdist.distance_set_bruteforce(pts, threads=2)
     assert b1 == b2
-    xs, ys = fqdist.E_axes(c31)
     for call in (lambda: fqdist.distance_set_structured(c31, threads=0),
                  lambda: fqdist.product_set(c31.V, threads=0),
-                 lambda: fqdist.distance_set_bruteforce(pts, threads=0),
-                 lambda: fqdist.distance_set_of_indices(c31.field, xs, xs, threads=0),
-                 lambda: fqdist.distance_set_of_grid(c31.field, xs, ys, threads=-1),
-                 lambda: fqdist.verify_counterexample(3, 1, threads=0)):
+                 lambda: fqdist.distance_set_bruteforce(pts, threads=0)):
         with pytest.raises(InvalidInput, match="threads must be at least 1"):
             call()
 
 
-def test_row_chunks_bounded_by_rows():
-    # a cap far above the triangle gives one block of every row, and no
-    # rows give no block and no call
+def test_row_chunks_bounded_by_rows(monkeypatch):
+    # a block budget far above the triangle gives one block of every row,
+    # and no rows give no block and no call
+    monkeypatch.setattr(ff, "_BLOCK_BYTES", 8 * 10**9)
     for nrows in (1, 5, 300):
-        assert [(blk.ravel().tolist(), c0) for blk, c0 in setalg._plan(nrows, 10**9)] == [
+        assert [(blk.ravel().tolist(), c0) for blk, c0 in setalg._plan(nrows)] == [
             (list(range(nrows)), 0)]
-    assert list(setalg._plan(0, 1)) == []
+    assert list(setalg._plan(0)) == []
 
     def pairs(blk, c0):
         raise AssertionError("pairs called without rows")
 
-    got = setalg._walk_triangle("{done} of {want}", 7, 0, 1, pairs)
+    got = setalg._walk_triangle("{done} of {want}", 7, 0, pairs)
     assert got.dtype == bool and got.tolist() == [False] * 7
 
 
@@ -1102,8 +1096,8 @@ def test_bruteforce_refuses_a_pass_that_skips_a_row(monkeypatch, pn, threads):
     # can still be right; only the count of evaluated pairs shows the gap.
     # Point-list and grid brute force are checked on GF(3^2) and GF(3^8),
     # of two and eight digits.  VV shares the walk and must refuse the same
-    # skip, and Δ's walk must refuse a block that drops a row; threads
-    # changes none of it
+    # skip, and Δ's walk must refuse a block that drops a row; threads,
+    # where an entry still takes it, changes none of it
     fld = _small_field(*pn)
     rng = random.Random(f"{pn}")
     pts = [Point(fld.from_index(rng.randrange(fld.q)), fld.from_index(rng.randrange(fld.q)))
@@ -1113,13 +1107,13 @@ def test_bruteforce_refuses_a_pass_that_skips_a_row(monkeypatch, pn, threads):
     plan, orbit_plan = setalg._plan, setalg._orbit_plan
     want, got, _ = _SKIP_COUNTS
 
-    def from_row_one(nrows, cap):
-        for j, (blk, c0) in enumerate(plan(nrows, cap)):
+    def from_row_one(nrows):
+        for j, (blk, c0) in enumerate(plan(nrows)):
             yield (blk[1:], c0 + 1) if j == 0 else (blk, c0)
 
-    def without_row_zero(nrows, ncols, cap):
+    def without_row_zero(nrows, ncols):
         # Δ's walk takes its three rows against all 41 squares in one block
-        for j, (rows, a, b) in enumerate(orbit_plan(nrows, ncols, cap)):
+        for j, (rows, a, b) in enumerate(orbit_plan(nrows, ncols)):
             yield (rows[1:] if j == 0 else rows), a, b
 
     monkeypatch.setattr(setalg, "_plan", from_row_one)
@@ -1127,7 +1121,7 @@ def test_bruteforce_refuses_a_pass_that_skips_a_row(monkeypatch, pn, threads):
     with pytest.raises(AssertionError, match=f"evaluated {got} of {want} pairs"):
         fqdist.distance_set_bruteforce(pts, threads=threads)
     with pytest.raises(AssertionError, match=f"evaluated {got} of {want} axis pairs"):
-        fqdist.distance_set_of_grid(fld, xs, xs, threads=threads)
+        fqdist.distance_set_of_grid(fld, xs, xs)
     with pytest.raises(AssertionError, match="took 82 of 123 differences"):
         fqdist.distance_set_structured(c, threads=threads)
     with pytest.raises(AssertionError, match="products"):
@@ -1147,23 +1141,25 @@ def test_bruteforce_refuses_columns_that_start_past_the_block(monkeypatch, pn, t
     plan = setalg._plan
     want, _, got = _SKIP_COUNTS
 
-    def one_column_late(nrows, cap):
-        for blk, c0 in plan(nrows, cap):
+    def one_column_late(nrows):
+        for blk, c0 in plan(nrows):
             yield blk, c0 + 1
 
     monkeypatch.setattr(setalg, "_plan", one_column_late)
     with pytest.raises(AssertionError, match=f"evaluated {got} of {want} pairs"):
         fqdist.distance_set_bruteforce(pts, threads=threads)
     with pytest.raises(AssertionError, match=f"evaluated {got} of {want} axis pairs"):
-        fqdist.distance_set_of_grid(fld, xs, xs, threads=threads)
+        fqdist.distance_set_of_grid(fld, xs, xs)
 
 
 @pytest.mark.parametrize("nrows", [0, 1, 2, 5, 40, 301])
 @pytest.mark.parametrize("size", [1, 2, 3])
 @pytest.mark.parametrize("cap", [1, 9, 1638])
-def test_triangle_pairs_counts_the_blocks(nrows, size, cap):
+def test_triangle_pairs_counts_the_blocks(monkeypatch, nrows, size, cap):
     # the walk checks its count against the formula, so it returning shows
-    # that the formula counts the positions the plan's blocks return
+    # that the formula counts the positions the plan's blocks return; a
+    # block budget of 8 cap bytes holds cap int64 positions
+    monkeypatch.setattr(ff, "_BLOCK_BYTES", 8 * cap)
     blocks, taken = [], []
 
     def pairs(blk, c0):
@@ -1171,7 +1167,7 @@ def test_triangle_pairs_counts_the_blocks(nrows, size, cap):
         taken.extend((a, b) for a in blk.ravel().tolist() for b in range(c0, nrows))
         return ((blk + np.arange(c0, nrows)) % size).ravel()
 
-    got = setalg._walk_triangle("{done} of {want}", size, nrows, cap, pairs)
+    got = setalg._walk_triangle("{done} of {want}", size, nrows, pairs)
     # the mask holds exactly the positions the blocks returned
     assert got.dtype == bool and len(got) == size
     assert np.flatnonzero(got).tolist() == sorted({(a + b) % size for a, b in taken})
@@ -1185,6 +1181,17 @@ def test_triangle_pairs_counts_the_blocks(nrows, size, cap):
     assert len(set(taken)) == len(taken)
     assert {(min(a, b), max(a, b)) for a, b in taken} == {
         (a, b) for a in range(nrows) for b in range(a, nrows)}
+
+
+def test_walk_blocks_keep_their_sizes():
+    # the walks of the family keep their sizes: a grid axis of |V| = 81
+    # rows at (3, 1) and 6 561 at (3, 2), and VV's |F| + 1 = 82, 122 and 626
+    # rows at (3, 2), (11, 1) and (5, 2); up to 128 rows fit one block
+    counts = [setalg._triangle_count(n) for n in (81, 82, 122, 626, 6561)]
+    assert counts == [6561, 6724, 14884, 213020, 21558225]
+    assert list(setalg._heights(626))[:5] == [26, 27, 28, 30, 31]
+    assert len(list(setalg._heights(626))) == 14
+    assert [(a, b) for _, a, b in setalg._orbit_plan(3, 7321)] == [(0, 5461), (5461, 7321)]
 
 
 @pytest.mark.parametrize("pn", [(3, 6), (2, 11), (2039, 1), (3, 8)])

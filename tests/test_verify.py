@@ -208,7 +208,7 @@ def test_verify_both_builds_no_point(monkeypatch):
     monkeypatch.setattr(setalg, "distance_set_bruteforce", refuse)
     monkeypatch.setattr(setalg, "distance_set_of_indices", record)
     monkeypatch.setattr(setalg.Point, "__init__", refuse)
-    rep = fqdist.verify_counterexample(3, 1, oracle="both", threads=2)
+    rep = fqdist.verify_counterexample(3, 1, oracle="both")
     assert point_list_calls == []
     assert rep.oracle_mode == "bruteforce+structured"
     assert fqdist.report_digest(rep.to_json_dict()) == _FROZEN[0][-1]
@@ -217,13 +217,13 @@ def test_verify_both_builds_no_point(monkeypatch):
 @pytest.mark.parametrize("p, size_delta, missing", [(5, 8425, 128), (7, 61201, 393)])
 def test_bruteforce_beyond_3_1_on_one_thread(monkeypatch, p, size_delta, missing):
     # brute force on E's axes agrees with the structured sets past (3, 1),
-    # and every walk runs on the calling thread whatever threads says.
+    # and every walk runs on the calling thread.
     # |Δ| = Q^2 + (Q-1)Q(Q+1)/2 for |F| = Q = p^2
     def refuse(self):
         raise AssertionError("a thread was started")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    rep = fqdist.verify_counterexample(p, 1, oracle="both", pair_budget=p**16, threads=2)
+    rep = fqdist.verify_counterexample(p, 1, oracle="both", pair_budget=p**16)
     Q = p * p
     assert rep.oracle_mode == "bruteforce+structured"
     assert rep.size_delta == size_delta == Q * Q + (Q - 1) * Q * (Q + 1) // 2
@@ -264,6 +264,20 @@ def test_report_digest_ignores_elapsed():
     assert fqdist.report_digest(r1) == fqdist.report_digest(r2)
 
 
+def test_dump_bits_adds_the_packed_set_and_nothing_else():
+    # bits_hex is Δ's packed bytes, in both sets' records; everything else
+    # is the report of a run without it
+    dumped = fqdist.verify_counterexample(3, 1, oracle="both", dump_bits=True).to_json_dict()
+    plain = fqdist.verify_counterexample(3, 1, oracle="both").to_json_dict()
+    want = fqdist.distance_set_structured(fqdist.build_construction(3, 1)).packed.tobytes().hex()
+    for key in ("delta_set", "vv_set"):
+        assert dumped[key].pop("bits_hex") == want
+        assert "bits_hex" not in plain[key]
+    for d in (dumped, plain):
+        del d["elapsed_seconds"]
+    assert dumped == plain
+
+
 _FAULTS = """
 import resource
 from fqdist.verify import verify_counterexample
@@ -280,8 +294,9 @@ for p, r in [(3, 2), (11, 1)]:
 @pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
                     reason="counts page faults under glibc's malloc")
 def test_warm_verify_calls_take_few_page_faults():
-    # every block temporary fits ff._BLOCK_BYTES, glibc's default mmap
-    # threshold, so from the third call on the blocks reuse heap pages
+    # every block temporary fits ff._BLOCK_BYTES, far under the 1 MiB mmap
+    # threshold that ff._tune_malloc sets, so from the third call on the
+    # blocks reuse heap pages
     # (2^16-entry blocks took about 3 430 and 940 faults per warm call, and a
     # heap that glibc trims after every call took 224-282 at (3, 2))
     src = str(Path(fqdist.__file__).resolve().parents[1])
