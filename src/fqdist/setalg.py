@@ -9,12 +9,14 @@ tables of |F| or |F|^2 entries.  Δ and VV are computed as masks over those
 names, and one naming pass expands a mask to a bitset (CosetNames.union).
 Δ takes three rows against every square, one per orbit of the F-linear
 map L = Sym^2 diag(gamma, 1) on the cosets of S, and closes the names
-under L (_distance_mask).  VV pairs F*-coset representatives and brute
-force pairs points or grid coordinates, each row with the rows from its
-own on, and one walker takes that triangle for them (_walk_triangle): on
-the calling thread, in row blocks sized by their own widths.  It, Δ's
-walk and the grid's sumset set bool masks through one scatter that checks
-the exact count of positions (_scatter).  Brute force on a grid X x Y,
+under L (_distance_mask); L's permutation of the names takes the name
+of B u to that of L B u, B the basis e1^2, e1 e2, e2^2 (_l_on_names).
+VV pairs F*-coset representatives and brute force pairs points or grid
+coordinates, each row with the rows from its own on, and one walker
+takes that triangle for them (_walk_triangle): on the calling thread, in
+row blocks sized by their own widths.  It, Δ's walk and the grid's
+sumset set bool masks through one scatter that checks the exact count
+of positions (_scatter).  Brute force on a grid X x Y,
 such as E = V x iV, is distance_set_of_grid: one walk over the pairs of
 each axis gives {dx^2 : dx in X - X} and {dy^2 : dy in Y - Y}, and one
 sumset of the two gives the distance set.  Brute force on any point list is
@@ -24,9 +26,9 @@ and adds base-p digits per pair (sub_indices, add_indices) and reads the
 squares table FieldTables.sq, as the grid's axis walks do.
 VV's products are taken on F-coordinates, through CosetNames' log, exp
 and addition tables (CosetNames._product_names); every other product,
-the squares of V and of brute force and L's basis included, goes through
-ExtField.mul on indices, so Δ = VV compares two multiplication
-algorithms, and VV does not use L.
+the squares of V and of brute force and the columns of B and L B
+included, goes through ExtField.mul on indices, so Δ = VV compares two
+multiplication algorithms, and VV does not use L.
 Budgets are hard limits on the work a route takes, checked before it
 runs: an oversized request raises instead of sampling.
 """
@@ -285,8 +287,8 @@ class CosetNames:
     kept as the mask of its names, which union() expands.  Products are
     named from codes too (_product_names): F multiplies through the logs
     of gamma, with 2(Q-1) as the log of 0, and the codes of x^3 = c0 + c1
-    x + c2 x^2 take z to x*z, so no digit plane of F_q is built; an
-    F-linear map of F_q permutes the H-names, read off its matrix over F
+    x + c2 x^2 take z to x*z, so no digit plane of F_q is built; a matrix
+    over F into this chart names the image of each name's representative
     with the same tables (_permutation).  Raises WrongSubfieldDegree,
     before any table is built, unless 3m = n.
     """
@@ -417,17 +419,18 @@ class CosetNames:
         return self._names(*r) % self.step
 
     def _permutation(self, M) -> np.ndarray:
-        """The permutation of the H-names by the F-linear map L with matrix M, as int32.
+        """The H-names of M u for the representative u of each H-name, as int32.
 
-        M is a 3 x 3 list of F-codes acting on the F-coordinates, and entry
-        k of the result is the H-name of L(z) for z of H-name k, which is
-        the same for every such z, as L(h z) = h L(z) for h in F.  Each
+        M is a 3 x 3 list of F-codes taking coordinates over an F-basis of
+        F_q, such as e1^2, e1 e2, e2^2, to this chart's.  Entry k is the
+        H-name of M u for every u of H-name k, as M(h u) = h M(u) for h in
+        F; the result is a permutation exactly when M is invertible.  Each
         F*-name k < step is taken at its representative (a, b, 1), (a, 1,
         0) or (1, 0, 0), whose last coordinate 1 makes k its H-name too.
         Coordinate j of M (a, b, 1) is a M[j][0] + (b M[j][1] + M[j][2]):
         two sets of |F| products, through the logs, and one read of an
-        |F| x |F| addition table at their outer sum, in name order.  L(gamma
-        z) = gamma L(z) moves both names by step, so the names from step on
+        |F| x |F| addition table at their outer sum, in name order.  M(gamma
+        u) = gamma M(u) moves both names by step, so the names from step on
         are the first step names moved by step, and zero is fixed.  int32
         keeps the result at 4 (2 step + 1) bytes, under _BLOCK_BYTES at (11, 1).
         """
@@ -778,46 +781,6 @@ def product_set(V, budget: int = DEFAULT_PAIR_BUDGET, threads: int = 1) -> ElemS
     return cn.union(_product_mask(V, cn, budget))
 
 
-# L = Sym^2 diag(gamma, 1) scales e1^2, e1 e2 and e2^2 by gamma to these
-# powers, and the rows of Δ's walk are the squares of e1, e2 and e1 + e2,
-# given by their coordinates over (e1^2, e1 e2, e2^2)
-_TORUS_LOGS = (2, 1, 0)
-_ORBIT_ROWS = ((1, 0, 0), (0, 0, 1), (1, 2, 1))
-
-
-def _torus(cn: CosetNames, B) -> tuple:
-    """L's matrix M = B diag(gamma^2, gamma, 1) B^-1, and the rows B r for r in _ORBIT_ROWS.
-
-    B[j][k] is coordinate j of the k-th of e1^2, e1 e2, e2^2 in cn's chart,
-    as F-codes; M and the rows come as F-codes too, Python ints computed
-    from cn's tables: a product through the logs of gamma, a sum through
-    the addition table, and B^-1 as the adjugate over the determinant.
-    AssertionError if B is singular.
-    """
-    Q = cn.Q
-    log, exp, item = cn._log.tolist(), cn._exp[: Q - 1].tolist(), cn._add.item
-
-    def mul(a, b, shift=0):
-        return exp[(log[a] + log[b] + shift) % (Q - 1)] if a and b else 0
-
-    def add(a, b, c=0):
-        return item(Q * item(Q * a + b) + c)
-
-    # the cofactors of B, by cyclic indices, so that B^-1[k][c] = C[c][k] / det;
-    # -1 = gamma^((Q-1)/2)
-    C = [[add(mul(B[(i + 1) % 3][(j + 1) % 3], B[(i + 2) % 3][(j + 2) % 3]),
-              mul(B[(i + 1) % 3][(j + 2) % 3], B[(i + 2) % 3][(j + 1) % 3], (Q - 1) // 2))
-          for j in range(3)] for i in range(3)]
-    det = add(*(mul(B[0][j], C[0][j]) for j in range(3)))
-    if det == 0:
-        raise AssertionError("e1^2, e1 e2 and e2^2 are not a basis of F_q over F")
-    M = [[add(*(mul(B[r][k], C[c][k], _TORUS_LOGS[k] - log[det]) for k in range(3)))
-          for c in range(3)] for r in range(3)]
-    rows = [[add(*(mul(B[j][k], v) for k, v in enumerate(row))) for j in range(3)]
-            for row in _ORBIT_ROWS]
-    return M, rows
-
-
 def _intp_blocks(P):
     """(a, P[a:a + k] as intp) over the int32 array P, in blocks of _block_rows(1).
 
@@ -828,6 +791,44 @@ def _intp_blocks(P):
     block = _block_rows(1)
     for a in range(0, len(P), block):
         yield a, P[a : a + block].astype(np.intp)
+
+
+def _permutes(P) -> bool:
+    """Whether the int32 array P is a permutation of [0, len(P)), read in _intp_blocks."""
+    seen = np.zeros(len(P), dtype=bool)
+    for _, idx in _intp_blocks(P):
+        seen[idx] = True
+    return bool(seen.all())
+
+
+def _l_on_names(c, cn: CosetNames) -> tuple:
+    """L's permutation P of cn's H-names, as int32, and the F-codes (t0, t1, t2) of the orbit rows.
+
+    phi = diag(gamma, 1) takes e1 to gamma e1, one FieldElem product with
+    gamma = subF.powers[1], and e2 to e2, so L = Sym^2 phi takes e1^2, e1
+    e2 and e2^2 to (gamma e1)^2, (gamma e1) e2 and e2^2.  One ExtField.mul
+    call gives the F-codes of those six products, the columns of B and of
+    L B, and of the rows e1^2, e2^2 and (e1 + e2)^2.  For the
+    representative u of each name in the chart of the e-basis, src =
+    cn._permutation(B) names B u and dst = cn._permutation(L B) names L B
+    u, so P[src] = dst is L on cn's names, scattered through _intp_blocks;
+    no B^-1 is taken.  AssertionError unless src is a permutation, that
+    is unless e1^2, e1 e2 and e2^2 are a basis of F_q over F, and unless P
+    is one.
+    """
+    e1, e2 = c.V.basis
+    g1, s = c.field.from_index(c.subF.powers[1]) * e1, e1 + e2
+    pairs = [(e1, e1), (e1, e2), (e2, e2), (g1, g1), (g1, e2), (e2, e2), (e1, e1), (e2, e2), (s, s)]
+    t = cn.coords(c.field.mul(*([u.index for u in side] for side in zip(*pairs))))
+    src, dst = (cn._permutation([u[k : k + 3].tolist() for u in t]) for k in (0, 3))
+    if not _permutes(src):
+        raise AssertionError("e1^2, e1 e2 and e2^2 are not a basis of F_q over F")
+    P = np.empty_like(src)
+    for a, idx in _intp_blocks(src):
+        P[idx] = dst[a : a + len(idx)]
+    if not _permutes(P):
+        raise AssertionError("L does not permute the H-names")
+    return P, [u[6:] for u in t]
 
 
 def _orbit_plan(nrows: int, ncols: int):
@@ -861,16 +862,17 @@ def _distance_mask(c, cn: CosetNames, budget: int = DEFAULT_PAIR_BUDGET) -> np.n
     closure: t = 0 gives the rows' own names, whose closure is checked to
     cover S's.  The differences are taken in F-coordinates in blocks of
     _orbit_plan, at most _block_rows(1) each, and set by _scatter.
-    L's permutation P of the names comes from its matrix in cn's chart
-    (_torus, CosetNames._permutation), and the mask is closed under it by
-    doubling, mask |= mask[P] and P = P[P], in ceil(log2(|F|-1)) rounds,
-    through intp blocks of P (_intp_blocks).  BudgetExceeded is raised
-    first if 3 |S| = 3 (|F|^2 + 1)/2 exceeds the budget.  Nothing is
-    assumed: AssertionError is raised if -1 is not in H (before V is
-    read), if P is not a permutation, if P does not map S's names into
-    S's names, if the closure of the rows' own names misses a name of S,
-    so that the rows miss an orbit, or if the walk's count is wrong;
-    ClaimViolation if S is not H-closed.
+    L's permutation P of the names comes from L's definition, as the names
+    of B u and of L B u for the names u of the e-basis chart
+    (_l_on_names), and the mask is closed under it by doubling, mask |=
+    mask[P] and P = P[P], in ceil(log2(|F|-1)) rounds, through intp blocks
+    of P (_intp_blocks).  BudgetExceeded is raised first if 3 |S| = 3
+    (|F|^2 + 1)/2 exceeds the budget.  Nothing is assumed: AssertionError
+    is raised if -1 is not in H (before V is read), if e1^2, e1 e2 and
+    e2^2 are not a basis, if P is not a permutation, if P does not map
+    S's names into S's names, if the closure of the rows' own names
+    misses a name of S, so that the rows miss an orbit, or if the walk's
+    count is wrong; ClaimViolation if S is not H-closed.
     """
     Q = cn.Q
     differences = 3 * (Q * Q + 1) // 2
@@ -884,27 +886,19 @@ def _distance_mask(c, cn: CosetNames, budget: int = DEFAULT_PAIR_BUDGET) -> np.n
     _coset_runs(names[squares != 0], (Q - 1) // 2, "the squares of V")
     in_s = np.zeros(cn.zero + 1, dtype=bool)
     in_s[names] = True
-    e1, e2 = (e.index for e in c.V.basis)
-    B = [u.tolist() for u in cn.coords(c.field.mul([e1, e1, e2], [e1, e2, e2]))]
-    M, rows = _torus(cn, B)
-    P = cn._permutation(M)
-    seen = np.zeros_like(in_s)
-    for _, idx in _intp_blocks(P):
-        seen[idx] = True
-    if not seen.all():
-        raise AssertionError("L does not permute the H-names")
+    P, rows = _l_on_names(c, cn)
     if not in_s[P[in_s]].all():
         raise AssertionError("L does not map S onto S")
 
-    reps = [Q * np.array(u)[:, None] for u in zip(*rows)]
+    reps = [Q * u[:, None] for u in rows]
     diffs = (cn._names(*(tab[r[blk] + u[a:b]]
                          for tab, r, u in zip((cn._sub_q, cn._sub_q, cn._sub_t2), reps, t)))
-             for blk, a, b in _orbit_plan(len(rows), len(squares)))
+             for blk, a, b in _orbit_plan(3, len(squares)))
     # bit 0 of mask marks the names of the walk's differences, bit 1 the
     # rows' own names
     mask = _scatter("structured distance set took {done} of {want} differences", cn.zero + 1,
-                    diffs, len(rows) * len(squares)).view(np.uint8)
-    mask[cn.name(*(np.array(u) for u in zip(*rows)))] |= 2
+                    diffs, 3 * len(squares)).view(np.uint8)
+    mask[cn.name(*rows)] |= 2
     for _ in range((Q - 2).bit_length()):
         grown, doubled = mask.copy(), np.empty_like(P)
         for a, idx in _intp_blocks(P):

@@ -924,15 +924,10 @@ def test_structured_requires_minus_one_in_h():
         fqdist.distance_set_structured(c)
 
 
-# explicit bases on which L's matrix in the chart of CosetNames is not diagonal
+# explicit bases on which B, the F-coordinates of e1^2, e1 e2 and e2^2 in the
+# chart of CosetNames, is not diagonal
 _TORUS_BASES = [(3, 1, (2, 10)), (5, 1, (77, 15000)), (7, 1, (12345, 999)), (3, 2, (2, 10)),
                 (11, 1, (7, 12345))]
-
-
-def _torus_of(c, cn):
-    e1, e2 = (e.index for e in c.V.basis)
-    B = [u.tolist() for u in cn.coords(c.field.mul([e1, e1, e2], [e1, e2, e2]))]
-    return setalg._torus(cn, B)
 
 
 @pytest.mark.parametrize("p, r, basis", _TORUS_BASES)
@@ -941,8 +936,9 @@ def test_distance_mask_matches_vv_and_the_scalar_oracle_on_explicit_bases(p, r, 
     # representatives, and the oracle from every pair of squares
     c = fqdist.build_construction(p, r, basis)
     cn = setalg.CosetNames(c.subF)
-    M, _ = _torus_of(c, cn)
-    assert any(M[i][j] for i in range(3) for j in range(3) if i != j)
+    e1, e2 = (e.index for e in c.V.basis)
+    B = [u.tolist() for u in cn.coords(c.field.mul([e1, e1, e2], [e1, e2, e2]))]
+    assert any(B[i][j] for i in range(3) for j in range(3) if i != j)
     mask = setalg._distance_mask(c, cn)
     assert np.array_equal(mask, setalg._product_mask(c.V, cn, 10**15))
     delta = set(np.flatnonzero(cn.union(mask).bits).tolist())
@@ -956,7 +952,7 @@ def test_torus_permutation_is_l_on_the_names(p, r, basis):
     # the argument; every z at (3, 1), 3 000 random ones above
     c = fqdist.build_construction(p, r, basis)
     f, cn = c.field, setalg.CosetNames(c.subF)
-    P = cn._permutation(_torus_of(c, cn)[0])
+    P, _ = setalg._l_on_names(c, cn)
     assert P.dtype == np.int32 and sorted(P.tolist()) == list(range(cn.zero + 1))
     F = c.subF.indices
     if p**r == 3:
@@ -979,29 +975,45 @@ def test_torus_permutation_is_l_on_the_names(p, r, basis):
 
 @pytest.mark.parametrize("basis", ["auto", (2, 10)])
 def test_structured_refuses_a_torus_that_fails_a_check(monkeypatch, basis):
-    # each of the three checks on L, P and the rows refuses on its own
+    # each of the checks on B, L B, L, P and the rows refuses on its own
     c0 = _construction(3, 1)
     c = dataclasses.replace(c0, V=fqdist.build_subspace(c0.field, c0.subF, basis))
-    # diag(gamma, 1, 1) is F-linear and bijective but moves e1^2 off S
-    with monkeypatch.context() as m:
-        m.setattr(setalg, "_TORUS_LOGS", (1, 0, 0))
-        with pytest.raises(AssertionError, match="does not map S onto S"):
-            fqdist.distance_set_structured(c)
-    # one entry of P copied from another
-    permutation = setalg.CosetNames._permutation
+    cn = setalg.CosetNames(c.subF)
+    e1, e2 = c.V.basis
+    # B from the basis (e1, gamma e1), whose squares are F-multiples of e1^2
+    gamma_e1 = c.field.from_index(c.subF.powers[1]) * e1
+    flat = dataclasses.replace(c, V=dataclasses.replace(c.V, basis=(e1, gamma_e1)))
+    with pytest.raises(AssertionError, match=r"e1\^2, e1 e2 and e2\^2 are not a basis"):
+        setalg._distance_mask(flat, cn)
+    # gamma replaced by t^k, t = e2/e1 of degree 3 over F.  k = 1 gives
+    # phi(e1) = e2, so L B's columns are one element, e2^2, and P is no
+    # permutation.  k = 2 gives L B's columns t^4, t^3 and t^2 times e1^2, a
+    # basis, so L is F-linear and bijective, but t^2 e1 is not in V, so L
+    # moves e1^2 off S
+    for k, refusal in ((1, "does not permute the H-names"), (2, "does not map S onto S")):
+        powers = c.subF.powers.copy()
+        powers[1] = ((e2 / e1) ** k).index
+        with pytest.raises(AssertionError, match=refusal):
+            setalg._distance_mask(
+                dataclasses.replace(c, subF=dataclasses.replace(c.subF, powers=powers)), cn)
+    # one entry of dst, the second permutation, copied from another
+    permutation, calls = setalg.CosetNames._permutation, []
 
     def corrupted(self, M):
         P = permutation(self, M)
-        P[5] = P[6]
+        calls.append(M)
+        if len(calls) == 2:
+            P[5] = P[6]
         return P
 
     with monkeypatch.context() as m:
         m.setattr(setalg.CosetNames, "_permutation", corrupted)
         with pytest.raises(AssertionError, match="does not permute the H-names"):
             fqdist.distance_set_structured(c)
-    # e1^2 twice and no (e1 + e2)^2: the count of differences still holds
+    # e1 + e2 read as e1, so the rows are e1^2, e2^2 and e1^2 again: the
+    # count of differences still holds
     with monkeypatch.context() as m:
-        m.setattr(setalg, "_ORBIT_ROWS", ((1, 0, 0), (0, 0, 1), (1, 0, 0)))
+        m.setattr(fqdist.FieldElem, "__add__", lambda self, other: self)
         with pytest.raises(AssertionError, match="miss an orbit"):
             fqdist.distance_set_structured(c)
     assert fqdist.distance_set_structured(c) == fqdist.product_set(c.V)
