@@ -279,23 +279,26 @@ class CosetNames:
     points get the names [0, step): (a, b, 1) is a + Q*b, (a, 1, 0) is Q^2
     + a and (1, 0, 0) is Q^2 + Q.  H has index 2 in F*, so the H-name adds
     step * (log_gamma(t_l) mod 2).  Zero gets the name 2*step.  Naming
-    reads only Q- and Q x Q-sized tables: the sums and differences of codes
-    are kept both as codes, t2's in one or two bytes, and as Q times codes,
-    so that one kernel (_names) reads the two name tables at t0*Q + t2 and
-    t1*Q + t2 with two in-place additions; a third table, read at t0*Q +
-    t1, names the elements with t2 = 0.  A union of H-cosets and {0} is
-    kept as the mask of its names, which union() expands.  Products are
-    named from codes too (_product_names): F multiplies through the logs
-    of gamma, with 2(Q-1) as the log of 0, and the codes of x^3 = c0 + c1
-    x + c2 x^2 take z to x*z, so no digit plane of F_q is built; a matrix
-    over F into this chart names the image of each name's representative
-    with the same tables (_permutation).  Raises WrongSubfieldDegree,
-    before any table is built, unless 3m = n.
+    reads only Q- and Q x Q-sized tables.  The sums of codes are kept both
+    as codes (_add, which gives t2) and as Q times codes (_add_q), as are
+    the codes of the high half of an index's digits (_hi_q), so that one
+    kernel (_names) reads the two name tables at t0*Q + t2 and t1*Q + t2
+    with two in-place additions; a third table, read at t0*Q + t1, names
+    the elements with t2 = 0.  A difference adds the negated codes of the
+    Q-entry table _neg.  The scaled copies save a multiply per coordinate:
+    without them a whole verify ran 3-5% slower at (11, 1) and (3, 2), and
+    one-byte copies of _add for t2 ran no faster.  A union of H-cosets and
+    {0} is kept as the mask of its names, which union() expands.  Products
+    are named from codes too (_product_names): F multiplies through the
+    logs of gamma, with 2(Q-1) as the log of 0, and the codes of x^3 = c0
+    + c1 x + c2 x^2 take z to x*z, so no digit plane of F_q is built; a
+    matrix over F into this chart names the image of each name's
+    representative with the same tables (_permutation).  Raises
+    WrongSubfieldDegree, before any table is built, unless 3m = n.
     """
 
     __slots__ = ("Q", "step", "zero", "_p", "_n", "_split", "_lo", "_hi_q", "_add", "_add_q",
-                 "_sub_q", "_add_t2", "_sub_t2", "_n0", "_n1", "_n2", "_log", "_exp", "_exp_q",
-                 "_x3")
+                 "_neg", "_n0", "_n1", "_n2", "_log", "_exp", "_x3")
 
     def __init__(self, subF):
         field, m = subF.field, subF.m
@@ -325,14 +328,11 @@ class CosetNames:
         self._lo = codes(h, slice(0, h))
         self._hi_q = [t * Q for t in codes(n - h, slice(h, n))]
 
-        # F arithmetic on codes: digit sums, and the powers of gamma, which
-        # lie in F, so their codes are their t0
+        # F arithmetic on codes: digit sums and negations, and the powers of
+        # gamma, which lie in F, so their codes are their t0
         fq = np.arange(Q)
-        add, sub = (f(fq[:, None], fq, p, m).ravel() for f in (add_indices, sub_indices))
-        self._add, self._add_q, self._sub_q = add, Q * add, Q * sub
-        # the t2 tables of union() and Δ's walk hold codes in one or two bytes,
-        # which keeps a warm (3, 2) call's temporaries under glibc's trim threshold
-        self._add_t2, self._sub_t2 = (t.astype(np.min_scalar_type(Q)) for t in (add, sub))
+        self._add = add_indices(fq[:, None], fq, p, m).ravel()
+        self._add_q, self._neg = Q * self._add, sub_indices(0, fq, p, m)
         # x^3 has the index p^3, or at n = 3 that of -(m0 + m1 x + m2 x^2) for
         # the modulus m; its F-codes come with those of the powers of gamma
         x3 = p**3 if n > 3 else sum(-c % p * p**k for k, c in enumerate(field.modulus[:3]))
@@ -355,7 +355,6 @@ class CosetNames:
         self._log = log
         log[0] = 2 * (Q - 1)
         self._exp = np.concatenate([exp, exp, np.zeros(2 * Q - 1, dtype=np.int64)])
-        self._exp_q = Q * self._exp
         self._x3 = log[x3].tolist()
 
     def coords(self, idx):
@@ -406,15 +405,15 @@ class CosetNames:
         of the addition tables.  Nothing but |F|- and |F|^2-entry tables is
         read, and no digit plane is built.
         """
-        log, exp, exp_q, add_q = self._log, self._exp, self._exp_q, self._add_q
+        Q, log, exp, add_q = self.Q, self._log, self._exp, self._add_q
         xa = self._times_x(a)
         rows = (a, xa, self._times_x(xa))
         lb = [log[t] for t in b]
         r = []
-        # |F| times coordinates 0 and 1, and coordinate 2 in one or two bytes
-        for k, last in enumerate((add_q, add_q, self._add_t2)):
+        # |F| times coordinates 0 and 1, and coordinate 2 as a code
+        for k, last in enumerate((add_q, add_q, self._add)):
             la = [log[z[k]] for z in rows]
-            part = add_q[exp_q[la[0] + lb[0]] + exp[la[1] + lb[1]]]
+            part = add_q[Q * exp[la[0] + lb[0]] + exp[la[1] + lb[1]]]
             r.append(last[part + exp[la[2] + lb[2]]])
         return self._names(*r) % self.step
 
@@ -436,8 +435,8 @@ class CosetNames:
         """
         Q, step, log, exp, add = self.Q, self.step, self._log, self._exp, self._add
         coords = []
-        # |F| times coordinates 0 and 1, and coordinate 2 in one or two bytes
-        for (m0, m1, m2), tab in zip(M, (self._add_q, self._add_q, self._add_t2)):
+        # |F| times coordinates 0 and 1, and coordinate 2 as a code
+        for (m0, m1, m2), tab in zip(M, (self._add_q, self._add_q, add)):
             a, b = exp[log + log[m0]], exp[log + log[m1]]
             coords.append(np.concatenate([
                 tab[Q * add[Q * b + m2][:, None] + a].ravel(), tab[Q * m1 + a], tab[[Q * m0]]]))
@@ -501,7 +500,7 @@ class CosetNames:
             for a in range(a0, a1, block):
                 b = min(a + block, a1)
                 names = self._names(*(tab[u[a:b, None] + v] for tab, u, v in zip(
-                    (self._add_q, self._add_q, self._add_t2), self._hi_q, lo)))
+                    (self._add_q, self._add_q, self._add), self._hi_q, lo)))
                 for m, rows in zip(masks, named):
                     np.take(m.view(np.uint8), names, out=rows[a - a0 : b - a0])
             # row 0 has no other multiple
@@ -718,22 +717,19 @@ def distance_set_of_grid(field, xs, ys, budget: int = DEFAULT_PAIR_BUDGET) -> El
     return _sumset(field, _axis_squares(field, xs, sq), _axis_squares(field, ys, sq))
 
 
-def _coset_runs(names, size: int, what: str) -> np.ndarray:
-    """The positions of the members in order of their coset names.
+def _cosets_met(names, size: int, what: str) -> np.ndarray:
+    """The coset names that occur in names, in increasing order.
 
     names holds one coset name per distinct nonzero member, and a coset has
     size members, so the members are a union of whole cosets exactly when
-    each name that occurs, occurs size times.  The order then holds one run
-    of size positions per coset met, run j from position j*size on; any
-    other count raises ClaimViolation.
+    each name that occurs, occurs size times.  One np.bincount counts
+    them; any other count raises ClaimViolation.
     """
-    order = np.argsort(names, kind="stable")
-    runs = names[order]
-    if len(runs) % size == 0:
-        runs = runs.reshape(-1, size)
-        if (runs == runs[:, :1]).all() and (runs[1:, 0] != runs[:-1, 0]).all():
-            return order
-    raise ClaimViolation(f"{what} is not a union of cosets of a subgroup of order {size}")
+    counts = np.bincount(names)
+    met = np.flatnonzero(counts)
+    if (counts[met] != size).any():
+        raise ClaimViolation(f"{what} is not a union of cosets of a subgroup of order {size}")
+    return met
 
 
 def _product_mask(V, cn: CosetNames, budget: int) -> np.ndarray:
@@ -741,26 +737,30 @@ def _product_mask(V, cn: CosetNames, budget: int) -> np.ndarray:
 
     F*.V = V, so V minus 0 is a union of |F|+1 cosets of F*, and VV minus 0
     is the union of the F*-cosets of the products of one member of each.
-    The F-codes of V are taken once; they give the runs and the
-    representatives' codes.  Products commute, so _walk_triangle takes
-    each representative against those from its own on, in blocks of at
-    most _block_rows(1) products, and CosetNames._product_names names
-    each block's products from the codes, with no digit plane and no
-    ExtField.mul.  One block holds every row up to |F| = 127: that is
-    (|F|+1)^2 products, 100 at (3, 1) and 14 884 at (11, 1), and 213 020
-    in 14 blocks at (5, 2) for a 196 251-pair triangle.  Raises
-    BudgetExceeded if that count, _triangle_count of |F|+1 rows, exceeds
-    the budget, before anything else, ClaimViolation if V is not
-    F*-closed, and AssertionError if the walk missed a product.
+    The F-codes of V are taken once; they give the names, whose counts
+    _cosets_met checks, and the representatives: the member of each coset
+    whose last nonzero coordinate is 1.  Products commute, so
+    _walk_triangle takes each representative against those from its own
+    on, in blocks of at most _block_rows(1) products, and
+    CosetNames._product_names names each block's products from the codes,
+    with no digit plane and no ExtField.mul.  One block holds every row up
+    to |F| = 127: that is (|F|+1)^2 products, 100 at (3, 1) and 14 884 at
+    (11, 1), and 213 020 in 14 blocks at (5, 2) for a 196 251-pair
+    triangle.  Raises BudgetExceeded if that count, _triangle_count of
+    |F|+1 rows, exceeds the budget, before anything else, ClaimViolation
+    if V is not F*-closed, and AssertionError if the walk missed a
+    product.
     """
     products = _triangle_count(cn.Q + 1)
     if products > budget:
         raise BudgetExceeded("product set products", products, budget)
     idx = V.indices
     nonzero = idx[idx != 0]
-    t = cn.coords(nonzero)
-    runs = _coset_runs(cn.name(*t) % cn.step, cn.Q - 1, "V")
-    reps = [u[runs[:: cn.Q - 1]] for u in t]
+    t0, t1, t2 = t = cn.coords(nonzero)
+    _cosets_met(cn.name(*t) % cn.step, cn.Q - 1, "V")
+    # 1 = gamma^0 x^0 has code 1
+    rep = (t2 == 1) | (t2 == 0) & ((t1 == 1) | (t1 == 0) & (t0 == 1))
+    reps = [u[rep] for u in t]
 
     def pairs(blk, c0):
         return cn._product_names([u[blk] for u in reps], [u[c0:] for u in reps])
@@ -793,14 +793,6 @@ def _intp_blocks(P):
         yield a, P[a : a + block].astype(np.intp)
 
 
-def _permutes(P) -> bool:
-    """Whether the int32 array P is a permutation of [0, len(P)), read in _intp_blocks."""
-    seen = np.zeros(len(P), dtype=bool)
-    for _, idx in _intp_blocks(P):
-        seen[idx] = True
-    return bool(seen.all())
-
-
 def _l_on_names(c, cn: CosetNames) -> tuple:
     """L's permutation P of cn's H-names, as int32, and the F-codes (t0, t1, t2) of the orbit rows.
 
@@ -821,13 +813,15 @@ def _l_on_names(c, cn: CosetNames) -> tuple:
     pairs = [(e1, e1), (e1, e2), (e2, e2), (g1, g1), (g1, e2), (e2, e2), (e1, e1), (e2, e2), (s, s)]
     t = cn.coords(c.field.mul(*([u.index for u in side] for side in zip(*pairs))))
     src, dst = (cn._permutation([u[k : k + 3].tolist() for u in t]) for k in (0, 3))
-    if not _permutes(src):
-        raise AssertionError("e1^2, e1 e2 and e2^2 are not a basis of F_q over F")
+    basis = "e1^2, e1 e2 and e2^2 are not a basis of F_q over F"
+    if not _scatter(basis, len(src), (idx for _, idx in _intp_blocks(src)), len(src)).all():
+        raise AssertionError(basis)
     P = np.empty_like(src)
     for a, idx in _intp_blocks(src):
         P[idx] = dst[a : a + len(idx)]
-    if not _permutes(P):
-        raise AssertionError("L does not permute the H-names")
+    permutes = "L does not permute the H-names"
+    if not _scatter(permutes, len(P), (idx for _, idx in _intp_blocks(P)), len(P)).all():
+        raise AssertionError(permutes)
     return P, [u[6:] for u in t]
 
 
@@ -860,8 +854,9 @@ def _distance_mask(c, cn: CosetNames, budget: int = DEFAULT_PAIR_BUDGET) -> np.n
     |S|^2 = 5.4e7 at (11, 1)).  s = 0 gives the names of -S, which are
     those of S as -1 is in H (|F| = 1 mod 4), and those are in the
     closure: t = 0 gives the rows' own names, whose closure is checked to
-    cover S's.  The differences are taken in F-coordinates in blocks of
-    _orbit_plan, at most _block_rows(1) each, and set by _scatter.
+    cover S's.  The differences are taken in F-coordinates, a row plus a
+    square's negated codes, in blocks of _orbit_plan, at most
+    _block_rows(1) each, and set by _scatter.
     L's permutation P of the names comes from L's definition, as the names
     of B u and of L B u for the names u of the e-basis chart
     (_l_on_names), and the mask is closed under it by doubling, mask |=
@@ -872,7 +867,9 @@ def _distance_mask(c, cn: CosetNames, budget: int = DEFAULT_PAIR_BUDGET) -> np.n
     e2^2 are not a basis, if P is not a permutation, if P does not map
     S's names into S's names, if the closure of the rows' own names
     misses a name of S, so that the rows miss an orbit, or if the walk's
-    count is wrong; ClaimViolation if S is not H-closed.
+    count is wrong; ClaimViolation if S is not H-closed, which _cosets_met
+    checks by counting the squares' names.  S's names are those it counts,
+    and zero's.
     """
     Q = cn.Q
     differences = 3 * (Q * Q + 1) // 2
@@ -882,17 +879,17 @@ def _distance_mask(c, cn: CosetNames, budget: int = DEFAULT_PAIR_BUDGET) -> np.n
         raise AssertionError(f"-1 is not a square in the subfield of order {Q}")
     squares = c.V.squares
     t = cn.coords(squares)
-    names = cn.name(*t)
-    _coset_runs(names[squares != 0], (Q - 1) // 2, "the squares of V")
     in_s = np.zeros(cn.zero + 1, dtype=bool)
-    in_s[names] = True
+    in_s[_cosets_met(cn.name(*t)[squares != 0], (Q - 1) // 2, "the squares of V")] = True
+    in_s[cn.zero] = True
     P, rows = _l_on_names(c, cn)
     if not in_s[P[in_s]].all():
         raise AssertionError("L does not map S onto S")
 
     reps = [Q * u[:, None] for u in rows]
+    neg = [cn._neg[u] for u in t]
     diffs = (cn._names(*(tab[r[blk] + u[a:b]]
-                         for tab, r, u in zip((cn._sub_q, cn._sub_q, cn._sub_t2), reps, t)))
+                         for tab, r, u in zip((cn._add_q, cn._add_q, cn._add), reps, neg)))
              for blk, a, b in _orbit_plan(3, len(squares)))
     # bit 0 of mask marks the names of the walk's differences, bit 1 the
     # rows' own names

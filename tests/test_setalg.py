@@ -1,5 +1,6 @@
 """Bitsets, bulk index tables, distance sets, product sets."""
 
+import collections
 import dataclasses
 import functools
 import hashlib
@@ -879,15 +880,29 @@ def test_coset_runs_start_at_multiples_of_the_coset_size(pr):
     size = (cn.Q - 1) // 2
     squares = c.V.squares
     names = cn.name(*cn.coords(squares[squares != 0]))
-    ranked = names[setalg._coset_runs(names, size, "S")]
-    # |F| + 1 runs of |H| = (|F|-1)/2 squares, each of one name, no name twice
-    runs = ranked.reshape(cn.Q + 1, size)
-    assert (runs == runs[:, :1]).all()
-    assert len(set(runs[:, 0].tolist())) == cn.Q + 1
-    # a name met twice as often, or a count not a multiple of size, is refused
-    for bad in (np.concatenate([names, names]), names[1:]):
+    met = setalg._cosets_met(names, size, "S")
+    # |F| + 1 names, in order, each met by |H| = (|F|-1)/2 squares
+    counts = collections.Counter(names.tolist())
+    assert met.tolist() == sorted(counts) and len(met) == cn.Q + 1
+    assert set(counts.values()) == {size}
+    # a name met twice as often, one met once too few times, or one stray
+    # name met once is refused
+    stray = np.setdiff1d(np.arange(cn.zero), met)[0]
+    for bad in (np.concatenate([names, names]), names[1:], np.append(names, stray)):
         with pytest.raises(ClaimViolation):
-            setalg._coset_runs(bad, size, "S")
+            setalg._cosets_met(bad, size, "S")
+
+
+@pytest.mark.parametrize("pr", [(3, 2), (11, 1)])
+def test_coset_names_keep_at_most_22_bytes_per_table_entry(pr):
+    # the |F|^2-entry tables are the F-addition table and its |F|-scaled
+    # copy in int64, and the three name tables in two bytes at these sizes;
+    # with scaled subtraction codes and one-byte copies for t2 they took 32
+    cn = setalg.CosetNames(_construction(*pr).subF)
+    tables = [a for a in (getattr(cn, k) for k in cn.__slots__)
+              if isinstance(a, np.ndarray) and a.size == cn.Q**2]
+    assert any(a is cn._add for a in tables)
+    assert sum(a.nbytes for a in tables) <= 22 * cn.Q**2
 
 
 @pytest.mark.parametrize("pr", [(3, 1), (3, 2), (11, 1)])
